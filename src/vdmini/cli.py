@@ -252,6 +252,8 @@ def cmd_train_teacher(cfg: dict, out: Path, chash: str, force: bool) -> None:
         named = {n: by_id[id(p)] for n, p in model.params.items() if id(p) in by_id}
         model.params = opt.step(model.params, named)
         rows.append([str(step), fmt6(value)])
+        # free this step's tape before the next forward builds its own
+        del loss, tape, grads, by_id, named
     _save_model(model, out / "teacher.vdmk", chash)
     write_json_artifact(out / "teacher_graph.json", {
         "graph": json.loads(netgraph.graph_to_json(graph)),

@@ -511,6 +511,25 @@ def sinusoidal_embedding(value: float, dim: int) -> Tensor:
     return Tensor(np.concatenate([np.sin(ang), np.cos(ang)])[None, :])
 
 
+@dataclass(frozen=True)
+class BlockState:
+    """What the forward walk holds on entering a block: the activation, the
+    Down-stage outputs kept for skips so far, and the noise embedding."""
+    h: Tensor
+    skips: dict
+    emb: Tensor
+
+
+def _timed(timings: Optional[dict], key: str, fn):
+    """fn(), adding its wall time to timings[key] when timings is a dict."""
+    if timings is None:
+        return fn()
+    t0 = time.perf_counter()
+    out = fn()
+    timings[key] = timings.get(key, 0.0) + (time.perf_counter() - t0)
+    return out
+
+
 class Model:
     """Executable denoiser built from a BlockGraph."""
 
@@ -575,11 +594,13 @@ class Model:
         return self._attn_block(x, b)
 
     def forward(self, x: Tensor, c_noise: float, cond: Optional[Tensor] = None,
-                collect_features: bool = False, timings: Optional[dict] = None):
+                collect_features: bool = False, timings: Optional[dict] = None,
+                states: Optional[dict] = None):
         """Denoiser inner network: (F, C, H, W) latent -> same shape.
 
         Returns the output tensor, or (output, stage-boundary features)
-        when collect_features is set.
+        when collect_features is set. A `states` dict is filled with the
+        BlockState entering each block, keyed by block id, for `resume`.
         """
         g = self.graph
         f = x.shape[0]
@@ -594,38 +615,54 @@ class Model:
         emb = sinusoidal_embedding(c_noise, g.emb_dim)
         emb = T.silu(T.linear(emb, self._p("emb.lin1.w"), self._p("emb.lin1.b")))
         emb = T.linear(emb, self._p("emb.lin2.w"), self._p("emb.lin2.b"))
-
-        def timed(key, fn, *args):
-            if timings is None:
-                return fn(*args)
-            t0 = time.perf_counter()
-            out = fn(*args)
-            timings[key] = timings.get(key, 0.0) + (time.perf_counter() - t0)
-            return out
-
         h = T.concat([x, Tensor(cdata)], axis=1)
-        h = timed("stem", lambda: T.conv2d(h, self._p("stem.conv.w"), self._p("stem.conv.b"), pad=1))
-        skips = {}
-        features = {}
+        h = _timed(timings, "stem",
+                   lambda: T.conv2d(h, self._p("stem.conv.w"), self._p("stem.conv.b"), pad=1))
+        features = {} if collect_features else None
+        h = self._walk(h, {}, emb, timings=timings, features=features, states=states)
+        return (h, features) if collect_features else h
+
+    def resume(self, state: BlockState, block_id: str) -> Tensor:
+        """The forward output, computed from `block_id` on, given the state
+        entering that block (as `forward` records it in `states`)."""
+        return self._walk(state.h, dict(state.skips), state.emb, start=block_id)
+
+    def _walk(self, h: Tensor, skips: dict, emb: Tensor, start: Optional[str] = None,
+              timings: Optional[dict] = None, features: Optional[dict] = None,
+              states: Optional[dict] = None) -> Tensor:
+        """Run the stages and the head on the stem output h. With `start`,
+        h, skips and emb are the state entering that block, and everything
+        before it is skipped."""
         for sp in self._layout.stages:
             sid = sp.stage.stage_id
-            if sp.down_conv:
-                h = timed(f"down.{sid}", lambda h=h: T.conv2d(
-                    h, self._p(f"down.{sid}.w"), self._p(f"down.{sid}.b"), stride=2, pad=1))
-            if sp.up_conv:
-                h = timed(f"up.{sid}", lambda h=h: T.conv2d(
-                    T.upsample_nearest2x(h), self._p(f"up.{sid}.w"), self._p(f"up.{sid}.b"), pad=1))
-            if sp.skip_from:
-                h = T.concat([h, skips[sp.skip_from]], axis=1)
+            if start is None:
+                if sp.down_conv:
+                    h = _timed(timings, f"down.{sid}", lambda h=h: T.conv2d(
+                        h, self._p(f"down.{sid}.w"), self._p(f"down.{sid}.b"), stride=2, pad=1))
+                if sp.up_conv:
+                    h = _timed(timings, f"up.{sid}", lambda h=h: T.conv2d(
+                        T.upsample_nearest2x(h), self._p(f"up.{sid}.w"), self._p(f"up.{sid}.b"),
+                        pad=1))
+                if sp.skip_from:
+                    h = T.concat([h, skips[sp.skip_from]], axis=1)
             for b in sp.stage.blocks:
-                h = timed(b.block_id, lambda h=h, b=b: self._block(h, b, emb))
+                if start is not None:
+                    if b.block_id != start:
+                        continue
+                    start = None
+                if states is not None:
+                    states[b.block_id] = BlockState(h, dict(skips), emb)
+                h = _timed(timings, b.block_id, lambda h=h, b=b: self._block(h, b, emb))
+            if start is not None:
+                continue
             if sp.stage.kind == "Down":
                 skips[sid] = h
-            if collect_features and sp.stage.kind in ("Down", "Up"):
+            if features is not None and sp.stage.kind in ("Down", "Up"):
                 features[sid] = h
-        h = timed("head", lambda: T.conv2d(T.silu(self._gn(h, "head.gn")),
-                                           self._p("head.conv.w"), self._p("head.conv.b"), pad=1))
-        return (h, features) if collect_features else h
+        if start is not None:
+            raise UnknownBlockError(f"no block {start!r}")
+        return _timed(timings, "head", lambda: T.conv2d(
+            T.silu(self._gn(h, "head.gn")), self._p("head.conv.w"), self._p("head.conv.b"), pad=1))
 
     def __call__(self, x, c_noise, cond=None):
         return self.forward(x, c_noise, cond)

@@ -56,13 +56,84 @@ def _generate_set(model: Model, schedule: diffusion.NoiseSchedule, conds: list,
 
 
 def _inherit_ablated(teacher: Model, graph: BlockGraph, seed: int = 0) -> Model:
-    """Build the ablated model, copying every surviving teacher weight."""
-    params = netgraph.init_params(graph, seed)
-    for name in params:
-        src = teacher.params.get(name)
-        if src is not None and src.shape == params[name].shape:
-            params[name] = Tensor(src.data, requires_grad=True)
+    """Build the ablated model from the teacher's weights.
+
+    Only the parameters the teacher lacks (a shortcut conv's) are
+    initialised, to the values `init_params(graph, seed)` gives them.
+    """
+    lay = netgraph.check(graph)
+    params = {}
+    for spec in netgraph.enumerate_params(graph, lay):
+        src = teacher.params.get(spec.name)
+        data = src.data if src is not None and src.shape == spec.shape \
+            else netgraph._init_param(spec, seed)
+        params[spec.name] = Tensor(data, requires_grad=True)
     return Model(graph, params)
+
+
+def _call_inputs(x: Tensor, c_noise: float, cond: Optional[Tensor]) -> tuple:
+    return x.data, np.float64(c_noise), None if cond is None else cond.data
+
+
+def _same_bits(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@dataclass
+class _Prefix:
+    """The teacher's first network call of one sample: its inputs
+    (`_call_inputs`) and the state entering each block (block id ->
+    netgraph.BlockState)."""
+    inputs: tuple
+    states: dict
+
+
+class _PrefixCache:
+    """A model whose first network call of each sample records, or resumes
+    from, the teacher's prefix.
+
+    `diffusion.sample` calls the network once per Euler step, and the
+    first call's input (the seeded noise, its c_noise and condition) does
+    not depend on the model. With `start` None the first call of each
+    sample runs whole and records the state entering every block (the
+    teacher's reference pass). With `start` set, the model is the teacher
+    with block `start` ablated, so up to that block it computes exactly
+    what the teacher did: its first call resumes at `start` from the
+    recorded state, provided its inputs equal the recorded ones bit for
+    bit. Every other call runs whole.
+    """
+
+    def __init__(self, model: Model, steps: int, prefixes: list,
+                 start: Optional[str] = None):
+        self.model = model
+        self.steps = steps
+        self.prefixes = prefixes
+        self.start = start
+        self.calls = 0
+
+    def forward(self, x: Tensor, c_noise: float, cond: Optional[Tensor] = None) -> Tensor:
+        sample, step = divmod(self.calls, self.steps)
+        self.calls += 1
+        if step == 0 and self.start is None:
+            prefix = _Prefix(_call_inputs(x, c_noise, cond), {})
+            self.prefixes.append(prefix)
+            return self.model.forward(x, c_noise, cond, states=prefix.states)
+        if step == 0:
+            prefix = self.prefixes[sample]
+            if all(map(_same_bits, prefix.inputs, _call_inputs(x, c_noise, cond))):
+                return self.model.resume(prefix.states[self.start], self.start)
+        return self.model.forward(x, c_noise, cond)
+
+
+def _fvd(samples: list, eval_stats: evalkit.GaussianStats,
+         extractor: evalkit.FeatureExtractor) -> float:
+    """evalkit.fvd against an eval set whose Gaussian is already fitted."""
+    if not samples:
+        raise MetricError("fvd: empty video set")
+    stats = evalkit.fit_gaussian(evalkit.extract_features(samples, extractor))
+    return evalkit.frechet_distance(stats, eval_stats)
 
 
 def profile_importance(teacher: Model, eval_set: list, blocks: list,
@@ -70,7 +141,16 @@ def profile_importance(teacher: Model, eval_set: list, blocks: list,
                        schedule: diffusion.NoiseSchedule,
                        conds: Optional[list] = None, seed: int = 0,
                        steps: int = 1, latency_reps: int = 3) -> AblationReport:
-    """Ablate each block in turn and score the FVD proxy of its samples."""
+    """Ablate each block in turn and score the FVD proxy of its samples.
+
+    Every sample set uses the same seeded noise and conditions, so each
+    ablated model's first network call of a sample would recompute the
+    teacher's, bit for bit, up to the ablated block. The teacher's
+    reference pass records the state entering every block on that call,
+    and each ablated model resumes from it at its ablated block (later
+    Euler steps run whole). The eval set is embedded once. The report is
+    the same, byte for byte, as sampling every ablated model whole.
+    """
     if not eval_set:
         raise VdminiError("profile_importance: empty eval set")
     shape = eval_set[0].shape
@@ -83,19 +163,23 @@ def profile_importance(teacher: Model, eval_set: list, blocks: list,
         per_block_ms = evalkit.measure_latency(teacher, shape, warmup=1,
                                                reps=latency_reps).per_block_ms
 
-    ref_samples = _generate_set(teacher, schedule, conds, seed, shape, steps)
-    ref_fvd = evalkit.fvd(ref_samples, eval_set, extractor)
+    eval_stats = evalkit.fit_gaussian(evalkit.extract_features(eval_set, extractor))
+    prefixes: list = []
+    ref_samples = _generate_set(_PrefixCache(teacher, steps, prefixes), schedule, conds,
+                                seed, shape, steps)
+    ref_fvd = _fvd(ref_samples, eval_stats, extractor)
 
     report = AblationReport(reference_fvd=ref_fvd)
     for block_id in sorted(blocks):
         ablated_graph, _ = netgraph.ablate(teacher.graph, block_id)
-        model = _inherit_ablated(teacher, ablated_graph)
+        model = _PrefixCache(_inherit_ablated(teacher, ablated_graph), steps, prefixes,
+                             start=block_id)
         row = AblationRow(block_id, math.nan, math.nan,
                           per_block_ms.get(block_id, 0.0),
                           per_block_params.get(block_id, 0))
         try:
             samples = _generate_set(model, schedule, conds, seed, shape, steps)
-            row.fvd_after_ablation = evalkit.fvd(samples, eval_set, extractor)
+            row.fvd_after_ablation = _fvd(samples, eval_stats, extractor)
             row.delta_fvd = row.fvd_after_ablation - ref_fvd
         except MetricError as exc:
             row.error = str(exc)

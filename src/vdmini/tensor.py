@@ -133,7 +133,6 @@ def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
         raise NonScalarRootError(f"backward root must be scalar, got shape {root.shape}")
     grads: dict[int, Array] = {id(root): np.ones((), dtype=np.float64)}
     keep: dict[int, Tensor] = {id(root): root}
-    out_by_node = {id(node): out for node, out in tape.nodes}
     for node, out in reversed(tape.nodes):
         g = grads.pop(id(out), None)
         keep.pop(id(out), None)
@@ -155,7 +154,6 @@ def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
     for key, t in keep.items():
         if t.requires_grad:
             result[t] = Tensor(grads[key])
-    _ = out_by_node  # nodes kept alive until traversal finishes
     return result
 
 
@@ -453,7 +451,6 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int = 1, eps: flo
     xhat = ((xg - mu) * inv).reshape(x.shape)
     gshape = (1, c) + (1,) * len(spatial)
     out = xhat * gamma.data.reshape(gshape) + beta.data.reshape(gshape)
-    m = xg.shape[2]
 
     def vjp(g):
         affine_axes = (0,) + tuple(range(2, x.data.ndim))
@@ -464,7 +461,6 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int = 1, eps: flo
         t1 = dxhat.mean(axis=2, keepdims=True)
         t2 = (dxhat * xh).mean(axis=2, keepdims=True)
         gx = (inv * (dxhat - t1 - xh * t2)).reshape(x.shape)
-        _ = m
         return gx, ggamma, gbeta
 
     return _record("group_norm", out, [x, gamma, beta], vjp)

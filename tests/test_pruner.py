@@ -194,6 +194,85 @@ def test_profile_report_rows_cover_requested_blocks_and_csv():
     assert len(lines) == len(blocks)
 
 
+def _init_then_overwrite(teacher, graph):
+    """The ablated model as built by initialising the whole graph, then
+    copying every teacher tensor whose name and shape survive."""
+    params = ng.init_params(graph, 0)
+    for name in params:
+        src = teacher.params.get(name)
+        if src is not None and src.shape == params[name].shape:
+            params[name] = Tensor(src.data, requires_grad=True)
+    return ng.Model(graph, params)
+
+
+def _perturbed_teacher(seed=1):
+    # every residual branch of a fresh model ends in a zero conv; noise on
+    # every weight makes each block, and so each ablation, count
+    graph = _small_graph()
+    rng = np.random.default_rng(seed)
+    return ng.Model(graph, {n: Tensor(p.data + 0.3 * rng.standard_normal(p.shape))
+                            for n, p in ng.build(graph, seed).params.items()})
+
+
+def test_inherit_ablated_matches_init_then_overwrite():
+    teacher = _perturbed_teacher()
+    for block_id in ("D.1.A.0.S", "U.1.R.0.S"):  # identity, shortcut conv
+        graph, _ = ng.ablate(teacher.graph, block_id)
+        got = pr._inherit_ablated(teacher, graph).params
+        want = _init_then_overwrite(teacher, graph).params
+        assert list(got) == list(want)
+        for name, p in want.items():
+            assert got[name].shape == p.shape
+            assert np.array_equal(got[name].data, p.data), name
+            assert got[name].requires_grad
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_profile_resumed_rows_equal_whole_sampling(steps):
+    teacher = _perturbed_teacher()
+    schedule = df.NoiseSchedule(n_levels=4)
+    eval_set = _eval_videos(n=2)
+    conds = [sd.first_frame_condition(v) for v in eval_set]
+    ex = ek.FeatureExtractor()
+    blocks = ["D.0.R.0.S", "D.1.A.0.T", "M.R.1.T", "U.1.R.0.S", "U.3.A.2.S"]
+    report = pr.profile_importance(teacher, eval_set, blocks, ex, schedule, conds=conds,
+                                   seed=3, steps=steps, latency_reps=0)
+
+    def whole_fvd(model):
+        shape = eval_set[0].shape
+        return ek.fvd(pr._generate_set(model, schedule, conds, 3, shape, steps), eval_set, ex)
+
+    ref_fvd = whole_fvd(teacher)
+    assert report.reference_fvd == ref_fvd
+    assert len(report.rows) == len(blocks)
+    for row in report.rows:
+        graph, _ = ng.ablate(teacher.graph, row.block_id)
+        fvd = whole_fvd(_init_then_overwrite(teacher, graph))
+        assert row.error is None
+        assert row.fvd_after_ablation == fvd, row.block_id
+        assert row.delta_fvd == fvd - ref_fvd, row.block_id
+
+
+def test_prefix_cache_runs_whole_when_the_first_input_differs():
+    teacher = _perturbed_teacher()
+    graph, _ = ng.ablate(teacher.graph, "D.2.R.0.T")
+    model = pr._inherit_ablated(teacher, graph)
+    x = Tensor(np.random.default_rng(0).standard_normal((2, 1, 16, 16)))
+    prefixes = []
+    pr._PrefixCache(teacher, 1, prefixes).forward(x, 0.5)
+    resumed = pr._PrefixCache(model, 1, prefixes, start="D.2.R.0.T")
+    assert np.array_equal(resumed.forward(x, 0.5).data, model.forward(x, 0.5).data)
+    # one flipped bit in the input: resuming would return the recorded
+    # teacher prefix's answer; the cache must run the whole model instead
+    bumped = x.data.copy()
+    bumped.view(np.uint64)[0, 0, 0, 0] ^= 1
+    resumed = pr._PrefixCache(model, 1, prefixes, start="D.2.R.0.T")
+    out = resumed.forward(Tensor(bumped), 0.5)
+    assert np.array_equal(out.data, model.forward(Tensor(bumped), 0.5).data)
+    assert not np.array_equal(out.data, model.resume(prefixes[0].states["D.2.R.0.T"],
+                                                     "D.2.R.0.T").data)
+
+
 # ---------------------------------------------------------------------------
 # channel-group importance scores
 # ---------------------------------------------------------------------------
