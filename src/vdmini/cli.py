@@ -21,10 +21,10 @@ from typing import Optional
 import numpy as np
 
 from . import checkpoint, diffusion, evalkit, icmd, netgraph, pruner, synthdata
-from .errors import (ConfigError, MetricError, MissingArtifactError,
-                     NonFiniteError, VdminiError)
+from .errors import (CheckpointError, ConfigError, MetricError,
+                     MissingArtifactError, NonFiniteError, PlanError, VdminiError)
 from .netgraph import Model
-from .optim import Adam
+from .optim import Adam, named_grads
 from .tensor import Tape, Tensor, backward
 
 EXIT_OK = 0
@@ -176,6 +176,19 @@ def _load_model(path: Path, graph: netgraph.BlockGraph, chash: str,
     stored = params.pop("_meta.config_hash", None)
     if stored is not None and _tensor_hash(stored) != chash and not force:
         raise ConfigError(f"{path}: config hash mismatch (use --force to override)")
+    params = {n: p for n, p in params.items() if not n.startswith("_meta.")}
+    # exactly the graph's tensors: another model's checkpoint (say, the
+    # teacher's saved as the student's) must not run in its place
+    specs = netgraph.enumerate_params(graph)
+    for spec in specs:
+        if spec.name not in params:
+            raise CheckpointError(f"{path}: missing tensor {spec.name}")
+        if params[spec.name].shape != spec.shape:
+            raise CheckpointError(f"{path}: tensor {spec.name} has shape "
+                                  f"{params[spec.name].shape}, expected {spec.shape}")
+    extra = sorted(set(params) - {spec.name for spec in specs})
+    if extra:
+        raise CheckpointError(f"{path}: extra tensor {extra[0]}")
     return Model(graph, params)
 
 
@@ -196,15 +209,6 @@ def _load_split(path: Path, chash: str, force: bool, what: str):
     if stored is not None and stored != chash and not force:
         raise ConfigError(f"{path}: config hash mismatch (use --force to override)")
     return ds
-
-
-def _generate(model: Model, schedule, conds: list, shape: tuple, seed: int,
-              steps: int) -> list:
-    out = []
-    for i, cond in enumerate(conds):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
-        out.append(diffusion.sample(model, schedule, steps, cond, rng, shape))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +251,11 @@ def cmd_train_teacher(cfg: dict, out: Path, chash: str, force: bool) -> None:
         value = loss.item()
         if not np.isfinite(value):
             raise NonFiniteError(f"train-teacher: non-finite loss at step {step}")
-        grads = backward(tape, loss)
-        by_id = {id(p): g for p, g in grads.items()}
-        named = {n: by_id[id(p)] for n, p in model.params.items() if id(p) in by_id}
-        model.params = opt.step(model.params, named)
+        grads = named_grads(model.params, backward(tape, loss))
+        model.params = opt.step(model.params, grads)
         rows.append([str(step), fmt6(value)])
         # free this step's tape before the next forward builds its own
-        del loss, tape, grads, by_id, named
+        del loss, tape, grads
     _save_model(model, out / "teacher.vdmk", chash)
     write_json_artifact(out / "teacher_graph.json", {
         "graph": json.loads(netgraph.graph_to_json(graph)),
@@ -308,11 +310,12 @@ def cmd_plan(cfg: dict, out: Path, chash: str, force: bool) -> None:
 
 
 def _load_plan(out: Path) -> pruner.PruningPlan:
-    doc = json.loads(_require(out / "plan.json", "pruning plan").read_text())
-    return pruner.PruningPlan(tuple(doc["removed_block_ids"]),
-                              tuple(doc["emptied_stages"]),
-                              dict(doc["inheritance"]),
-                              dict(doc["student_layer_counts"]))
+    path = _require(out / "plan.json", "pruning plan")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise PlanError(f"{path}: unparseable plan: {exc}")
+    return pruner.PruningPlan.from_json_doc(doc)
 
 
 def cmd_distill(cfg: dict, out: Path, chash: str, force: bool) -> None:
@@ -372,8 +375,8 @@ def cmd_eval(cfg: dict, out: Path, chash: str, force: bool) -> None:
     conds = [synthdata.first_frame_condition(v) for v in videos]
     extractor = evalkit.FeatureExtractor(in_channels=videos[0].shape[1])
     seed = stage_seed(cfg["seed"], "eval")
-    samples = _generate(model, _schedule(cfg), conds, videos[0].shape, seed,
-                        e["sample_steps"])
+    samples = diffusion.sample_set(model, _schedule(cfg), conds, seed, videos[0].shape,
+                                   e["sample_steps"])
     score = evalkit.fvd(samples, videos, extractor)
     motion = float(np.mean([evalkit.motion_dynamics_proxy(s) for s in samples]))
     doc = {
@@ -396,28 +399,41 @@ def cmd_eval(cfg: dict, out: Path, chash: str, force: bool) -> None:
 
 
 def cmd_report(cfg: dict, out: Path, chash: str, force: bool) -> None:
-    artifacts = sorted(list(out.glob("*.json")) + list(out.glob("*.csv")))
-    artifacts = [p for p in artifacts if p.name != "summary.csv"]
-    if not artifacts:
-        raise MissingArtifactError("missing prerequisite: no artifacts to aggregate")
+    """Aggregate the artifacts in `out`: the JSON files with a `config_hash`
+    key and the CSV files whose first line is `# config_hash=...`. Other
+    JSON and CSV files are listed in summary.txt as skipped."""
+    paths = sorted(list(out.glob("*.json")) + list(out.glob("*.csv")))
     rows = [["artifact", "config_hash", "key", "value"]]
     lines = [f"run summary (config hash {chash})", ""]
-    for path in artifacts:
+    n_artifacts = 0
+    for path in paths:
+        if path.name == "summary.csv":
+            continue
         if path.suffix == ".json":
-            doc = json.loads(path.read_text())
-            stored = doc.get("config_hash", "")
+            try:
+                doc = json.loads(path.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise ConfigError(f"report: unparseable {path.name}: {exc}")
+            if not isinstance(doc, dict):
+                doc = {}
+            stored = doc.get("config_hash")
         else:
             stored = _read_csv_hash(path)
             doc = {}
+        if not stored:
+            lines.append(f"{path.name}: skipped (no config hash)")
+            continue
+        n_artifacts += 1
         if stored != chash and not force:
-            raise ConfigError(f"report: {path.name} has config hash "
-                              f"{stored or '(none)'}, expected {chash} "
-                              f"(use --force to aggregate anyway)")
-        lines.append(f"{path.name}: hash {stored or '(none)'}")
+            raise ConfigError(f"report: {path.name} has config hash {stored}, "
+                              f"expected {chash} (use --force to aggregate anyway)")
+        lines.append(f"{path.name}: hash {stored}")
         for key, value in sorted(doc.items()):
             if isinstance(value, (int, float)) and key != "config_hash":
                 rows.append([path.name, stored, key, fmt6(value)])
                 lines.append(f"  {key} = {fmt6(value)}")
+    if not n_artifacts:
+        raise MissingArtifactError("missing prerequisite: no artifacts to aggregate")
     _write_csv(out / "summary.csv", rows, chash)
     atomic_write_text(out / "summary.txt", "\n".join(lines) + "\n")
     print(f"report: wrote {out / 'summary.csv'}")

@@ -113,6 +113,17 @@ def sample(model: Model, schedule: NoiseSchedule, steps: int, cond: Optional[Ten
     return x
 
 
+def sample_set(model: Model, schedule: NoiseSchedule, conds: list, seed: int,
+               shape: tuple, steps: int = 1) -> list:
+    """One sample per condition; sample i draws its noise from a generator
+    seeded with SeedSequence([seed, i]), so each sample is independent of
+    the others and of the set's length."""
+    return [sample(model, schedule, steps, cond,
+                   np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i]))),
+                   shape)
+            for i, cond in enumerate(conds)]
+
+
 def sample_sigma(schedule: NoiseSchedule, rng: np.random.Generator,
                  p_mean: float = -1.2, p_std: float = 1.2) -> float:
     """Training-noise draw covering the whole schedule.

@@ -9,10 +9,6 @@ class ShapeError(VdminiError):
     """Operand shapes do not conform to an op's shape rule."""
 
 
-class UnknownOpError(VdminiError):
-    """Dispatch received an op kind it does not implement."""
-
-
 class NonScalarRootError(VdminiError):
     """backward() called on a non-scalar root."""
 
@@ -37,10 +33,6 @@ class UnknownBlockError(VdminiError):
 
 class PlanError(VdminiError):
     """A pruning plan cannot be constructed or applied."""
-
-
-class PruneError(VdminiError):
-    """Channel pruning would produce an invalid network."""
 
 
 class CheckpointError(VdminiError):

@@ -1,4 +1,4 @@
-"""Quantitative evaluation: FVD proxy, motion proxy, PSNR, latency."""
+"""Quantitative evaluation: FVD proxy, motion proxy, latency."""
 
 from __future__ import annotations
 
@@ -144,19 +144,6 @@ def motion_dynamics_proxy(video: Tensor) -> float:
         raise ShapeError(f"motion proxy needs >= 2 frames, got {video.shape}")
     diff = np.abs(np.diff(video.data, axis=0))
     return float(diff.mean())
-
-
-PSNR_CAP_DB = 99.0
-
-
-def psnr(a: Tensor, b: Tensor, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / MSE), capped at 99 dB for identical inputs."""
-    if a.shape != b.shape:
-        raise ShapeError(f"psnr: shapes {a.shape} vs {b.shape}")
-    err = float(((a.data - b.data) ** 2).mean())
-    if err == 0.0:
-        return PSNR_CAP_DB
-    return min(10.0 * math.log10(peak * peak / err), PSNR_CAP_DB)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from . import diffusion, netgraph, tensor as T
 from .diffusion import NoiseSchedule, Preconditioner
 from .errors import NonFiniteError, ShapeError, VdminiError
 from .netgraph import Model
-from .optim import Adam
+from .optim import Adam, named_grads
 from .tensor import Tape, Tensor, backward
 
 STUDENT_LR = 1e-4
@@ -263,11 +263,8 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
                 loss_d = term if loss_d is None else T.add(loss_d, term)
             loss_d = T.mul_scalar(loss_d, 1.0 / len(batch))
         mca_disc_val = _check_finite(loss_d.item(), "mca_disc")
-        grads = backward(tape, loss_d)
-        by_id = {id(t): g for t, g in grads.items()}
-        named = {n: by_id[id(pp)] for n, pp in state.disc.params.items()
-                 if id(pp) in by_id}
-        state.disc.params = state.opt_disc.step(state.disc.params, named)
+        grads = named_grads(state.disc.params, backward(tape, loss_d))
+        state.disc.params = state.opt_disc.step(state.disc.params, grads)
 
     x_ts = [Tensor(x0.data + sigma * eps)
             for x0, sigma, eps in zip(batch, sigmas, epss)]
@@ -294,11 +291,8 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
     task_val = _check_finite(task.item(), "task")
     icd_val = _check_finite(icd.item(), "icd")
     gen_val = _check_finite(gen.item(), "mca_gen") if gen is not None else 0.0
-    grads = backward(tape, total)
-    by_id = {id(t): g for t, g in grads.items()}
-    named = {n: by_id[id(pp)] for n, pp in state.student.params.items()
-             if id(pp) in by_id}
-    state.student.params = state.opt_student.step(state.student.params, named)
+    grads = named_grads(state.student.params, backward(tape, total))
+    state.student.params = state.opt_student.step(state.student.params, grads)
     state.step += 1
     return {
         "task": task_val,

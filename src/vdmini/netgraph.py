@@ -1,11 +1,11 @@
 """Declarative block graphs for U-Net style video denoisers.
 
 A BlockGraph is the single source of truth: the same structural walk
-drives validation, parameter enumeration, parameter counting, model
-building, and channel-dependency grouping. Stages persist even when
-emptied by pruning; an empty stage keeps its resolution transition but
-runs no blocks, which keeps stage-boundary activations shape-compatible
-between a teacher and its pruned student.
+drives validation, parameter enumeration, parameter counting and model
+building. Stages persist even when emptied by pruning; an empty stage
+keeps its resolution transition but runs no blocks, which keeps
+stage-boundary activations shape-compatible between a teacher and its
+pruned student.
 
 Block ids follow the D/M/U naming, e.g. "D.0.R.1.S" is the spatial half
 of the second ResBlock layer of the first DownBlock; "M.A.0.T" is the
@@ -94,19 +94,12 @@ class AblationEdit:
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """Shape plus channel-dependency roles for one named parameter.
-
-    ent_out labels the entity owning axis 0; ent_in lists (entity, size)
-    segments along axis 1 (convolution/linear input channels). Entities
-    are stage-width labels; None marks a non-prunable dimension.
-    """
+    """Shape, initialiser and owner of one named parameter."""
 
     name: str
     shape: tuple
     init: str  # "fanin", "zeros", "ones", "avg"
-    owner: str  # block_id or a pseudo owner like "stem"
-    ent_out: Optional[str] = None
-    ent_in: tuple = ()
+    owner: str  # block_id or a pseudo owner like "stem"; the name's prefix
 
 
 def parse_block_id(block_id: str):
@@ -213,26 +206,21 @@ def toy_teacher_graph(widths: tuple = TOY_WIDTHS) -> BlockGraph:
 @dataclass
 class StagePlan:
     stage: StageSpec
-    entity: str
     down_conv: Optional[tuple] = None  # (in, out)
     up_conv: Optional[tuple] = None
     skip_from: Optional[str] = None  # stage id whose skip is concatenated
-    skip_channels: int = 0
-    skip_entity: Optional[str] = None
-    pre_entity: Optional[str] = None  # entity of h entering the concat
 
 
 @dataclass
 class GraphLayout:
-    stem: tuple
+    stem: tuple  # (in, out)
     stages: list
     head: tuple
     errors: list = field(default_factory=list)
-    entity_stages: dict = field(default_factory=dict)  # entity -> [stage ids]
 
 
 def layout(graph: BlockGraph) -> GraphLayout:
-    """Walk the graph, resolving channel flow, transitions, and entities."""
+    """Walk the graph, resolving channel flow and resolution transitions."""
     errors = []
     downs = [s for s in graph.stages if s.kind == "Down"]
     mids = [s for s in graph.stages if s.kind == "Mid"]
@@ -255,13 +243,10 @@ def layout(graph: BlockGraph) -> GraphLayout:
                               f"{b.in_channels}->{b.out_channels}")
 
     # the stem conv maps latent+cond channels to the first stage's width,
-    # so the walk starts there; the first stage shares the stem's entity
-    stem_out_entity = None
-    entity_stages: dict = {}
+    # so the walk starts there
     cur_ch = downs[0].width if downs else graph.latent_channels + graph.cond_channels
     cur_div = 1
-    cur_entity = None
-    skips: dict = {}
+    skips: dict = {}  # Down stage id -> its output channels
     plans = []
 
     def check_blocks(stage: StageSpec, in_ch: int) -> int:
@@ -278,59 +263,40 @@ def layout(graph: BlockGraph) -> GraphLayout:
 
     for stage in graph.stages:
         sid = stage.stage_id
-        sp = StagePlan(stage, entity="")
+        sp = StagePlan(stage)
         if stage.kind == "Down":
             if stage.res_divisor > cur_div:
                 sp.down_conv = (cur_ch, stage.width)
-                cur_entity = sid
                 cur_ch = stage.width
             elif stage.width != cur_ch:
                 errors.append(f"stage {sid}: width {stage.width} without transition from {cur_ch}")
-            if cur_entity is None:
-                cur_entity = sid  # first stage couples to the stem conv
-                stem_out_entity = cur_entity
             cur_div = stage.res_divisor
-            sp.entity = cur_entity
             cur_ch = check_blocks(stage, cur_ch)
-            skips[sid] = (cur_ch, cur_entity)
+            skips[sid] = cur_ch
         elif stage.kind == "Mid":
             if stage.res_divisor != cur_div:
                 errors.append(f"stage {sid}: divisor {stage.res_divisor} != incoming {cur_div}")
             if stage.blocks and stage.width != cur_ch:
                 errors.append(f"stage {sid}: width {stage.width} but receives {cur_ch} channels")
-            sp.entity = cur_entity or sid
             cur_ch = check_blocks(stage, cur_ch)
         else:  # Up
             if stage.res_divisor < cur_div:
                 sp.up_conv = (cur_ch, stage.width)
-                sp.pre_entity = f"{sid}:pre"
                 cur_ch = stage.width
                 cur_div = stage.res_divisor
-            else:
-                sp.pre_entity = cur_entity
             pair = f"D.{len(ups) - 1 - stage.index}"
             if stage.blocks:
                 if pair not in skips:
                     errors.append(f"stage {sid}: paired skip {pair} missing")
                 else:
-                    skip_ch, skip_ent = skips[pair]
                     sp.skip_from = pair
-                    sp.skip_channels = skip_ch
-                    sp.skip_entity = skip_ent
-                    cur_ch += skip_ch
-                cur_entity = sid
-            sp.entity = cur_entity if stage.blocks else (sp.pre_entity or sid)
+                    cur_ch += skips[pair]
             cur_ch = check_blocks(stage, cur_ch)
-        entity_stages.setdefault(sp.entity, [])
-        if sid not in entity_stages[sp.entity]:
-            entity_stages[sp.entity].append(sid)
         plans.append(sp)
 
     head = (cur_ch, graph.latent_channels)
-    stem = (graph.latent_channels + graph.cond_channels,
-            downs[0].width if downs else cur_ch, stem_out_entity or "D.0")
-    return GraphLayout(stem=stem, stages=plans, head=head, errors=errors,
-                       entity_stages=entity_stages)
+    stem = (graph.latent_channels + graph.cond_channels, downs[0].width if downs else cur_ch)
+    return GraphLayout(stem=stem, stages=plans, head=head, errors=errors)
 
 
 def validate(graph: BlockGraph) -> list:
@@ -349,121 +315,91 @@ def check(graph: BlockGraph) -> GraphLayout:
 # parameter enumeration
 # ---------------------------------------------------------------------------
 
-def _res_block_params(b: BlockSpec, graph: BlockGraph, ent: str, in_segments: tuple):
+def _res_block_params(b: BlockSpec, graph: BlockGraph):
     bid = b.block_id
     cin, c = b.in_channels, b.out_channels
     e = graph.emb_dim
     spatial = b.kind == RES_SPATIAL
     kshape = (c, cin, 3, 3) if spatial else (c, cin, 3)
     k2shape = (c, c, 3, 3) if spatial else (c, c, 3)
-    # gn1 affine channels follow the (possibly concatenated) input; encode the
-    # segment layout on ent_in so channel pruning slices the right rows.
-    if len(in_segments) > 1:
-        gn1 = [ParamSpec(f"{bid}.gn1.g", (cin,), "ones", bid, None, in_segments),
-               ParamSpec(f"{bid}.gn1.b", (cin,), "zeros", bid, None, in_segments)]
-    else:
-        in_ent = in_segments[0][0] if in_segments else ent
-        gn1 = [ParamSpec(f"{bid}.gn1.g", (cin,), "ones", bid, in_ent),
-               ParamSpec(f"{bid}.gn1.b", (cin,), "zeros", bid, in_ent)]
-    specs = gn1 + [
-        ParamSpec(f"{bid}.conv1.w", kshape, "fanin", bid, ent, in_segments),
-        ParamSpec(f"{bid}.conv1.b", (c,), "zeros", bid, ent),
-        ParamSpec(f"{bid}.emb.w", (c, e), "fanin", bid, ent),
-        ParamSpec(f"{bid}.emb.b", (c,), "zeros", bid, ent),
-        ParamSpec(f"{bid}.gn2.g", (c,), "ones", bid, ent),
-        ParamSpec(f"{bid}.gn2.b", (c,), "zeros", bid, ent),
-        ParamSpec(f"{bid}.conv2.w", k2shape, "zeros", bid, ent, ((ent, c),)),
-        ParamSpec(f"{bid}.conv2.b", (c,), "zeros", bid, ent),
+    specs = [
+        ParamSpec(f"{bid}.gn1.g", (cin,), "ones", bid),
+        ParamSpec(f"{bid}.gn1.b", (cin,), "zeros", bid),
+        ParamSpec(f"{bid}.conv1.w", kshape, "fanin", bid),
+        ParamSpec(f"{bid}.conv1.b", (c,), "zeros", bid),
+        ParamSpec(f"{bid}.emb.w", (c, e), "fanin", bid),
+        ParamSpec(f"{bid}.emb.b", (c,), "zeros", bid),
+        ParamSpec(f"{bid}.gn2.g", (c,), "ones", bid),
+        ParamSpec(f"{bid}.gn2.b", (c,), "zeros", bid),
+        ParamSpec(f"{bid}.conv2.w", k2shape, "zeros", bid),
+        ParamSpec(f"{bid}.conv2.b", (c,), "zeros", bid),
     ]
     if cin != c:
         specs += [
-            ParamSpec(f"{bid}.skip.w", (c, cin, 1, 1), "fanin", bid, ent, in_segments),
-            ParamSpec(f"{bid}.skip.b", (c,), "zeros", bid, ent),
+            ParamSpec(f"{bid}.skip.w", (c, cin, 1, 1), "fanin", bid),
+            ParamSpec(f"{bid}.skip.b", (c,), "zeros", bid),
         ]
     return specs
 
 
-def _attn_block_params(b: BlockSpec, ent: str):
+def _attn_block_params(b: BlockSpec):
     bid = b.block_id
     c = b.out_channels
     h = 4 * c
     return [
-        ParamSpec(f"{bid}.gn.g", (c,), "ones", bid, ent),
-        ParamSpec(f"{bid}.gn.b", (c,), "zeros", bid, ent),
-        ParamSpec(f"{bid}.wq", (c, c), "fanin", bid, ent, ((ent, c),)),
-        ParamSpec(f"{bid}.wk", (c, c), "fanin", bid, ent, ((ent, c),)),
-        ParamSpec(f"{bid}.wv", (c, c), "fanin", bid, ent, ((ent, c),)),
-        ParamSpec(f"{bid}.wo", (c, c), "zeros", bid, ent, ((ent, c),)),
-        ParamSpec(f"{bid}.gn2.g", (c,), "ones", bid, ent),
-        ParamSpec(f"{bid}.gn2.b", (c,), "zeros", bid, ent),
-        ParamSpec(f"{bid}.lin1.w", (h, c), "fanin", bid, f"{ent}#4", ((ent, c),)),
-        ParamSpec(f"{bid}.lin1.b", (h,), "zeros", bid, f"{ent}#4"),
-        ParamSpec(f"{bid}.lin2.w", (c, h), "zeros", bid, ent, ((f"{ent}#4", h),)),
-        ParamSpec(f"{bid}.lin2.b", (c,), "zeros", bid, ent),
+        ParamSpec(f"{bid}.gn.g", (c,), "ones", bid),
+        ParamSpec(f"{bid}.gn.b", (c,), "zeros", bid),
+        ParamSpec(f"{bid}.wq", (c, c), "fanin", bid),
+        ParamSpec(f"{bid}.wk", (c, c), "fanin", bid),
+        ParamSpec(f"{bid}.wv", (c, c), "fanin", bid),
+        ParamSpec(f"{bid}.wo", (c, c), "zeros", bid),
+        ParamSpec(f"{bid}.gn2.g", (c,), "ones", bid),
+        ParamSpec(f"{bid}.gn2.b", (c,), "zeros", bid),
+        ParamSpec(f"{bid}.lin1.w", (h, c), "fanin", bid),
+        ParamSpec(f"{bid}.lin1.b", (h,), "zeros", bid),
+        ParamSpec(f"{bid}.lin2.w", (c, h), "zeros", bid),
+        ParamSpec(f"{bid}.lin2.b", (c,), "zeros", bid),
     ]
 
 
-def enumerate_params(graph: BlockGraph, lay: Optional[GraphLayout] = None) -> list:
+def enumerate_params(graph: BlockGraph) -> list:
     """Every parameter of the built model, in canonical order."""
-    lay = lay or check(graph)
+    lay = check(graph)
     e = graph.emb_dim
-    cin, cout, stem_ent = lay.stem
+    cin, cout = lay.stem
     specs = [
-        ParamSpec("stem.conv.w", (cout, cin, 3, 3), "fanin", "stem", stem_ent),
-        ParamSpec("stem.conv.b", (cout,), "zeros", "stem", stem_ent),
+        ParamSpec("stem.conv.w", (cout, cin, 3, 3), "fanin", "stem"),
+        ParamSpec("stem.conv.b", (cout,), "zeros", "stem"),
         ParamSpec("emb.lin1.w", (e, e), "fanin", "emb"),
         ParamSpec("emb.lin1.b", (e,), "zeros", "emb"),
         ParamSpec("emb.lin2.w", (e, e), "fanin", "emb"),
         ParamSpec("emb.lin2.b", (e,), "zeros", "emb"),
     ]
-    prev_entity = stem_ent
     for sp in lay.stages:
-        sid = sp.stage.stage_id
-        if sp.down_conv:
-            ci, co = sp.down_conv
-            specs += [
-                ParamSpec(f"down.{sid}.w", (co, ci, 3, 3), "fanin", f"down.{sid}",
-                          sp.entity, ((prev_entity, ci),)),
-                ParamSpec(f"down.{sid}.b", (co,), "zeros", f"down.{sid}", sp.entity),
-            ]
-            prev_entity = sp.entity
-        if sp.up_conv:
-            ci, co = sp.up_conv
-            out_ent = sp.entity if sp.stage.blocks else sp.pre_entity
-            specs += [
-                ParamSpec(f"up.{sid}.w", (co, ci, 3, 3), "fanin", f"up.{sid}",
-                          out_ent, ((prev_entity, ci),)),
-                ParamSpec(f"up.{sid}.b", (co,), "zeros", f"up.{sid}", out_ent),
-            ]
-            prev_entity = out_ent
-        first = True
+        for conv, io in (("down", sp.down_conv), ("up", sp.up_conv)):
+            if io:
+                ci, co = io
+                owner = f"{conv}.{sp.stage.stage_id}"
+                specs += [ParamSpec(f"{owner}.w", (co, ci, 3, 3), "fanin", owner),
+                          ParamSpec(f"{owner}.b", (co,), "zeros", owner)]
         for b in sp.stage.blocks:
-            if sp.stage.kind == "Up" and first and sp.skip_from:
-                in_segments = ((prev_entity, b.in_channels - sp.skip_channels),
-                               (sp.skip_entity, sp.skip_channels))
-            else:
-                in_segments = ((prev_entity, b.in_channels),)
-            first = False
             if b.replacement == IDENTITY:
-                prev_entity = sp.entity
                 continue
             if b.replacement == SHORTCUT_CONV:
                 specs += [
                     ParamSpec(f"{b.block_id}.ablate.w", (b.out_channels, b.in_channels, 1, 1),
-                              "avg", b.block_id, sp.entity, in_segments),
-                    ParamSpec(f"{b.block_id}.ablate.b", (b.out_channels,), "zeros",
-                              b.block_id, sp.entity),
+                              "avg", b.block_id),
+                    ParamSpec(f"{b.block_id}.ablate.b", (b.out_channels,), "zeros", b.block_id),
                 ]
             elif b.kind in (RES_SPATIAL, RES_TEMPORAL):
-                specs += _res_block_params(b, graph, sp.entity, in_segments)
+                specs += _res_block_params(b, graph)
             else:
-                specs += _attn_block_params(b, sp.entity)
-            prev_entity = sp.entity
+                specs += _attn_block_params(b)
     hin, hout = lay.head
     specs += [
-        ParamSpec("head.gn.g", (hin,), "ones", "head", prev_entity),
-        ParamSpec("head.gn.b", (hin,), "zeros", "head", prev_entity),
-        ParamSpec("head.conv.w", (hout, hin, 3, 3), "fanin", "head", None, ((prev_entity, hin),)),
+        ParamSpec("head.gn.g", (hin,), "ones", "head"),
+        ParamSpec("head.gn.b", (hin,), "zeros", "head"),
+        ParamSpec("head.conv.w", (hout, hin, 3, 3), "fanin", "head"),
         ParamSpec("head.conv.b", (hout,), "zeros", "head"),
     ]
     return specs

@@ -7,6 +7,12 @@ import numpy as np
 from .tensor import Tensor
 
 
+def named_grads(params: dict[str, Tensor], grads: dict[Tensor, Tensor]) -> dict[str, Tensor]:
+    """Re-key `backward`'s result (leaf tensor -> gradient) by parameter
+    name; parameters the tape never reached get no entry."""
+    return {n: grads[p] for n, p in params.items() if p in grads}
+
+
 class Adam:
     def __init__(self, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr

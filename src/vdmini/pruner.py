@@ -1,17 +1,19 @@
-"""Block-importance profiling, the VDMini plan, and channel pruning baselines."""
+"""Block-importance profiling and the VDMini block-removal plan."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import diffusion, evalkit, netgraph
-from .errors import MetricError, PlanError, PruneError, VdminiError
+from .errors import MetricError, PlanError, VdminiError
 from .netgraph import BlockGraph, Model, StageSpec
-from .tensor import Tape, Tensor, backward
+# `backward` is not called here, but perfbench/spans.py patches it on this
+# module, as on tensor, cli and icmd, and needs the name to exist
+from .tensor import Tensor, backward  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -46,27 +48,21 @@ class AblationReport:
         return "\n".join(lines) + "\n"
 
 
-def _generate_set(model: Model, schedule: diffusion.NoiseSchedule, conds: list,
-                  seed: int, shape: tuple, steps: int = 1) -> list:
-    out = []
-    for i, cond in enumerate(conds):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
-        out.append(diffusion.sample(model, schedule, steps, cond, rng, shape))
-    return out
+def _inherit(teacher: Model, graph: BlockGraph, rename: Optional[dict] = None) -> Model:
+    """Build a model of `graph` from the teacher's weights, bitwise.
 
-
-def _inherit_ablated(teacher: Model, graph: BlockGraph, seed: int = 0) -> Model:
-    """Build the ablated model from the teacher's weights.
-
-    Only the parameters the teacher lacks (a shortcut conv's) are
-    initialised, to the values `init_params(graph, seed)` gives them.
+    A parameter owned by `owner` copies the teacher's tensor of owner
+    `rename.get(owner, owner)` with the same suffix, when the shapes agree.
+    Only parameters the teacher lacks (say, a shortcut conv's) are
+    initialised, to the values `init_params(graph, 0)` gives them.
     """
-    lay = netgraph.check(graph)
+    rename = rename or {}
     params = {}
-    for spec in netgraph.enumerate_params(graph, lay):
-        src = teacher.params.get(spec.name)
+    for spec in netgraph.enumerate_params(graph):
+        src_owner = rename.get(spec.owner, spec.owner)
+        src = teacher.params.get(src_owner + spec.name[len(spec.owner):])
         data = src.data if src is not None and src.shape == spec.shape \
-            else netgraph._init_param(spec, seed)
+            else netgraph._init_param(spec, 0)
         params[spec.name] = Tensor(data, requires_grad=True)
     return Model(graph, params)
 
@@ -165,20 +161,20 @@ def profile_importance(teacher: Model, eval_set: list, blocks: list,
 
     eval_stats = evalkit.fit_gaussian(evalkit.extract_features(eval_set, extractor))
     prefixes: list = []
-    ref_samples = _generate_set(_PrefixCache(teacher, steps, prefixes), schedule, conds,
-                                seed, shape, steps)
+    ref_samples = diffusion.sample_set(_PrefixCache(teacher, steps, prefixes), schedule,
+                                       conds, seed, shape, steps)
     ref_fvd = _fvd(ref_samples, eval_stats, extractor)
 
     report = AblationReport(reference_fvd=ref_fvd)
     for block_id in sorted(blocks):
         ablated_graph, _ = netgraph.ablate(teacher.graph, block_id)
-        model = _PrefixCache(_inherit_ablated(teacher, ablated_graph), steps, prefixes,
+        model = _PrefixCache(_inherit(teacher, ablated_graph), steps, prefixes,
                              start=block_id)
         row = AblationRow(block_id, math.nan, math.nan,
                           per_block_ms.get(block_id, 0.0),
                           per_block_params.get(block_id, 0))
         try:
-            samples = _generate_set(model, schedule, conds, seed, shape, steps)
+            samples = diffusion.sample_set(model, schedule, conds, seed, shape, steps)
             row.fvd_after_ablation = _fvd(samples, eval_stats, extractor)
             row.delta_fvd = row.fvd_after_ablation - ref_fvd
         except MetricError as exc:
@@ -212,6 +208,35 @@ class PruningPlan:
             "inheritance": dict(sorted(self.inheritance.items())),
             "student_layer_counts": dict(sorted(self.student_layer_counts.items())),
         }
+
+    @classmethod
+    def from_json_doc(cls, doc) -> "PruningPlan":
+        """The plan a `to_json_doc` document describes. Other keys, such as
+        an artifact's config hash, are ignored; a missing key or a value of
+        the wrong type raises PlanError."""
+        if not isinstance(doc, dict):
+            raise PlanError("plan: the document must be a JSON object")
+
+        def checked(key: str, kind: type, ok, what: str):
+            if key not in doc:
+                raise PlanError(f"plan: missing key {key!r}")
+            value = doc[key]
+            if not isinstance(value, kind) or not all(
+                    map(ok, value.values() if kind is dict else value)):
+                raise PlanError(f"plan: {key!r} must be a JSON {what}")
+            return value
+
+        def is_id(v) -> bool:
+            return isinstance(v, str)
+
+        def is_count(v) -> bool:
+            return type(v) is int and v >= 0
+
+        return cls(tuple(checked("removed_block_ids", list, is_id, "list of block ids")),
+                   tuple(checked("emptied_stages", list, is_id, "list of stage ids")),
+                   dict(checked("inheritance", dict, is_id, "object of block ids")),
+                   dict(checked("student_layer_counts", dict, is_count,
+                                "object of non-negative layer counts")))
 
 
 def _stage_layers(stage: StageSpec) -> dict:
@@ -276,229 +301,8 @@ def student_graph(teacher_graph: BlockGraph, plan: PruningPlan) -> BlockGraph:
 
 def apply_plan(teacher: Model, plan: PruningPlan) -> Model:
     """Build the student, inheriting retained teacher weights bitwise."""
-    graph = student_graph(teacher.graph, plan)
     teacher_blocks = set(teacher.graph.block_ids())
     for tid in plan.inheritance.values():
         if tid not in teacher_blocks:
             raise PlanError(f"inheritance references missing teacher block {tid}")
-    params = netgraph.init_params(graph, 0)
-    # retained blocks: copy per the inheritance map
-    rename = {}
-    for student_id, teacher_id in plan.inheritance.items():
-        rename[student_id] = teacher_id
-    for name in list(params):
-        owner = _owner_of(name)
-        src_name = name
-        if owner in rename:
-            src_name = rename[owner] + name[len(owner):]
-        src = teacher.params.get(src_name)
-        if src is not None and src.shape == params[name].shape:
-            params[name] = Tensor(src.data, requires_grad=True)
-    return Model(graph, params)
-
-
-def _owner_of(param_name: str) -> str:
-    # block param names are "<block_id>.<layer>.<leaf>"; block ids have
-    # 4 or 5 dot-separated parts depending on the stage
-    parts = param_name.split(".")
-    if parts[0] in ("D", "U") and len(parts) >= 5:
-        return ".".join(parts[:5])
-    if parts[0] == "M" and len(parts) >= 4:
-        return ".".join(parts[:4])
-    return parts[0]
-
-
-# ---------------------------------------------------------------------------
-# channel groups and importance scores
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChannelGroup:
-    entity: str
-    channel: int
-    entries: tuple  # (param name, axis, row/column index)
-
-
-def _expand(ent_label: str, entity: str, channel: int):
-    """Indices along an axis labelled ent_label for one entity channel."""
-    if ent_label == entity:
-        return [channel]
-    if ent_label == f"{entity}#4":
-        return [4 * channel + j for j in range(4)]
-    return []
-
-
-def build_channel_groups(graph: BlockGraph) -> list:
-    """Dependency-coupled channel groups, one per (stage entity, channel)."""
-    lay = netgraph.check(graph)
-    specs = netgraph.enumerate_params(graph, lay)
-    widths = {}
-    for entity, sids in lay.entity_stages.items():
-        if ":" in entity:
-            continue
-        widths[entity] = graph.stage(sids[0]).width
-    groups = []
-    for entity in sorted(widths):
-        for ch in range(widths[entity]):
-            entries = []
-            for spec in specs:
-                if spec.ent_out:
-                    for idx in _expand(spec.ent_out, entity, ch):
-                        entries.append((spec.name, 0, idx))
-                # input-coupled channels live on axis 1, except for rank-1
-                # affines that directly follow a concatenated input
-                axis_in = 1 if len(spec.shape) > 1 else 0
-                offset = 0
-                for seg_ent, seg_size in spec.ent_in:
-                    for idx in _expand(seg_ent, entity, ch):
-                        entries.append((spec.name, axis_in, offset + idx))
-                    offset += seg_size
-            if entries:
-                groups.append(ChannelGroup(entity, ch, tuple(entries)))
-    return groups
-
-
-def _group_values(group: ChannelGroup, params: dict):
-    for name, axis, idx in group.entries:
-        data = params[name].data
-        yield name, np.take(data, idx, axis=axis) if data.ndim > axis else data[idx]
-
-
-def score_magnitude_l2(group: ChannelGroup, params: dict) -> float:
-    """sqrt(sum of squared weights) over every entry in the group."""
-    if not group.entries:
-        raise VdminiError("empty channel group")
-    acc = 0.0
-    for _, v in _group_values(group, params):
-        acc += float(np.sum(np.asarray(v) ** 2))
-    return math.sqrt(acc)
-
-
-def score_taylor(group: ChannelGroup, params: dict, grads: dict) -> float:
-    """|sum of w*g| over the group, from one calibration backward pass."""
-    if not group.entries:
-        raise VdminiError("empty channel group")
-    acc = 0.0
-    for name, axis, idx in group.entries:
-        g = grads.get(name)
-        if g is None:
-            raise VdminiError(f"missing gradient for group entry {name}")
-        w = np.take(params[name].data, idx, axis=axis)
-        gv = np.take(g.data, idx, axis=axis)
-        acc += float(np.sum(np.asarray(w) * np.asarray(gv)))
-    return abs(acc)
-
-
-def calibration_grads(model: Model, batch: list, schedule: diffusion.NoiseSchedule,
-                      seed: int = 0) -> dict:
-    """Named gradients from one denoising-loss backward pass."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    with Tape() as tape:
-        loss = diffusion.denoising_loss(model, batch, schedule, rng)
-    grads = backward(tape, loss)
-    by_tensor = {id(t): g for t, g in grads.items()}
-    return {name: by_tensor[id(p)] for name, p in model.params.items() if id(p) in by_tensor}
-
-
-def channel_prune(graph: BlockGraph, params: dict, ratio: float,
-                  scorer: Callable[[ChannelGroup], float]):
-    """Remove the lowest-scoring floor(ratio * #groups) channel groups.
-
-    Surviving weights are copied, never re-initialized. The scorer is a
-    callable over ChannelGroup (partially applied L2 or Taylor score).
-    """
-    if not (0.0 < ratio < 1.0):
-        raise PruneError(f"ratio must be in (0,1), got {ratio}")
-    groups = build_channel_groups(graph)
-    k = int(ratio * len(groups))
-    if k == 0:
-        return graph, dict(params)
-    scored = sorted(groups, key=lambda g: (scorer(g), g.entity, g.channel))
-    victims = scored[:k]
-    removals: dict = {}
-    for g in victims:
-        removals.setdefault(g.entity, set()).add(g.channel)
-    lay = netgraph.layout(graph)
-    widths = {e: graph.stage(sids[0]).width for e, sids in lay.entity_stages.items() if ":" not in e}
-    for entity, chans in removals.items():
-        if len(chans) >= widths[entity]:
-            raise PruneError(f"ratio {ratio} would empty stage {entity}")
-
-    # shrink stage widths; entity label is the stage that opened it
-    width_map = {}
-    for entity, sids in lay.entity_stages.items():
-        if ":" in entity:
-            continue
-        cut = len(removals.get(entity, ()))
-        for sid in sids:
-            width_map[sid] = graph.stage(sid).width - cut
-    new_graph = _reshape_graph(graph, width_map)
-
-    old_specs = {s.name: s for s in netgraph.enumerate_params(graph)}
-    new_params = {}
-    for spec in netgraph.enumerate_params(new_graph):
-        old = old_specs[spec.name]
-        data = params[spec.name].data
-        if old.ent_out:
-            drop = _axis_drop(old.ent_out, removals)
-            if drop:
-                data = np.delete(data, drop, axis=0)
-        if old.ent_in:
-            drop = _segment_drop(old.ent_in, removals)
-            if drop:
-                data = np.delete(data, drop, axis=1 if data.ndim > 1 else 0)
-        if data.shape != spec.shape:
-            raise PruneError(f"{spec.name}: sliced shape {data.shape} != expected {spec.shape}")
-        new_params[spec.name] = Tensor(data, requires_grad=True)
-    return new_graph, new_params
-
-
-def _base_entity(label: str) -> str:
-    return label.split("#")[0] if label else label
-
-
-def _axis_drop(label: str, removals: dict) -> list:
-    base = _base_entity(label)
-    chans = sorted(removals.get(base, ()))
-    out = []
-    for ch in chans:
-        out.extend(_expand(label, base, ch))
-    return out
-
-
-def _segment_drop(segments: tuple, removals: dict) -> list:
-    drop = []
-    offset = 0
-    for seg_ent, seg_size in segments:
-        for idx in _axis_drop(seg_ent, removals):
-            drop.append(offset + idx)
-        offset += seg_size
-    return drop
-
-
-def _reshape_graph(graph: BlockGraph, width_map: dict) -> BlockGraph:
-    """Rewrite stage widths and per-block channel counts after pruning.
-
-    The incoming channel count is re-walked because a stage's upstream
-    width may have shrunk independently of its own.
-    """
-    from dataclasses import replace
-
-    lay = netgraph.layout(graph)
-    new_stages = []
-    cur = width_map.get("D.0", lay.stem[1])
-    for sp in lay.stages:
-        stage = sp.stage
-        w = width_map.get(stage.stage_id, stage.width)
-        if sp.down_conv or sp.up_conv:
-            cur = w
-        blocks = []
-        for i, b in enumerate(stage.blocks):
-            in_ch = cur
-            if i == 0 and sp.skip_from:
-                in_ch += width_map.get(sp.skip_from, sp.skip_channels)
-            blocks.append(replace(b, in_channels=in_ch, out_channels=w))
-            cur = w
-        new_stages.append(replace(stage, width=w, blocks=tuple(blocks)))
-    return BlockGraph(tuple(new_stages), graph.latent_channels, graph.cond_channels,
-                      graph.emb_dim, graph.gn_groups)
+    return _inherit(teacher, student_graph(teacher.graph, plan), plan.inheritance)

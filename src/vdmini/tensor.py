@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, NonScalarRootError, ShapeError, UnknownOpError
+from .errors import NonFiniteError, NonScalarRootError, ShapeError
 
 Array = np.ndarray
 
@@ -529,7 +529,7 @@ def attention_temporal(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor
 
 
 # ---------------------------------------------------------------------------
-# dispatch and gradient checking
+# op table and gradient checking
 # ---------------------------------------------------------------------------
 
 _OPS = {
@@ -561,14 +561,6 @@ _OPS = {
     "attention_spatial": attention_spatial,
     "attention_temporal": attention_temporal,
 }
-
-
-def execute(op_kind: str, *inputs, **attrs) -> Tensor:
-    """Run an op by kind name. Unknown kinds raise UnknownOpError."""
-    fn = _OPS.get(op_kind)
-    if fn is None:
-        raise UnknownOpError(f"unknown op kind {op_kind!r}")
-    return fn(*inputs, **attrs)
 
 
 def op_kinds() -> tuple:

@@ -288,7 +288,7 @@ SCHEDULE = df.NoiseSchedule()
 
 
 def _train_teacher(steps=TEACHER_STEPS):
-    from vdmini.optim import Adam
+    from vdmini.optim import Adam, named_grads
     from vdmini.tensor import Tape, backward
 
     graph = ng.toy_teacher_graph()
@@ -301,10 +301,7 @@ def _train_teacher(steps=TEACHER_STEPS):
         bc = [sd.first_frame_condition(v) for v in batch]
         with Tape() as tape:
             loss = df.denoising_loss(model, batch, SCHEDULE, rng, conds=bc)
-        grads = backward(tape, loss)
-        by_id = {id(t): g for t, g in grads.items()}
-        named = {n: by_id[id(p)] for n, p in model.params.items() if id(p) in by_id}
-        model.params = opt.step(model.params, named)
+        model.params = opt.step(model.params, named_grads(model.params, backward(tape, loss)))
     return model
 
 
@@ -321,11 +318,7 @@ def eval_corpus():
 
 
 def _generate(model, conds, shape, seed):
-    outs = []
-    for i, c in enumerate(conds):
-        r = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
-        outs.append(df.sample(model, SCHEDULE, 1, c, r, shape))
-    return outs
+    return df.sample_set(model, SCHEDULE, conds, seed, shape, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +349,7 @@ def test_criterion_8_null_vs_contributing_block(trained_teacher, eval_corpus):
     def paired_deltas(teacher_model, block_id):
         deltas = []
         ablated_graph, _ = ng.ablate(teacher_model.graph, block_id)
-        ablated = pr._inherit_ablated(teacher_model, ablated_graph)
+        ablated = pr._inherit(teacher_model, ablated_graph)
         base = {s: ek.fvd(_generate(teacher_model, conds, shape, s), evalv,
                           extractor) for s in gen_seeds} \
             if teacher_model is not trained_teacher else ref_fvd

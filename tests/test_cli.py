@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -165,3 +168,90 @@ def test_no_tmp_files_left_behind(tmp_path):
     assert _run(["gen-data", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
     assert _run(["plan", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
     assert not list(out.glob("*.tmp"))
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs end in the exit-code contract
+# ---------------------------------------------------------------------------
+
+def _one_error_record(capsys) -> dict:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+def test_plan_without_inheritance_is_exit_2_with_one_json_line(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path)
+    out = tmp_path / "run"
+    assert _run(["plan", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    doc = json.loads((out / "plan.json").read_text())
+    del doc["inheritance"]
+    (out / "plan.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _run(["distill", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    record = _one_error_record(capsys)
+    assert record["code"] == cli.EXIT_CONFIG
+    assert "inheritance" in record["message"]
+
+
+def test_truncated_plan_is_exit_2_with_one_json_line(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path)
+    out = tmp_path / "run"
+    assert _run(["plan", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    text = (out / "plan.json").read_text()
+    (out / "plan.json").write_text(text[:len(text) // 2])
+    capsys.readouterr()
+    assert _run(["eval", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    record = _one_error_record(capsys)
+    assert "unparseable plan" in record["message"]
+
+
+def test_eval_rejects_a_teacher_checkpoint_saved_as_the_student(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path)
+    out = tmp_path / "run"
+    for stage in ("gen-data", "train-teacher", "plan"):
+        assert _run([stage, "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    (out / "student.vdmk").write_bytes((out / "teacher.vdmk").read_bytes())
+    for extra in ([], ["--force"]):
+        capsys.readouterr()
+        rc = _run(["eval", "--config", cfg, "--out", str(out)] + extra)
+        assert rc == cli.EXIT_CONFIG
+        record = _one_error_record(capsys)
+        # the student lacks D.0's second layer, which the teacher has
+        assert record["message"].endswith("extra tensor D.0.A.1.S.gn.b"), record
+    assert not (out / "eval_student.json").exists()
+
+
+def test_report_skips_files_without_config_hash(tmp_path):
+    cfg = _cfg_file(tmp_path)
+    out = tmp_path / "run"
+    assert _run(["plan", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    (out / "cfg.json").write_text(json.dumps({"seed": 5, **FAST}))
+    (out / "notes.csv").write_text("a,b\n1,2\n")
+    assert _run(["report", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "cfg.json: skipped (no config hash)" in summary
+    assert "notes.csv: skipped (no config hash)" in summary
+    assert any(line.startswith("plan.json: hash ") for line in summary)
+    aggregated = (out / "summary.csv").read_text()
+    assert "cfg.json" not in aggregated and "notes.csv" not in aggregated
+
+
+def test_report_unparseable_json_is_exit_2_with_one_json_line(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path)
+    out = tmp_path / "run"
+    assert _run(["plan", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    (out / "broken.json").write_text('{"config_hash": ')
+    capsys.readouterr()
+    assert _run(["report", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    record = _one_error_record(capsys)
+    assert "broken.json" in record["message"]
+
+
+def test_module_entry_point_runs_without_warnings():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "vdmini.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "usage: vdmini" in proc.stdout

@@ -147,6 +147,21 @@ def test_sampler_is_deterministic():
     assert np.array_equal(a.data, b.data)
 
 
+def test_sample_set_seeds_each_sample_by_its_index():
+    graph = ng.make_unet_graph(ng.ORIGIN_LAYER_COUNTS, (4, 6, 8), emb_dim=8)
+    model = ng.build(graph, 0)
+    schedule = df.NoiseSchedule(n_levels=4)
+    shape = (2, 1, 16, 16)
+    conds = [Tensor(np.full((1, 1, 16, 16), v)) for v in (0.2, 0.7, 0.4)]
+    got = df.sample_set(model, schedule, conds, 13, shape, 2)
+    assert len(got) == len(conds)
+    for i, (cond, out) in enumerate(zip(conds, got)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([13, i])))
+        want = df.sample(model, schedule, 2, cond, rng, shape)
+        assert np.array_equal(out.data, want.data), i
+    assert df.sample_set(model, schedule, [], 13, shape, 2) == []
+
+
 def test_schedule_is_strictly_decreasing():
     s = df.NoiseSchedule().sigmas()
     assert len(s) == 40

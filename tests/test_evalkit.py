@@ -136,15 +136,6 @@ def test_motion_proxy_needs_two_frames():
         ek.motion_dynamics_proxy(Tensor(np.zeros((1, 1, 4, 4))))
 
 
-def test_psnr_values():
-    a = Tensor(np.full((2, 1, 4, 4), 0.5))
-    assert ek.psnr(a, a) == 99.0
-    b = Tensor(a.data + 1.0)  # MSE = peak^2
-    assert ek.psnr(a, b) == pytest.approx(0.0, abs=1e-12)
-    c = Tensor(a.data + 0.1)
-    assert ek.psnr(a, c) == pytest.approx(20.0, abs=1e-9)
-
-
 def test_latency_report_consistency():
     graph = ng.make_unet_graph(ng.ORIGIN_LAYER_COUNTS, (4, 6, 8), emb_dim=8)
     model = ng.build(graph, 0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -10,7 +11,7 @@ from vdmini import evalkit as ek
 from vdmini import netgraph as ng
 from vdmini import pruner as pr
 from vdmini import synthdata as sd
-from vdmini.errors import PlanError, PruneError, VdminiError
+from vdmini.errors import PlanError
 from vdmini.tensor import Tensor
 
 GOLDEN = Path(__file__).parent / "golden" / "plan.json"
@@ -82,6 +83,46 @@ def test_plan_inheritance_is_injective_and_renumbers():
     assert plan.inheritance["U.3.A.1.T"] == "U.3.A.2.T"
     # removed blocks never appear as inheritance sources
     assert not set(plan.removed_block_ids) & set(targets)
+
+
+# sha256 over (name, shape, init, owner) of every enumerate_params entry, in
+# order, for the toy teacher, its plan student and the U.1.R.0.S ablation
+# (a shortcut conv); pinned so the checkpoint layout cannot move unnoticed
+PARAM_LAYOUT_SHA256 = {
+    "teacher": "dcea386e59738c7a60f580535ce9c8d5b73adf95ad524949fda452246d021705",
+    "student": "222e15902b9df68f35f590031bfd37aa9837b07da979b93946c9f1cd2f81683c",
+    "U.1.R.0.S": "ed3aaa99e5ac4296f9cf8505f5492abb8dc2d5a6c7f6acf428250268f9aef80e",
+}
+
+
+def test_param_layout_is_pinned():
+    teacher = ng.toy_teacher_graph()
+    graphs = {"teacher": teacher,
+              "student": pr.student_graph(teacher, pr.plan_vdmini(teacher)),
+              "U.1.R.0.S": ng.ablate(teacher, "U.1.R.0.S")[0]}
+    for key, graph in graphs.items():
+        h = hashlib.sha256()
+        for s in ng.enumerate_params(graph):
+            h.update(repr((s.name, tuple(s.shape), s.init, s.owner)).encode())
+        assert h.hexdigest() == PARAM_LAYOUT_SHA256[key], key
+
+
+def test_plan_json_doc_round_trips_and_rejects_malformed_docs():
+    plan = pr.plan_vdmini(ng.toy_teacher_graph())
+    doc = {"config_hash": "0123456789abcdef", **plan.to_json_doc()}
+    assert pr.PruningPlan.from_json_doc(doc) == plan
+    missing = {k: v for k, v in doc.items() if k != "inheritance"}
+    with pytest.raises(PlanError, match="missing key 'inheritance'"):
+        pr.PruningPlan.from_json_doc(missing)
+    for key, bad in (("removed_block_ids", "D.0.R.1.S"), ("emptied_stages", [3]),
+                     ("inheritance", ["D.0.R.0.S"]), ("inheritance", {"D.0.R.0.S": 1}),
+                     ("student_layer_counts", {"D.0": -1}),
+                     ("student_layer_counts", {"D.0": 1.0}),
+                     ("student_layer_counts", {"D.0": True})):
+        with pytest.raises(PlanError, match=key):
+            pr.PruningPlan.from_json_doc({**doc, key: bad})
+    with pytest.raises(PlanError, match="JSON object"):
+        pr.PruningPlan.from_json_doc([doc])
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +235,16 @@ def test_profile_report_rows_cover_requested_blocks_and_csv():
     assert len(lines) == len(blocks)
 
 
-def _init_then_overwrite(teacher, graph):
-    """The ablated model as built by initialising the whole graph, then
-    copying every teacher tensor whose name and shape survive."""
+def _init_then_overwrite(teacher, graph, rename=None):
+    """The model as built by initialising the whole graph, then copying
+    every teacher tensor whose name and shape survive; `rename` maps a
+    block id to the teacher block whose tensors it takes."""
+    rename = rename or {}
     params = ng.init_params(graph, 0)
     for name in params:
-        src = teacher.params.get(name)
+        owner = next((b for b in rename if name.startswith(b + ".")), None)
+        src_name = rename[owner] + name[len(owner):] if owner else name
+        src = teacher.params.get(src_name)
         if src is not None and src.shape == params[name].shape:
             params[name] = Tensor(src.data, requires_grad=True)
     return ng.Model(graph, params)
@@ -216,15 +261,24 @@ def _perturbed_teacher(seed=1):
 
 def test_inherit_ablated_matches_init_then_overwrite():
     teacher = _perturbed_teacher()
-    for block_id in ("D.1.A.0.S", "U.1.R.0.S"):  # identity, shortcut conv
-        graph, _ = ng.ablate(teacher.graph, block_id)
-        got = pr._inherit_ablated(teacher, graph).params
-        want = _init_then_overwrite(teacher, graph).params
+    plan = pr.plan_vdmini(teacher.graph)
+    ablated = [ng.ablate(teacher.graph, block_id)[0]
+               for block_id in ("D.1.A.0.S", "U.1.R.0.S")]  # identity, shortcut conv
+    cases = [(pr._inherit(teacher, g), _init_then_overwrite(teacher, g)) for g in ablated]
+    cases.append((pr.apply_plan(teacher, plan),
+                  _init_then_overwrite(teacher, pr.student_graph(teacher.graph, plan),
+                                       plan.inheritance)))
+    for model, expected in cases:
+        got, want = model.params, expected.params
         assert list(got) == list(want)
         for name, p in want.items():
             assert got[name].shape == p.shape
             assert np.array_equal(got[name].data, p.data), name
             assert got[name].requires_grad
+    # the renamed stages really take the teacher's later layer, not its own
+    student = cases[-1][0]
+    assert np.array_equal(student.params["U.2.R.1.S.conv1.w"].data,
+                          teacher.params["U.2.R.2.S.conv1.w"].data)
 
 
 @pytest.mark.parametrize("steps", [1, 2])
@@ -240,7 +294,7 @@ def test_profile_resumed_rows_equal_whole_sampling(steps):
 
     def whole_fvd(model):
         shape = eval_set[0].shape
-        return ek.fvd(pr._generate_set(model, schedule, conds, 3, shape, steps), eval_set, ex)
+        return ek.fvd(df.sample_set(model, schedule, conds, 3, shape, steps), eval_set, ex)
 
     ref_fvd = whole_fvd(teacher)
     assert report.reference_fvd == ref_fvd
@@ -256,7 +310,7 @@ def test_profile_resumed_rows_equal_whole_sampling(steps):
 def test_prefix_cache_runs_whole_when_the_first_input_differs():
     teacher = _perturbed_teacher()
     graph, _ = ng.ablate(teacher.graph, "D.2.R.0.T")
-    model = pr._inherit_ablated(teacher, graph)
+    model = pr._inherit(teacher, graph)
     x = Tensor(np.random.default_rng(0).standard_normal((2, 1, 16, 16)))
     prefixes = []
     pr._PrefixCache(teacher, 1, prefixes).forward(x, 0.5)
@@ -271,141 +325,3 @@ def test_prefix_cache_runs_whole_when_the_first_input_differs():
     assert np.array_equal(out.data, model.forward(Tensor(bumped), 0.5).data)
     assert not np.array_equal(out.data, model.resume(prefixes[0].states["D.2.R.0.T"],
                                                      "D.2.R.0.T").data)
-
-
-# ---------------------------------------------------------------------------
-# channel-group importance scores
-# ---------------------------------------------------------------------------
-
-def _toy_group():
-    params = {"w": Tensor(np.array([2.0, -3.0]))}
-    group = pr.ChannelGroup("e", 0, (("w", 0, 0), ("w", 0, 1)))
-    return group, params
-
-
-def test_l2_score_hand_value():
-    group, params = _toy_group()
-    assert pr.score_magnitude_l2(group, params) == pytest.approx(math.sqrt(13.0))
-
-
-def test_l2_score_zero_and_scale_equivariance():
-    group, params = _toy_group()
-    zero = {"w": Tensor(np.zeros(2))}
-    assert pr.score_magnitude_l2(group, zero) == 0.0
-    doubled = {"w": Tensor(params["w"].data * 2.0)}
-    assert pr.score_magnitude_l2(group, doubled) == pytest.approx(
-        2.0 * pr.score_magnitude_l2(group, params))
-
-
-def test_taylor_score_hand_value():
-    group, params = _toy_group()
-    grads = {"w": Tensor(np.array([0.5, 1.0]))}
-    assert pr.score_taylor(group, params, grads) == pytest.approx(2.0)
-
-
-def test_taylor_score_zero_grads_and_sign_flip():
-    group, params = _toy_group()
-    zeros = {"w": Tensor(np.zeros(2))}
-    assert pr.score_taylor(group, params, zeros) == 0.0
-    grads = {"w": Tensor(np.array([0.5, 1.0]))}
-    flipped = {"w": Tensor(-grads["w"].data)}
-    assert pr.score_taylor(group, params, grads) == pr.score_taylor(group, params, flipped)
-
-
-def test_taylor_score_missing_grad_errors():
-    group, params = _toy_group()
-    with pytest.raises(VdminiError, match="missing gradient"):
-        pr.score_taylor(group, params, {})
-
-
-def test_calibration_grads_cover_reachable_params():
-    graph = _small_graph()
-    model = ng.build(graph, 2)
-    batch = _eval_videos(n=2)
-    schedule = df.NoiseSchedule(n_levels=4)
-    grads = pr.calibration_grads(model, batch, schedule, seed=0)
-    assert grads
-    assert set(grads) <= set(model.params)
-    groups = pr.build_channel_groups(graph)
-    grads_full = {n: grads.get(n, Tensor(np.zeros(p.shape)))
-                  for n, p in model.params.items()}
-    score = pr.score_taylor(groups[0], model.params, grads_full)
-    assert math.isfinite(score)
-
-
-# ---------------------------------------------------------------------------
-# dependency-grouped channel pruning
-# ---------------------------------------------------------------------------
-
-def _randomized(graph, seed=11):
-    rng = np.random.default_rng(seed)
-    params = ng.init_params(graph, 0)
-    return {n: Tensor(rng.standard_normal(p.shape), requires_grad=True)
-            for n, p in params.items()}
-
-
-def test_channel_prune_rejects_bad_ratio():
-    graph = _small_graph()
-    params = _randomized(graph)
-    for ratio in (0.0, 1.0, -0.5):
-        with pytest.raises(PruneError, match="ratio"):
-            pr.channel_prune(graph, params, ratio, lambda g: 0.0)
-
-
-def test_channel_prune_ratio_too_small_is_identity():
-    graph = _small_graph()
-    params = _randomized(graph)
-    scorer = lambda g: pr.score_magnitude_l2(g, params)
-    new_graph, new_params = pr.channel_prune(graph, params, 1e-9, scorer)
-    assert new_graph is graph
-    assert new_params.keys() == params.keys()
-
-
-def test_channel_prune_single_group_traces_through_coupled_layers():
-    graph = _small_graph()
-    params = _randomized(graph)
-    groups = pr.build_channel_groups(graph)
-    scorer = lambda g: pr.score_magnitude_l2(g, params)
-    victim = min(groups, key=lambda g: (scorer(g), g.entity, g.channel))
-    new_graph, new_params = pr.channel_prune(graph, params, 1.0 / len(groups), scorer)
-    ng.check(new_graph)
-    lay = ng.layout(graph)
-    hit_stages = set(lay.entity_stages[victim.entity])
-    for stage in graph.stages:
-        expected = stage.width - (1 if stage.stage_id in hit_stages else 0)
-        assert new_graph.stage(stage.stage_id).width == expected
-    # every parameter touching the victim entity lost exactly its slice
-    for name, _, _ in victim.entries:
-        assert new_params[name].data.size < params[name].data.size
-
-
-def test_channel_prune_copies_surviving_weights():
-    graph = _small_graph()
-    params = _randomized(graph)
-    scorer = lambda g: pr.score_magnitude_l2(g, params)
-    _, new_params = pr.channel_prune(graph, params, 0.04, scorer)
-    for name, p in new_params.items():
-        old = params[name].data
-        # every surviving value existed at the same relative position
-        assert np.isin(p.data.ravel(), old.ravel()).all()
-
-
-def test_channel_prune_shrinks_params_and_still_runs():
-    graph = _small_graph()
-    params = _randomized(graph)
-    scorer = lambda g: pr.score_magnitude_l2(g, params)
-    new_graph, new_params = pr.channel_prune(graph, params, 0.04, scorer)
-    _, before = ng.count_params(graph)
-    _, after = ng.count_params(new_graph)
-    assert after < before
-    model = ng.Model(new_graph, new_params)
-    out = model.forward(Tensor(np.zeros((2, 1, 16, 16))), c_noise=0.1)
-    assert out.shape == (2, 1, 16, 16)
-
-
-def test_channel_prune_emptying_a_stage_errors():
-    graph = _small_graph()
-    params = _randomized(graph)
-    scorer = lambda g: pr.score_magnitude_l2(g, params)
-    with pytest.raises(PruneError, match="empty stage"):
-        pr.channel_prune(graph, params, 0.95, scorer)

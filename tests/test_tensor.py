@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import vdmini.tensor as T
-from vdmini.errors import (NonScalarRootError, ShapeError, UnknownOpError)
+from vdmini.errors import NonScalarRootError, ShapeError
+from vdmini.optim import named_grads
 from vdmini.tensor import Tape, Tensor, backward, finite_difference_check
 
 
@@ -74,13 +75,16 @@ def test_finite_difference_constant_function():
     assert np.array_equal(report.analytic, np.zeros(4))
 
 
-def test_execute_is_pure_and_rejects_unknown_ops():
-    x = Tensor(np.random.default_rng(3).standard_normal((2, 3)))
-    a = T.execute("silu", x)
-    b = T.execute("silu", x)
-    assert np.array_equal(a.data, b.data)
-    with pytest.raises(UnknownOpError):
-        T.execute("convolve_backwards_in_time", x)
+def test_named_grads_omits_parameters_the_tape_never_reached():
+    used = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    unused = Tensor(np.ones(2), requires_grad=True)
+    with Tape() as tape:
+        y = T.sum_all(T.mul(used, used))
+    grads = backward(tape, y)
+    named = named_grads({"used": used, "unused": unused}, grads)
+    assert list(named) == ["used"]
+    assert named["used"] is grads[used]
+    assert np.array_equal(named["used"].data, [2.0, -4.0])
 
 
 def test_shape_errors_are_typed():
