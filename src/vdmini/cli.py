@@ -83,12 +83,48 @@ def _env_overrides(environ) -> dict:
         node = out
         for part in path[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"environment: {name} overrides a key inside "
+                                  f"a non-object value")
         node[path[-1]] = value
     return out
 
 
+def _kind(default) -> str:
+    if isinstance(default, dict):
+        return "object"
+    if isinstance(default, list):
+        return f"list of {_kind(default[0])}"
+    return {bool: "boolean", int: "integer", float: "number", str: "string"}[type(default)]
+
+
+def _fits(value, default) -> bool:
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if type(default) is float:  # a JSON integer is a number too
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+def _check_config(doc: dict, default: dict, where: str, prefix: str = "") -> None:
+    """Every key of `doc` must exist in `default` at the same level, and each
+    value must have the type of the default it replaces."""
+    for key, value in doc.items():
+        dotted = prefix + key
+        if key not in default:
+            raise ConfigError(f"{where}: unknown config key {dotted!r}")
+        if isinstance(default[key], dict) and isinstance(value, dict):
+            _check_config(value, default[key], where, dotted + ".")
+        elif not _fits(value, default[key]):
+            raise ConfigError(f"{where}: config key {dotted!r} must be of type "
+                              f"{_kind(default[key])}, got {value!r}")
+
+
 def load_config(path: Optional[str], seed: Optional[int], out: Optional[str],
                 environ=None) -> dict:
+    """DEFAULT_CONFIG, then the file at `path`, then VDMINI_* overrides, then
+    the seed and out flags. An unknown key at any level, or a value whose
+    type differs from its default's, raises ConfigError."""
     cfg = DEFAULT_CONFIG
     if path is not None:
         try:
@@ -100,11 +136,11 @@ def load_config(path: Optional[str], seed: Optional[int], out: Optional[str],
             raise ConfigError(f"unparseable config {path}: {exc}")
         if not isinstance(user, dict):
             raise ConfigError(f"config root must be an object: {path}")
-        unknown = set(user) - set(cfg)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _check_config(user, DEFAULT_CONFIG, path)
         cfg = _merge(cfg, user)
-    cfg = _merge(cfg, _env_overrides(environ if environ is not None else os.environ))
+    env = _env_overrides(environ if environ is not None else os.environ)
+    _check_config(env, DEFAULT_CONFIG, "environment")
+    cfg = _merge(cfg, env)
     if seed is not None:
         cfg["seed"] = seed
     if out is not None:

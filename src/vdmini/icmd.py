@@ -225,9 +225,32 @@ def _student_terms(state: DistillState, x0: Tensor, cond, sigma: float,
     return d_s, task, icd
 
 
+def _critic_update(state: DistillState, batch: list, fakes: list, inst: list,
+                   inst_eps: list) -> float:
+    """One hinge-loss step of the critic on detached fakes; returns its loss."""
+    with Tape() as tape:
+        loss_d = None
+        for x0, fake, (_, s_i), e_i in zip(batch, fakes, inst, inst_eps):
+            lf = state.disc.forward(Tensor(fake + s_i * e_i), s_i)
+            lr_ = state.disc.forward(Tensor(x0.data + s_i * e_i), s_i)
+            term = mca_disc_loss(lf, lr_)
+            loss_d = term if loss_d is None else T.add(loss_d, term)
+        loss_d = T.mul_scalar(loss_d, 1.0 / len(batch))
+    value = _check_finite(loss_d.item(), "mca_disc")
+    grads = named_grads(state.disc.params, backward(tape, loss_d))
+    state.disc.params = state.opt_disc.step(state.disc.params, grads)
+    return value
+
+
 def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
                  conds: Optional[list] = None) -> dict:
     """One alternating update: critic first, then the student.
+
+    The student runs once per sample, on a tape. The critic trains on the
+    detached outputs of that forward; the critic step leaves the student
+    untouched, so these are the fakes a separate forward would give. The
+    generator term, scored by the updated critic, then joins the same tape,
+    and one backward updates the student.
 
     Returns the loss breakdown {task, icd, mca_gen, mca_disc, total} where
     total = task + lambda_icd * icd + lambda_mca * (mca_gen + mca_disc).
@@ -246,38 +269,26 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
     inst = [sample_instance_noise(state.noise, rng) for _ in batch]
     inst_eps = [rng.standard_normal(x0.shape) for x0 in batch]
 
-    mca_disc_val = 0.0
-    if mca_on:
-        # critic update against the current (pre-update) student, fakes detached
-        fakes = []
-        for x0, cond, sigma, eps in zip(batch, conds, sigmas, epss):
-            x_t = Tensor(x0.data + sigma * eps)
-            d = diffusion.denoise(state.student, x_t, sigma, cond, p)
-            fakes.append(d.detach())
-        with Tape() as tape:
-            loss_d = None
-            for x0, fake, (_, s_i), e_i in zip(batch, fakes, inst, inst_eps):
-                lf = state.disc.forward(Tensor(fake.data + s_i * e_i), s_i)
-                lr_ = state.disc.forward(Tensor(x0.data + s_i * e_i), s_i)
-                term = mca_disc_loss(lf, lr_)
-                loss_d = term if loss_d is None else T.add(loss_d, term)
-            loss_d = T.mul_scalar(loss_d, 1.0 / len(batch))
-        mca_disc_val = _check_finite(loss_d.item(), "mca_disc")
-        grads = named_grads(state.disc.params, backward(tape, loss_d))
-        state.disc.params = state.opt_disc.step(state.disc.params, grads)
-
     x_ts = [Tensor(x0.data + sigma * eps)
             for x0, sigma, eps in zip(batch, sigmas, epss)]
     teach_feats = [_teacher_features(state.teacher, x_t, sigma, cond, p)
                    for x_t, sigma, cond in zip(x_ts, sigmas, conds)]
-    with Tape() as tape:
-        task = icd = gen = None
-        for x0, cond, sigma, x_t, f_t, (_, s_i), e_i in zip(
-                batch, conds, sigmas, x_ts, teach_feats, inst, inst_eps):
+    tape = Tape()
+    with tape:
+        task = icd = None
+        outs = []
+        for x0, cond, sigma, x_t, f_t in zip(batch, conds, sigmas, x_ts, teach_feats):
             d_s, t_term, i_term = _student_terms(state, x0, cond, sigma, x_t, f_t, p)
+            outs.append(d_s)
             task = t_term if task is None else T.add(task, t_term)
             icd = i_term if icd is None else T.add(icd, i_term)
-            if mca_on:
+
+    mca_disc_val = (_critic_update(state, batch, [d.data for d in outs], inst, inst_eps)
+                    if mca_on else 0.0)
+    with tape:
+        gen = None
+        if mca_on:
+            for d_s, (_, s_i), e_i in zip(outs, inst, inst_eps):
                 noisy = T.add(d_s, Tensor(s_i * e_i))
                 g_term = mca_gen_loss(state.disc.forward(noisy, s_i))
                 gen = g_term if gen is None else T.add(gen, g_term)

@@ -212,8 +212,9 @@ class PruningPlan:
     @classmethod
     def from_json_doc(cls, doc) -> "PruningPlan":
         """The plan a `to_json_doc` document describes. Other keys, such as
-        an artifact's config hash, are ignored; a missing key or a value of
-        the wrong type raises PlanError."""
+        an artifact's config hash, are ignored; a missing key, a value of
+        the wrong type or layer counts for other stages than the origin
+        U-Net's raise PlanError."""
         if not isinstance(doc, dict):
             raise PlanError("plan: the document must be a JSON object")
 
@@ -232,11 +233,17 @@ class PruningPlan:
         def is_count(v) -> bool:
             return type(v) is int and v >= 0
 
-        return cls(tuple(checked("removed_block_ids", list, is_id, "list of block ids")),
+        plan = cls(tuple(checked("removed_block_ids", list, is_id, "list of block ids")),
                    tuple(checked("emptied_stages", list, is_id, "list of stage ids")),
                    dict(checked("inheritance", dict, is_id, "object of block ids")),
                    dict(checked("student_layer_counts", dict, is_count,
                                 "object of non-negative layer counts")))
+        named, stages = set(plan.student_layer_counts), set(netgraph.ORIGIN_LAYER_COUNTS)
+        if named != stages:
+            raise PlanError(f"plan: 'student_layer_counts' must name exactly the stages "
+                            f"{sorted(stages)}; unknown {sorted(named - stages)}, "
+                            f"missing {sorted(stages - named)}")
+        return plan
 
 
 def _stage_layers(stage: StageSpec) -> dict:

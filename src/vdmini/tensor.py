@@ -233,11 +233,14 @@ def relu(x: Tensor) -> Tensor:
     return _record("relu", np.where(mask, x.data, 0.0), [x], lambda g: (g * mask,))
 
 
+def _softmax_rows(z: Array) -> Array:
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis, max-shifted for stability."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_rows(x.data)
 
     def vjp(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
@@ -356,8 +359,15 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolutions
+# convolutions (im2col: one GEMM for the forward, one per input for the vjp)
 # ---------------------------------------------------------------------------
+
+def _zero_pad(a: Array, pads: Sequence[tuple]) -> Array:
+    """np.pad with zeros, without its per-call overhead."""
+    out = np.zeros(tuple(n + lo + hi for n, (lo, hi) in zip(a.shape, pads)))
+    out[tuple(slice(lo, lo + n) for n, (lo, _) in zip(a.shape, pads))] = a
+    return out
+
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution over (N, C, H, W) with kernel (O, C, kh, kw)."""
@@ -367,34 +377,40 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
     o, ci, kh, kw = w.shape
     if ci != c:
         raise ShapeError(f"conv2d: input channels {x.shape} vs kernel {w.shape}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    if b is not None and b.shape != (o,):
+        raise ShapeError(f"conv2d: bias {b.shape} vs kernel {w.shape}")
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wd + 2 * pad - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d: kernel {w.shape} too large for input {x.shape} pad {pad}")
+    xp = _zero_pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (N, C, Ho, Wo, kh, kw)
-    out = np.einsum("nchwij,ocij->nohw", win, w.data, optimize=True)
+    win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)  # (C, kh, kw, N, Ho, Wo)
+
+    def im2col():  # rebuilt in the vjp, so the tape holds no (C·kh·kw, N·Ho·Wo) copy
+        return np.ascontiguousarray(win).reshape(c * kh * kw, n * ho * wo)
+
+    w2 = w.data.reshape(o, c * kh * kw)
+    out = w2 @ im2col()
     if b is not None:
-        if b.shape != (o,):
-            raise ShapeError(f"conv2d: bias {b.shape} vs kernel {w.shape}")
-        out = out + b.data[None, :, None, None]
+        out += b.data[:, None]
 
     def vjp(g):
-        gw = np.einsum("nohw,nchwij->ocij", g, win, optimize=True)
-        gxp = np.zeros_like(xp)
+        g2 = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
+        gw = (g2 @ im2col().T).reshape(w.shape)
+        gcols = (w2.T @ g2).reshape(c, kh, kw, n, ho, wo).transpose(3, 0, 1, 2, 4, 5)
+        gxp = np.zeros(xp.shape)
         for i in range(kh):
             for j in range(kw):
-                patch = np.einsum("nohw,oc->nchw", g, w.data[:, :, i, j], optimize=True)
-                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += patch
-        gx = gxp[:, :, pad : pad + h, pad : pad + wd] if pad else gxp
+                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
+        gx = gxp[:, :, pad : pad + h, pad : pad + wd]
         grads = [gx, gw]
         if b is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
+            grads.append(g2.sum(axis=1))
         return tuple(grads)
 
     inputs = [x, w] if b is None else [x, w, b]
-    return _record("conv2d", out, inputs, vjp)
+    return _record("conv2d", out.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), inputs, vjp)
 
 
 def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0) -> Tensor:
@@ -405,30 +421,37 @@ def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0
     o, ci, k = w.shape
     if ci != c:
         raise ShapeError(f"conv1d_frames: channels {x.shape} vs kernel {w.shape}")
-    xp = np.pad(x.data, ((pad, pad), (0, 0), (0, 0), (0, 0)))
+    if b is not None and b.shape != (o,):
+        raise ShapeError(f"conv1d_frames: bias {b.shape} vs kernel {w.shape}")
     fo = f + 2 * pad - k + 1
     if fo < 1:
         raise ShapeError(f"conv1d_frames: kernel {w.shape} too long for {x.shape} pad {pad}")
+    xp = _zero_pad(x.data, ((pad, pad), (0, 0), (0, 0), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (Fo, C, H, W, k)
-    out = np.einsum("fchwk,ock->fohw", win, w.data, optimize=True)
+
+    def im2col():  # rebuilt in the vjp, as in conv2d
+        return np.ascontiguousarray(win.transpose(1, 4, 0, 2, 3)).reshape(c * k, fo * h * wd)
+
+    w2 = w.data.reshape(o, c * k)
+    out = w2 @ im2col()
     if b is not None:
-        if b.shape != (o,):
-            raise ShapeError(f"conv1d_frames: bias {b.shape} vs kernel {w.shape}")
-        out = out + b.data[None, :, None, None]
+        out += b.data[:, None]
 
     def vjp(g):
-        gw = np.einsum("fohw,fchwk->ock", g, win, optimize=True)
-        gxp = np.zeros_like(xp)
+        g2 = g.transpose(1, 0, 2, 3).reshape(o, fo * h * wd)
+        gw = (g2 @ im2col().T).reshape(w.shape)
+        gcols = (w2.T @ g2).reshape(c, k, fo, h, wd).transpose(2, 0, 1, 3, 4)
+        gxp = np.zeros(xp.shape)
         for i in range(k):
-            gxp[i : i + fo] += np.einsum("fohw,oc->fchw", g, w.data[:, :, i], optimize=True)
-        gx = gxp[pad : pad + f] if pad else gxp
+            gxp[i : i + fo] += gcols[:, :, i]
+        gx = gxp[pad : pad + f]
         grads = [gx, gw]
         if b is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
+            grads.append(g2.sum(axis=1))
         return tuple(grads)
 
     inputs = [x, w] if b is None else [x, w, b]
-    return _record("conv1d_frames", out, inputs, vjp)
+    return _record("conv1d_frames", out.reshape(o, fo, h, wd).transpose(1, 0, 2, 3), inputs, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -498,34 +521,55 @@ def downsample_stride2(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# attention (exact softmax(QK^T / sqrt(d)) V, single head)
+# attention (exact softmax(QK^T / sqrt(d)) V, single head), one tape node each
 # ---------------------------------------------------------------------------
 
-def _attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
-    q = matmul(tokens, transpose(wq, (1, 0)))
-    k = matmul(tokens, transpose(wk, (1, 0)))
-    v = matmul(tokens, transpose(wv, (1, 0)))
-    scale = 1.0 / math.sqrt(tokens.shape[-1])
-    scores = mul_scalar(matmul(q, transpose(k, (0, 2, 1))), scale)
-    attn = softmax(scores)
-    out = matmul(attn, v)
-    return matmul(out, transpose(wo, (1, 0)))
+def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens) -> Tensor:
+    """Attention over the (B, T, C) tokens `to_tokens(x.data)`; `from_tokens`
+    maps (B, T, C) back to the layout of x."""
+    c = x.shape[1]
+    if any(t.shape != (c, c) for t in ws):
+        raise ShapeError(f"{op}: weights {[t.shape for t in ws]} vs {c} channels")
+    wq, wk, wv, wo = (t.data for t in ws)
+    tokens = to_tokens(x.data)
+    bsz, nt, _ = tokens.shape
+    flat = tokens.reshape(bsz * nt, c)
+    q, k, v = ((flat @ m.T).reshape(bsz, nt, c) for m in (wq, wk, wv))
+    scale = 1.0 / math.sqrt(c)
+    a = _softmax_rows((q @ k.transpose(0, 2, 1)) * scale)
+    av = (a @ v).reshape(bsz * nt, c)
+
+    def vjp(g):
+        g2 = to_tokens(g).reshape(bsz * nt, c)
+        gwo = g2.T @ av
+        gav = (g2 @ wo).reshape(bsz, nt, c)
+        ga = gav @ v.transpose(0, 2, 1)
+        gs = (ga - (ga * a).sum(axis=-1, keepdims=True)) * a * scale
+        gq = (gs @ k).reshape(bsz * nt, c)
+        gk = (gs.transpose(0, 2, 1) @ q).reshape(bsz * nt, c)
+        gv = (a.transpose(0, 2, 1) @ gav).reshape(bsz * nt, c)
+        gx = gq @ wq + gk @ wk + gv @ wv
+        return (from_tokens(gx.reshape(bsz, nt, c)),
+                gq.T @ flat, gk.T @ flat, gv.T @ flat, gwo)
+
+    out = from_tokens((av @ wo.T).reshape(bsz, nt, c))
+    return _record(op, out, [x, *ws], vjp)
 
 
 def attention_spatial(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
     """Self-attention per frame; spatial sites are the token axis."""
     f, c, h, w = x.shape
-    tokens = transpose(reshape(x, (f, c, h * w)), (0, 2, 1))  # (F, HW, C)
-    out = _attention(tokens, wq, wk, wv, wo)
-    return reshape(transpose(out, (0, 2, 1)), (f, c, h, w))
+    return _attention("attention_spatial", x, (wq, wk, wv, wo),
+                      lambda a: a.reshape(f, c, h * w).transpose(0, 2, 1),  # (F, HW, C)
+                      lambda t: t.transpose(0, 2, 1).reshape(f, c, h, w))
 
 
 def attention_temporal(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
     """Self-attention per spatial site; frames are the token axis."""
     f, c, h, w = x.shape
-    tokens = transpose(reshape(x, (f, c, h * w)), (2, 0, 1))  # (HW, F, C)
-    out = _attention(tokens, wq, wk, wv, wo)
-    return reshape(transpose(out, (1, 2, 0)), (f, c, h, w))
+    return _attention("attention_temporal", x, (wq, wk, wv, wo),
+                      lambda a: a.reshape(f, c, h * w).transpose(2, 0, 1),  # (HW, F, C)
+                      lambda t: t.transpose(1, 2, 0).reshape(f, c, h, w))
 
 
 # ---------------------------------------------------------------------------

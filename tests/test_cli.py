@@ -80,6 +80,54 @@ def test_unparseable_config_is_exit_2_with_error_record(tmp_path, capsys):
     assert "config" in record["error"]
 
 
+def _config_error(capsys) -> str:
+    """The message of the one JSON error line a failed stage printed."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "config" and record["code"] == cli.EXIT_CONFIG
+    return record["message"]
+
+
+def test_unknown_nested_config_key_is_exit_2_with_one_json_line(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path, {"data": {**FAST["data"], "typo_key": 1}})
+    assert _run(["plan", "--config", cfg, "--out", str(tmp_path / "r")]) == cli.EXIT_CONFIG
+    assert "'data.typo_key'" in _config_error(capsys)
+
+
+@pytest.mark.parametrize("name,raw,key", [
+    ("VDMINI_DISTILL__STEPZ", "3", "'distill.stepz'"),
+    ("VDMINI_DISTILL__STEPS", '"abc"', "'distill.steps'"),
+    ("VDMINI_DATA__TYPO_KEY", "1", "'data.typo_key'"),
+    ("VDMINI_MODEL", "5", "'model'"),
+])
+def test_bad_env_override_is_exit_2_with_one_json_line(tmp_path, capsys, monkeypatch,
+                                                       name, raw, key):
+    monkeypatch.setenv(name, raw)
+    assert _run(["plan", "--out", str(tmp_path / "r")]) == cli.EXIT_CONFIG
+    message = _config_error(capsys)
+    assert message.startswith("environment:") and key in message
+    assert not (tmp_path / "r").exists()
+
+
+def test_config_values_are_type_checked_against_the_defaults(tmp_path):
+    bad = [{"distill": {"steps": 2.0}}, {"distill": {"steps": True}},
+           {"schedule": {"rho": "7"}}, {"model": {"widths": [4, 6.5, 8]}},
+           {"model": {"widths": 4}}, {"eval": {"checkpoint": 1}}, {"data": []}]
+    for doc in bad:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(cli.ConfigError, match="must be of type"):
+            cli.load_config(str(path), None, None, environ={})
+    with pytest.raises(cli.ConfigError, match="VDMINI_SEED__X"):
+        cli.load_config(None, None, None, environ={"VDMINI_SEED": "5", "VDMINI_SEED__X": "1"})
+    # an integer passes for a number and is kept as given
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({"schedule": {"rho": 7}, "train_teacher": {"lr": 0.001}}))
+    cfg = cli.load_config(str(path), None, None, environ={})
+    assert cfg["schedule"]["rho"] == 7 and type(cfg["schedule"]["rho"]) is int
+
+
 def test_stage_seed_is_stable_and_distinct():
     a = cli.stage_seed(0, "gen-data")
     assert a == cli.stage_seed(0, "gen-data")

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from vdmini import diffusion as df
 from vdmini import icmd
 from vdmini import netgraph as ng
 from vdmini import pruner as pr
 from vdmini import synthdata as sd
 from vdmini.diffusion import NoiseSchedule
+from vdmini import tensor as T
 from vdmini.errors import NonFiniteError, ShapeError, VdminiError
-from vdmini.tensor import Tensor
+from vdmini.optim import named_grads
+from vdmini.tensor import Tape, Tensor, backward
 
 SMALL_WIDTHS = (4, 6, 8)
 
@@ -284,3 +287,67 @@ def test_distill_step_empty_batch():
     state = _state()
     with pytest.raises(VdminiError, match="empty batch"):
         icmd.distill_step(state, [], np.random.default_rng(0))
+
+
+def _two_forward_step(state, batch, rng):
+    """The distill step in its earlier order: an untaped student forward for
+    the critic's fakes, the critic update, then a second, taped student
+    forward for the student update."""
+    p = icmd.Preconditioner("EDM", state.schedule.sigma_data)
+    sigmas = [df.sample_sigma(state.schedule, rng) for _ in batch]
+    epss = [rng.standard_normal(x0.shape) for x0 in batch]
+    inst = [icmd.sample_instance_noise(state.noise, rng) for _ in batch]
+    inst_eps = [rng.standard_normal(x0.shape) for x0 in batch]
+    x_ts = [Tensor(x0.data + s * e) for x0, s, e in zip(batch, sigmas, epss)]
+    fakes = [df.denoise(state.student, x_t, s, None, p).data for x_t, s in zip(x_ts, sigmas)]
+    with Tape() as tape:
+        loss_d = None
+        for x0, fake, (_, s_i), e_i in zip(batch, fakes, inst, inst_eps):
+            term = icmd.mca_disc_loss(state.disc.forward(Tensor(fake + s_i * e_i), s_i),
+                                      state.disc.forward(Tensor(x0.data + s_i * e_i), s_i))
+            loss_d = term if loss_d is None else T.add(loss_d, term)
+        loss_d = T.mul_scalar(loss_d, 1.0 / len(batch))
+    state.disc.params = state.opt_disc.step(
+        state.disc.params, named_grads(state.disc.params, backward(tape, loss_d)))
+    feats = [icmd._teacher_features(state.teacher, x_t, s, None, p)
+             for x_t, s in zip(x_ts, sigmas)]
+    with Tape() as tape:
+        task = icd = gen = None
+        for x0, s, x_t, f_t, (_, s_i), e_i in zip(batch, sigmas, x_ts, feats, inst, inst_eps):
+            d_s, t_term, i_term = icmd._student_terms(state, x0, None, s, x_t, f_t, p)
+            g_term = icmd.mca_gen_loss(state.disc.forward(T.add(d_s, Tensor(s_i * e_i)), s_i))
+            task = t_term if task is None else T.add(task, t_term)
+            icd = i_term if icd is None else T.add(icd, i_term)
+            gen = g_term if gen is None else T.add(gen, g_term)
+        task, icd, gen = (T.mul_scalar(v, 1.0 / len(batch)) for v in (task, icd, gen))
+        total = T.add(T.add(task, T.mul_scalar(icd, state.weights.lambda_icd)),
+                      T.mul_scalar(gen, state.weights.lambda_mca))
+    state.student.params = state.opt_student.step(
+        state.student.params, named_grads(state.student.params, backward(tape, total)))
+    state.step += 1
+    return {"task": task.item(), "icd": icd.item(), "mca_gen": gen.item(),
+            "mca_disc": loss_d.item()}
+
+
+def test_distill_step_runs_the_student_once_per_sample_and_matches_two_forwards():
+    state, ref = _state(), _state()
+    calls = []
+    forward = state.student.forward
+
+    def counted(*args, **kwargs):
+        calls.append(T.Tape.current() is not None)
+        return forward(*args, **kwargs)
+
+    state.student.forward = counted
+    for step in range(2):
+        batch = _batch(n=3)
+        calls.clear()
+        out = icmd.distill_step(state, batch, np.random.default_rng(step))
+        assert calls == [True] * len(batch)
+        want = _two_forward_step(ref, batch, np.random.default_rng(step))
+        assert {k: out[k] for k in want} == want
+        for model_params, ref_params in ((state.student.params, ref.student.params),
+                                         (state.disc.params, ref.disc.params)):
+            assert model_params.keys() == ref_params.keys()
+            for name in model_params:
+                assert np.array_equal(model_params[name].data, ref_params[name].data), name

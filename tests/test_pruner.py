@@ -125,6 +125,17 @@ def test_plan_json_doc_round_trips_and_rejects_malformed_docs():
         pr.PruningPlan.from_json_doc([doc])
 
 
+def test_plan_json_doc_must_count_exactly_the_origin_stages():
+    doc = pr.plan_vdmini(ng.toy_teacher_graph()).to_json_doc()
+    counts = doc["student_layer_counts"]
+    without_u3 = {k: v for k, v in counts.items() if k != "U.3"}
+    for bad, named in (({"D.0": 1, "TYPO": 3}, "'TYPO'"), ({**counts, "TYPO": 3}, "'TYPO'"),
+                       (without_u3, "missing ['U.3']")):
+        with pytest.raises(PlanError, match="student_layer_counts") as err:
+            pr.PruningPlan.from_json_doc({**doc, "student_layer_counts": bad})
+        assert named in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # applying the plan
 # ---------------------------------------------------------------------------

@@ -92,6 +92,8 @@ def test_shape_errors_are_typed():
         T.add(Tensor(np.ones(2)), Tensor(np.ones(3)))
     with pytest.raises(ShapeError):
         T.mse(Tensor(np.ones((2, 2))), Tensor(np.ones(4)))
+    with pytest.raises(ShapeError):
+        T.attention_spatial(Tensor(np.ones((2, 3, 4, 4))), *[Tensor(np.ones((3, 4)))] * 4)
 
 
 def test_tensors_are_immutable():
@@ -123,3 +125,73 @@ def test_eps_domain_is_validated():
     x = Tensor(np.ones(2))
     with pytest.raises(ValueError):
         finite_difference_check(lambda t: T.sum_all(t), x, eps=0.5)
+
+
+def _grad_cases():
+    """(name, op closure over its inputs, inputs) for every input of each
+    single-GEMM convolution and each one-node attention."""
+    rng = np.random.default_rng(7)
+    c = lambda *s: rng.standard_normal(s)
+    x, w2, w1, b = c(2, 3, 5, 6), c(4, 3, 3, 3), c(4, 3, 3), c(4)
+    ws = [c(3, 3) / 2.0 for _ in range(4)]
+    return [
+        ("conv2d stride 1", lambda *a: T.conv2d(*a, stride=1, pad=1), [x, w2, b]),
+        ("conv2d stride 2", lambda *a: T.conv2d(*a, stride=2, pad=1), [x, w2, b]),
+        ("conv1d_frames", lambda *a: T.conv1d_frames(*a, pad=1), [x, w1, b]),
+        ("attention_spatial", T.attention_spatial, [x] + ws),
+        ("attention_temporal", T.attention_temporal, [x] + ws),
+    ]
+
+
+_GRAD_CASES = _grad_cases()
+
+
+@pytest.mark.parametrize("name,op,inputs", _GRAD_CASES, ids=[case[0] for case in _GRAD_CASES])
+def test_single_node_ops_gradients_for_every_input(name, op, inputs):
+    tensors = [Tensor(a) for a in inputs]
+    with Tape() as tape:
+        out = op(*[Tensor(a, requires_grad=True) for a in inputs])
+    assert len(tape.nodes) == 1 and tape.nodes[0][0].op == name.split()[0]
+    probe = Tensor(np.random.default_rng(8).standard_normal(out.shape))
+    for i in range(len(inputs)):
+        def f(t, i=i):
+            args = tensors[:i] + [t] + tensors[i + 1:]
+            return T.sum_all(T.mul(op(*args), probe))
+        report = finite_difference_check(f, tensors[i])
+        assert report.max_rel_err <= 1e-7, f"{name} input {i}: {report}"
+
+
+def test_single_gemm_ops_match_loop_references():
+    rng = np.random.default_rng(9)
+    x, w2, w1, b = (rng.standard_normal(s) for s in ((2, 3, 5, 6), (4, 3, 3, 3), (4, 3, 3), (4,)))
+    ws = [rng.standard_normal((3, 3)) / 2.0 for _ in range(4)]
+    for stride in (1, 2):
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        ho, wo = (5 + 2 - 3) // stride + 1, (6 + 2 - 3) // stride + 1
+        want = np.zeros((2, 4, ho, wo)) + b[None, :, None, None]
+        for i in range(3):
+            for j in range(3):
+                patch = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+                want += np.tensordot(w2[:, :, i, j], patch, axes=(1, 1)).transpose(1, 0, 2, 3)
+        got = T.conv2d(Tensor(x), Tensor(w2), Tensor(b), stride=stride, pad=1).data
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    xp = np.pad(x, ((1, 1), (0, 0), (0, 0), (0, 0)))
+    want = np.stack([sum(np.tensordot(w1[:, :, i], xp[t + i], axes=(1, 0)) for i in range(3))
+                     + b[:, None, None] for t in range(2)])
+    got = T.conv1d_frames(Tensor(x), Tensor(w1), Tensor(b), pad=1).data
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def attend(tokens):  # (T, C) -> (T, C)
+        wq, wk, wv, wo = ws
+        scores = (tokens @ wq.T) @ (tokens @ wk.T).T / math.sqrt(tokens.shape[1])
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        return (e / e.sum(axis=1, keepdims=True)) @ (tokens @ wv.T) @ wo.T
+
+    spatial = np.stack([attend(x[f].reshape(3, 30).T).T.reshape(3, 5, 6) for f in range(2)])
+    temporal = np.empty_like(x)
+    for i in range(5):
+        for j in range(6):
+            temporal[:, :, i, j] = attend(x[:, :, i, j])
+    for op, want in ((T.attention_spatial, spatial), (T.attention_temporal, temporal)):
+        got = op(Tensor(x), *(Tensor(w) for w in ws)).data
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
