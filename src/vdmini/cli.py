@@ -382,6 +382,7 @@ def cmd_distill(cfg: dict, out: Path, chash: str, force: bool) -> None:
                                    [conds[i] for i in idx])
         rows.append([str(step)] + [fmt6(losses[k]) for k in
                                    ("task", "icd", "mca_gen", "mca_disc", "total")])
+    icmd.check_teacher_frozen(state, full=True)
     _save_model(state.student, out / "student.vdmk", chash)
     write_json_artifact(out / "student_graph.json", {
         "graph": json.loads(netgraph.graph_to_json(state.student.graph)),

@@ -189,10 +189,26 @@ class DistillState:
     opt_disc: Adam = field(default_factory=lambda: Adam(lr=DISC_LR))
     step: int = 0
     teacher_checksum: str = ""
+    teacher_arrays: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.teacher_checksum:
             self.teacher_checksum = self.teacher.param_checksum()
+        self.teacher_arrays = [(n, p, p.data) for n, p in self.teacher.params.items()]
+
+
+def check_teacher_frozen(state: DistillState, full: bool = False) -> None:
+    """Raise unless the teacher still holds the parameter Tensors and arrays
+    it held when `state` was made; with `full`, also compare their checksum.
+
+    The identity check is cheap enough for every step; tensor arrays are
+    read-only, so only a write that first unlocks one needs the checksum.
+    """
+    params = state.teacher.params
+    same = len(params) == len(state.teacher_arrays) and all(
+        params.get(n) is p and p.data is d for n, p, d in state.teacher_arrays)
+    if not same or (full and state.teacher.param_checksum() != state.teacher_checksum):
+        raise VdminiError("teacher parameters changed during distillation")
 
 
 def _check_finite(value: float, term: str) -> float:
@@ -258,8 +274,7 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
     """
     if not batch:
         raise VdminiError("distill_step: empty batch")
-    if state.teacher.param_checksum() != state.teacher_checksum:
-        raise VdminiError("teacher parameters changed during distillation")
+    check_teacher_frozen(state)
     if conds is None:
         conds = [None] * len(batch)
     p = Preconditioner("EDM", state.schedule.sigma_data)

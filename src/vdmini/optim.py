@@ -40,8 +40,21 @@ class Adam:
                 self.m[name] = m
                 self.v[name] = np.zeros_like(p.data)
             v = self.v[name]
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g.data
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g.data * g.data
-            update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-            out[name] = Tensor(p.data - update, requires_grad=True)
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+            # p - lr * (m/b1c) / (sqrt(v/b2c) + eps), one operation at a time in
+            # this order and into owned buffers, so the bits are these expressions'
+            gd = g.data
+            m *= self.beta1
+            m += (1.0 - self.beta1) * gd
+            t = (1.0 - self.beta2) * gd
+            t *= gd
+            v *= self.beta2
+            v += t
+            den = np.divide(v, b2c, out=np.empty_like(v))  # out=: 0-d stays an array
+            np.sqrt(den, out=den)
+            den += self.eps
+            upd = np.divide(m, b1c, out=np.empty_like(m))
+            upd *= self.lr
+            upd /= den
+            out[name] = Tensor(np.subtract(p.data, upd, out=upd), requires_grad=True)
         return out

@@ -206,25 +206,39 @@ def bias_add(x: Tensor, b: Tensor, axis: int = 1) -> Tensor:
     return _record("bias_add", x.data + bb, [x, b], vjp)
 
 
+def _sigmoid(xd: Array) -> Array:
+    """1 / (1 + exp(-x)) in one fresh buffer. exp(-x) overflows to inf below
+    x = -709, where the sigmoid is exactly 0, so that overflow is not warned."""
+    s = np.negative(xd, out=np.empty_like(xd))  # out=: a 0-d input stays an array
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
 def silu(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    s = _sigmoid(x.data)
     out = x.data * s
 
-    def vjp(g):
-        return (g * (s + x.data * s * (1.0 - s)),)
+    def vjp(g):  # g * (s + x * s * (1 - s)), with out == x * s
+        t = 1.0 - s
+        t *= out
+        t += s
+        t *= g
+        return (t,)
 
     return _record("silu", out, [x], vjp)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    s = _sigmoid(x.data)
     return _record("sigmoid", s, [x], lambda g: (g * s * (1.0 - s),))
 
 
 def softplus(x: Tensor) -> Tensor:
     # log(1 + e^x) computed stably for large |x|
     out = np.logaddexp(0.0, x.data)
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    s = _sigmoid(x.data)
     return _record("softplus", out, [x], lambda g: (g * s,))
 
 
@@ -234,13 +248,16 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _softmax_rows(z: Array) -> Array:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, max-shifted, written into `z` itself."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis, max-shifted for stability."""
-    y = _softmax_rows(x.data)
+    y = _softmax_rows(x.data.copy())
 
     def vjp(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
@@ -344,7 +361,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     if b is not None and b.shape != (w.shape[0],):
         raise ShapeError(f"linear: bias {b.shape} vs w {w.shape}")
     if b is not None:
-        out = out + b.data
+        out += b.data
 
     def vjp(g):
         gx = g @ w.data
@@ -383,26 +400,28 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
     wo = (wd + 2 * pad - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d: kernel {w.shape} too large for input {x.shape} pad {pad}")
-    xp = _zero_pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)  # (C, kh, kw, N, Ho, Wo)
+    pads = ((0, 0), (0, 0), (pad, pad), (pad, pad))
 
-    def im2col():  # rebuilt in the vjp, so the tape holds no (C·kh·kw, N·Ho·Wo) copy
+    def im2col():  # rebuilt in the vjp, so the tape holds neither the padded input nor this matrix
+        xp = _zero_pad(x.data, pads) if pad else x.data
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)  # (C, kh, kw, N, Ho, Wo)
         return np.ascontiguousarray(win).reshape(c * kh * kw, n * ho * wo)
 
-    w2 = w.data.reshape(o, c * kh * kw)
-    out = w2 @ im2col()
+    out = w.data.reshape(o, c * kh * kw) @ im2col()
     if b is not None:
         out += b.data[:, None]
 
     def vjp(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
         gw = (g2 @ im2col().T).reshape(w.shape)
-        gcols = (w2.T @ g2).reshape(c, kh, kw, n, ho, wo).transpose(3, 0, 1, 2, 4, 5)
-        gxp = np.zeros(xp.shape)
+        # tap-major rows: each gcols[i, j] is one contiguous (C, N, Ho, Wo) block
+        gcols = (w.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, o) @ g2).reshape(kh, kw, c, n, ho, wo)
+        gxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
+        gxp_c = gxp.transpose(1, 0, 2, 3)
         for i in range(kh):
             for j in range(kw):
-                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
+                gxp_c[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[i, j]
         gx = gxp[:, :, pad : pad + h, pad : pad + wd]
         grads = [gx, gw]
         if b is not None:
@@ -426,10 +445,11 @@ def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0
     fo = f + 2 * pad - k + 1
     if fo < 1:
         raise ShapeError(f"conv1d_frames: kernel {w.shape} too long for {x.shape} pad {pad}")
-    xp = _zero_pad(x.data, ((pad, pad), (0, 0), (0, 0), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (Fo, C, H, W, k)
+    pads = ((pad, pad), (0, 0), (0, 0), (0, 0))
 
     def im2col():  # rebuilt in the vjp, as in conv2d
+        xp = _zero_pad(x.data, pads) if pad else x.data
+        win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (Fo, C, H, W, k)
         return np.ascontiguousarray(win.transpose(1, 4, 0, 2, 3)).reshape(c * k, fo * h * wd)
 
     w2 = w.data.reshape(o, c * k)
@@ -441,7 +461,7 @@ def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0
         g2 = g.transpose(1, 0, 2, 3).reshape(o, fo * h * wd)
         gw = (g2 @ im2col().T).reshape(w.shape)
         gcols = (w2.T @ g2).reshape(c, k, fo, h, wd).transpose(2, 0, 1, 3, 4)
-        gxp = np.zeros(xp.shape)
+        gxp = np.zeros((f + 2 * pad, c, h, wd))
         for i in range(k):
             gxp[i : i + fo] += gcols[:, :, i]
         gx = gxp[pad : pad + f]
@@ -468,23 +488,31 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int = 1, eps: flo
     n = x.shape[0]
     spatial = x.shape[2:]
     xg = x.data.reshape(n, groups, -1)
+    m = xg.shape[2]
     mu = xg.mean(axis=2, keepdims=True)
-    var = xg.var(axis=2, keepdims=True)
+    d = xg - mu
+    var = np.multiply(d, d).sum(axis=2, keepdims=True) / m  # what xg.var computes
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = ((xg - mu) * inv).reshape(x.shape)
+    d *= inv
+    xhat = d.reshape(x.shape)
     gshape = (1, c) + (1,) * len(spatial)
-    out = xhat * gamma.data.reshape(gshape) + beta.data.reshape(gshape)
+    out = xhat * gamma.data.reshape(gshape)
+    out += beta.data.reshape(gshape)
 
     def vjp(g):
         affine_axes = (0,) + tuple(range(2, x.data.ndim))
         ggamma = (g * xhat).sum(axis=affine_axes)
         gbeta = g.sum(axis=affine_axes)
-        dxhat = (g * gamma.data.reshape(gshape)).reshape(n, groups, -1)
-        xh = xhat.reshape(n, groups, -1)
+        # an owned C-order buffer, whatever the layout of g; it becomes gx
+        dxhat = np.multiply(g, gamma.data.reshape(gshape), out=np.empty(x.shape)).reshape(n, groups, -1)
         t1 = dxhat.mean(axis=2, keepdims=True)
-        t2 = (dxhat * xh).mean(axis=2, keepdims=True)
-        gx = (inv * (dxhat - t1 - xh * t2)).reshape(x.shape)
-        return gx, ggamma, gbeta
+        tmp = dxhat * d
+        t2 = tmp.mean(axis=2, keepdims=True)
+        # inv * (dxhat - t1 - xhat * t2), into dxhat
+        dxhat -= t1
+        dxhat -= np.multiply(d, t2, out=tmp)
+        dxhat *= inv
+        return dxhat.reshape(x.shape), ggamma, gbeta
 
     return _record("group_norm", out, [x, gamma, beta], vjp)
 
@@ -536,19 +564,25 @@ def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens)
     flat = tokens.reshape(bsz * nt, c)
     q, k, v = ((flat @ m.T).reshape(bsz, nt, c) for m in (wq, wk, wv))
     scale = 1.0 / math.sqrt(c)
-    a = _softmax_rows((q @ k.transpose(0, 2, 1)) * scale)
+    a = q @ k.transpose(0, 2, 1)
+    a *= scale
+    a = _softmax_rows(a)
     av = (a @ v).reshape(bsz * nt, c)
 
     def vjp(g):
         g2 = to_tokens(g).reshape(bsz * nt, c)
         gwo = g2.T @ av
         gav = (g2 @ wo).reshape(bsz, nt, c)
-        ga = gav @ v.transpose(0, 2, 1)
-        gs = (ga - (ga * a).sum(axis=-1, keepdims=True)) * a * scale
+        gs = gav @ v.transpose(0, 2, 1)  # (ga - (ga * a).sum(-1)) * a * scale, in place
+        gs -= (gs * a).sum(axis=-1, keepdims=True)
+        gs *= a
+        gs *= scale
         gq = (gs @ k).reshape(bsz * nt, c)
         gk = (gs.transpose(0, 2, 1) @ q).reshape(bsz * nt, c)
         gv = (a.transpose(0, 2, 1) @ gav).reshape(bsz * nt, c)
-        gx = gq @ wq + gk @ wk + gv @ wv
+        gx = gq @ wq
+        gx += gk @ wk
+        gx += gv @ wv
         return (from_tokens(gx.reshape(bsz, nt, c)),
                 gq.T @ flat, gk.T @ flat, gv.T @ flat, gwo)
 

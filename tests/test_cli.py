@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from vdmini import cli
+from vdmini.tensor import Tensor
 
 GOLDEN = Path(__file__).parent / "golden" / "plan.json"
 
@@ -268,6 +269,33 @@ def test_eval_rejects_a_teacher_checkpoint_saved_as_the_student(tmp_path, capsys
         # the student lacks D.0's second layer, which the teacher has
         assert record["message"].endswith("extra tensor D.0.A.1.S.gn.b"), record
     assert not (out / "eval_student.json").exists()
+
+
+def test_distill_with_a_teacher_written_in_place_is_exit_2_and_saves_no_student(
+        tmp_path, capsys, monkeypatch):
+    cfg = _cfg_file(tmp_path)
+    out = tmp_path / "run"
+    for stage in ("gen-data", "train-teacher", "plan"):
+        assert _run([stage, "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    load, step = cli.checkpoint.load_checkpoint, cli.icmd.distill_step
+
+    def load_owned(path):  # arrays that own their memory, so their flag can flip
+        return {n: Tensor(p.data.copy(), requires_grad=True) for n, p in load(path).items()}
+
+    def step_that_writes_the_teacher(state, *args):
+        arr = next(iter(state.teacher.params.values())).data
+        arr.flags.writeable = True
+        arr.flat[0] += 1.0
+        arr.flags.writeable = False
+        return step(state, *args)
+
+    monkeypatch.setattr(cli.checkpoint, "load_checkpoint", load_owned)
+    monkeypatch.setattr(cli.icmd, "distill_step", step_that_writes_the_teacher)
+    capsys.readouterr()
+    assert _run(["distill", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    record = _one_error_record(capsys)
+    assert record["message"] == "teacher parameters changed during distillation"
+    assert not (out / "student.vdmk").exists()
 
 
 def test_report_skips_files_without_config_hash(tmp_path):

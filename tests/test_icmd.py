@@ -283,6 +283,15 @@ def test_distill_step_rejects_mutated_teacher():
         icmd.distill_step(state, _batch(), np.random.default_rng(0))
 
 
+def test_distill_step_rejects_a_teacher_array_replaced_in_place():
+    state = _state()
+    icmd.distill_step(state, _batch(), np.random.default_rng(0))
+    p = next(iter(state.teacher.params.values()))
+    p.data = p.data.copy()  # the same values in another array
+    with pytest.raises(VdminiError, match="teacher parameters changed"):
+        icmd.distill_step(state, _batch(), np.random.default_rng(1))
+
+
 def test_distill_step_empty_batch():
     state = _state()
     with pytest.raises(VdminiError, match="empty batch"):

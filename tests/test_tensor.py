@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import vdmini.tensor as T
 from vdmini.errors import NonScalarRootError, ShapeError
-from vdmini.optim import named_grads
+from vdmini.optim import Adam, named_grads
 from vdmini.tensor import Tape, Tensor, backward, finite_difference_check
 
 
@@ -195,3 +196,240 @@ def test_single_gemm_ops_match_loop_references():
     for op, want in ((T.attention_spatial, spatial), (T.attention_temporal, temporal)):
         got = op(Tensor(x), *(Tensor(w) for w in ws)).data
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the hot kernels equal, bit for bit, the plain expressions they replace
+# ---------------------------------------------------------------------------
+
+def _sigmoid_ref(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _silu_ref(x):
+    s = _sigmoid_ref(x)
+    return x * s, lambda g: (g * (s + x * s * (1.0 - s)),)
+
+
+def _sigmoid_op_ref(x):
+    s = _sigmoid_ref(x)
+    return s, lambda g: (g * s * (1.0 - s),)
+
+
+def _softplus_ref(x):
+    s = _sigmoid_ref(x)
+    return np.logaddexp(0.0, x), lambda g: (g * s,)
+
+
+def _group_norm_ref(x, gamma, beta, groups, eps=1e-5):
+    n, c = x.shape[:2]
+    xg = x.reshape(n, groups, -1)
+    mu = xg.mean(axis=2, keepdims=True)
+    var = xg.var(axis=2, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = ((xg - mu) * inv).reshape(x.shape)
+    gshape = (1, c) + (1,) * (x.ndim - 2)
+    out = xhat * gamma.reshape(gshape) + beta.reshape(gshape)
+
+    def vjp(g):
+        affine_axes = (0,) + tuple(range(2, x.ndim))
+        ggamma = (g * xhat).sum(axis=affine_axes)
+        gbeta = g.sum(axis=affine_axes)
+        dxhat = (g * gamma.reshape(gshape)).reshape(n, groups, -1)
+        xh = xhat.reshape(n, groups, -1)
+        t1 = dxhat.mean(axis=2, keepdims=True)
+        t2 = (dxhat * xh).mean(axis=2, keepdims=True)
+        gx = (inv * (dxhat - t1 - xh * t2)).reshape(x.shape)
+        return gx, ggamma, gbeta
+
+    return out, vjp
+
+
+def _conv2d_ref(x, w, b=None, stride=1, pad=0):
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
+    cols = np.ascontiguousarray(win).reshape(c * kh * kw, n * ho * wo)
+    w2 = w.reshape(o, c * kh * kw)
+    out = w2 @ cols
+    if b is not None:
+        out += b[:, None]
+
+    def vjp(g):
+        g2 = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
+        gw = (g2 @ cols.T).reshape(w.shape)
+        gcols = (w2.T @ g2).reshape(c, kh, kw, n, ho, wo).transpose(3, 0, 1, 2, 4, 5)
+        gxp = np.zeros(xp.shape)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
+        grads = [gxp[:, :, pad:pad + h, pad:pad + wd], gw]
+        return tuple(grads + ([g2.sum(axis=1)] if b is not None else []))
+
+    return out.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), vjp
+
+
+def _conv1d_ref(x, w, b, pad):
+    f, c, h, wd = x.shape
+    o, _, k = w.shape
+    fo = f + 2 * pad - k + 1
+    xp = np.pad(x, ((pad, pad), (0, 0), (0, 0), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)
+    cols = np.ascontiguousarray(win.transpose(1, 4, 0, 2, 3)).reshape(c * k, fo * h * wd)
+    w2 = w.reshape(o, c * k)
+    out = w2 @ cols + b[:, None]
+
+    def vjp(g):
+        g2 = g.transpose(1, 0, 2, 3).reshape(o, fo * h * wd)
+        gw = (g2 @ cols.T).reshape(w.shape)
+        gcols = (w2.T @ g2).reshape(c, k, fo, h, wd).transpose(2, 0, 1, 3, 4)
+        gxp = np.zeros(xp.shape)
+        for i in range(k):
+            gxp[i:i + fo] += gcols[:, :, i]
+        return gxp[pad:pad + f], gw, g2.sum(axis=1)
+
+    return out.reshape(o, fo, h, wd).transpose(1, 0, 2, 3), vjp
+
+
+def _attention_ref(x, wq, wk, wv, wo, to_tokens, from_tokens):
+    c = x.shape[1]
+    tokens = to_tokens(x)
+    bsz, nt, _ = tokens.shape
+    flat = tokens.reshape(bsz * nt, c)
+    q, k, v = ((flat @ m.T).reshape(bsz, nt, c) for m in (wq, wk, wv))
+    scale = 1.0 / math.sqrt(c)
+    z = (q @ k.transpose(0, 2, 1)) * scale
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    a = e / e.sum(axis=-1, keepdims=True)
+    av = (a @ v).reshape(bsz * nt, c)
+
+    def vjp(g):
+        g2 = to_tokens(g).reshape(bsz * nt, c)
+        gwo = g2.T @ av
+        gav = (g2 @ wo).reshape(bsz, nt, c)
+        ga = gav @ v.transpose(0, 2, 1)
+        gs = (ga - (ga * a).sum(axis=-1, keepdims=True)) * a * scale
+        gq = (gs @ k).reshape(bsz * nt, c)
+        gk = (gs.transpose(0, 2, 1) @ q).reshape(bsz * nt, c)
+        gv = (a.transpose(0, 2, 1) @ gav).reshape(bsz * nt, c)
+        gx = gq @ wq + gk @ wk + gv @ wv
+        return (from_tokens(gx.reshape(bsz, nt, c)),
+                gq.T @ flat, gk.T @ flat, gv.T @ flat, gwo)
+
+    return from_tokens((av @ wo.T).reshape(bsz, nt, c)), vjp
+
+
+def _spatial_tokens(x):
+    f, c, h, w = x.shape
+    return (lambda a: a.reshape(f, c, h * w).transpose(0, 2, 1),
+            lambda t: t.transpose(0, 2, 1).reshape(f, c, h, w))
+
+
+def _temporal_tokens(x):
+    f, c, h, w = x.shape
+    return (lambda a: a.reshape(f, c, h * w).transpose(2, 0, 1),
+            lambda t: t.transpose(1, 2, 0).reshape(f, c, h, w))
+
+
+def _bits(a):
+    """Shape and bytes: equal bits, so -0.0 differs from 0.0."""
+    return np.shape(a), np.asarray(a, dtype=np.float64).tobytes()
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(17)
+    r = lambda *s: rng.standard_normal(s)
+    extremes = np.array([-1000.0, -50.0, -0.0, 0.0, 50.0, 1000.0])
+    cases = []
+    for name, op, ref in (("silu", T.silu, _silu_ref), ("sigmoid", T.sigmoid, _sigmoid_op_ref),
+                          ("softplus", T.softplus, _softplus_ref)):
+        for x in (np.array(0.7), r(2, 3, 4, 4), extremes):
+            cases.append((f"{name} {x.shape}", op, ref, [x], {}))
+    x, gamma, beta = r(2, 4, 3, 5), r(4), r(4)
+    for groups in (1, 2):
+        cases.append((f"group_norm {groups}", T.group_norm, _group_norm_ref, [x, gamma, beta],
+                      {"groups": groups}))
+    x = r(2, 3, 6, 5)
+    for k in (1, 3):
+        for stride in (1, 2):
+            for pad in (0, 1):
+                for bias in (True, False):
+                    args = [x, r(4, 3, k, k)] + ([r(4)] if bias else [])
+                    cases.append((f"conv2d k{k} s{stride} p{pad} b{int(bias)}", T.conv2d, _conv2d_ref,
+                                  args, {"stride": stride, "pad": pad}))
+    for pad in (0, 1):
+        cases.append((f"conv1d_frames p{pad}", T.conv1d_frames, _conv1d_ref,
+                      [r(4, 3, 2, 3), r(5, 3, 3), r(5)], {"pad": pad}))
+    x, ws = r(3, 4, 3, 2), [r(4, 4) / 2.0 for _ in range(4)]
+    for name, op, tokens in (("attention_spatial", T.attention_spatial, _spatial_tokens),
+                             ("attention_temporal", T.attention_temporal, _temporal_tokens)):
+        cases.append((name, op, lambda *a, t=tokens: _attention_ref(*a, *t(a[0])), [x] + ws, {}))
+    return cases
+
+
+_KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("name,op,ref,inputs,kw", _KERNEL_CASES, ids=[c[0] for c in _KERNEL_CASES])
+def test_kernels_match_parent_expressions_bitwise(name, op, ref, inputs, kw):
+    with Tape() as tape:
+        out = op(*[Tensor(a, requires_grad=True) for a in inputs], **kw)
+    (node, _), = tape.nodes
+    want, want_vjp = ref(*inputs, **kw)
+    assert _bits(out.data) == _bits(want)
+    g = np.random.default_rng(18).standard_normal(out.shape)
+    # a C-order g and one with permuted strides, both read-only: a vjp that
+    # wrote into g, or into what it keeps, would differ on the second call
+    gs = [g]
+    if g.ndim == 4:
+        gs.append(np.ascontiguousarray(g.transpose(2, 0, 3, 1)).transpose(1, 3, 0, 2))
+    for g in gs:
+        g.flags.writeable = False
+        first = [_bits(a) for a in node.vjp(g)]
+        assert [_bits(a) for a in want_vjp(g)] == first
+        assert [_bits(a) for a in node.vjp(g)] == first
+
+
+def test_sigmoid_family_does_not_warn_on_overflow():
+    x = np.array([-1000.0, -50.0, 0.0, 50.0, 1000.0])
+    g = np.linspace(-1.0, 1.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op, ref in ((T.silu, _silu_ref), (T.sigmoid, _sigmoid_op_ref), (T.softplus, _softplus_ref)):
+            with Tape() as tape:
+                out = op(Tensor(x, requires_grad=True))
+            got = tape.nodes[0][0].vjp(g)
+            want, want_vjp = ref(x)
+            assert _bits(out.data) == _bits(want)
+            assert [_bits(a) for a in got] == [_bits(a) for a in want_vjp(g)]
+    assert T.sigmoid(Tensor(x)).data[0] == 0.0 and T.silu(Tensor(x)).data[0] == 0.0
+
+
+def test_adam_matches_the_textbook_update_bitwise():
+    rng = np.random.default_rng(19)
+    params = {"a": Tensor(rng.standard_normal((32, 32)), requires_grad=True),
+              "b": Tensor(rng.standard_normal(5), requires_grad=True),
+              "c": Tensor(np.array(0.3), requires_grad=True)}
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    want = {n: p.data for n, p in params.items()}
+    m = {n: np.zeros_like(p) for n, p in want.items()}
+    v = {n: np.zeros_like(p) for n, p in want.items()}
+    for t in range(1, 4):
+        names = ("a", "c") if t == 2 else ("a", "b", "c")  # "b" gets no gradient at step 2
+        grads = {n: Tensor(rng.standard_normal(want[n].shape)) for n in names}
+        params = opt.step(params, grads)
+        b1c, b2c = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for n in names:
+            g = grads[n].data
+            m[n] = b1 * m[n] + (1.0 - b1) * g
+            v[n] = b2 * v[n] + (1.0 - b2) * g * g
+            want[n] = want[n] - lr * (m[n] / b1c) / (np.sqrt(v[n] / b2c) + eps)
+        for n in want:
+            assert _bits(params[n].data) == _bits(want[n]), (t, n)
+            assert _bits(opt.m[n]) == _bits(m[n]) and _bits(opt.v[n]) == _bits(v[n]), (t, n)
