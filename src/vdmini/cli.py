@@ -120,11 +120,44 @@ def _check_config(doc: dict, default: dict, where: str, prefix: str = "") -> Non
                               f"{_kind(default[key])}, got {value!r}")
 
 
+def _multiple_of_8(v) -> bool:  # the U-Net halves height and width three times
+    return v > 0 and v % 8 == 0
+
+
+def _reps(v) -> bool:  # 0 turns timing off; a median needs at least 3
+    return v == 0 or v >= 3
+
+
+# (dotted key, rule, what the rule asks): values that type-check but that
+# would crash a stage or let it write an untrained artifact. A 0-step
+# distill stays legal: it is the pruned-only student.
+_VALUE_RULES = (
+    ("model.widths", lambda v: len(v) == 3 and min(v) > 0, "3 positive integers"),
+    ("data.height", _multiple_of_8, "a positive multiple of 8"),
+    ("data.width", _multiple_of_8, "a positive multiple of 8"),
+    ("data.speeds", lambda v: len(v) > 0, "a non-empty list"),
+    ("schedule.n_levels", lambda v: v >= 1, "at least 1"),
+    ("profile.latency_reps", _reps, "0 or at least 3"),
+    ("eval.latency_reps", _reps, "0 or at least 3"),
+    ("train_teacher.steps", lambda v: v >= 0, "at least 0"),
+    ("distill.steps", lambda v: v >= 0, "at least 0"),
+)
+
+
+def _check_values(cfg: dict) -> None:
+    for dotted, rule, want in _VALUE_RULES:
+        section, key = dotted.split(".")
+        value = cfg[section][key]
+        if not rule(value):
+            raise ConfigError(f"config key {dotted!r} must be {want}, got {value!r}")
+
+
 def load_config(path: Optional[str], seed: Optional[int], out: Optional[str],
                 environ=None) -> dict:
     """DEFAULT_CONFIG, then the file at `path`, then VDMINI_* overrides, then
-    the seed and out flags. An unknown key at any level, or a value whose
-    type differs from its default's, raises ConfigError."""
+    the seed and out flags. An unknown key at any level, a value whose type
+    differs from its default's, or one that breaks a `_VALUE_RULES` rule
+    raises ConfigError."""
     cfg = DEFAULT_CONFIG
     if path is not None:
         try:
@@ -147,6 +180,7 @@ def load_config(path: Optional[str], seed: Optional[int], out: Optional[str],
         cfg["out_dir"] = out
     if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
+    _check_values(cfg)
     return cfg
 
 
@@ -287,6 +321,9 @@ def cmd_train_teacher(cfg: dict, out: Path, chash: str, force: bool) -> None:
         value = loss.item()
         if not np.isfinite(value):
             raise NonFiniteError(f"train-teacher: non-finite loss at step {step}")
+        # backward is called here by its module name, not through a shared
+        # step helper: perfbench's `train` workload patches `cli.backward`
+        # and times each step from one call to the next
         grads = named_grads(model.params, backward(tape, loss))
         model.params = opt.step(model.params, grads)
         rows.append([str(step), fmt6(value)])

@@ -20,9 +20,7 @@ class NonFiniteError(VdminiError):
 class GraphError(VdminiError):
     """A block graph failed structural validation."""
 
-    def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
+    def __init__(self, problems: list):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 

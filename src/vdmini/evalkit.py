@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import platform
 import time
 from dataclasses import dataclass, field
 
@@ -42,8 +41,6 @@ class FeatureExtractor:
 
     def __init__(self, in_channels: int = 1, dim: int = DEFAULT_FEATURE_DIM,
                  seed: int = DEFAULT_EXTRACTOR_SEED):
-        self.dim = dim
-        self.seed = seed
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
         widths = [in_channels, 16, 32, dim]
         self.layers = []
@@ -151,7 +148,6 @@ class LatencyReport:
     per_block_ms: dict = field(default_factory=dict)
     total_ms: float = 0.0
     reps: int = 0
-    host: str = ""
 
 
 def measure_latency(model: Model, input_shape: tuple, warmup: int = 2, reps: int = 5,
@@ -175,4 +171,4 @@ def measure_latency(model: Model, input_shape: tuple, warmup: int = 2, reps: int
         model.forward(x, c_noise)
         totals.append((time.perf_counter() - t0) * 1e3)
     per_block = {k: float(np.median(v)) for k, v in sorted(samples.items())}
-    return LatencyReport(per_block, float(np.median(totals)), reps, platform.platform())
+    return LatencyReport(per_block, float(np.median(totals)), reps)

@@ -47,11 +47,6 @@ class InstanceNoiseParams:
         hi = math.exp(self.p_mean + 3.0 * self.p_std)
         return np.geomspace(lo, hi, self.n_bins)
 
-    def sigma_of(self, t: int) -> float:
-        if not 1 <= t <= self.n_bins:
-            raise VdminiError(f"instance-noise index {t} outside [1, {self.n_bins}]")
-        return float(self.bins()[t - 1])
-
 
 def sample_instance_noise(params: InstanceNoiseParams,
                           rng: np.random.Generator) -> tuple:
@@ -113,7 +108,6 @@ class Discriminator:
 
     def __init__(self, in_channels: int = 1, width: int = 16, seed: int = 0):
         self.in_channels = in_channels
-        self.width = width
         w, w2, ci = width, 2 * width, in_channels + 1
         shapes = {
             "spatio.conv1.w": (w, ci, 3, 3), "spatio.conv1.b": (w,),

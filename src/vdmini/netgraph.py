@@ -85,14 +85,6 @@ class BlockGraph:
 
 
 @dataclass(frozen=True)
-class AblationEdit:
-    block_id: str
-    replacement: str
-    in_channels: int
-    out_channels: int
-
-
-@dataclass(frozen=True)
 class ParamSpec:
     """Shape, initialiser and owner of one named parameter."""
 
@@ -120,11 +112,6 @@ def parse_block_id(block_id: str):
     except (ValueError, IndexError) as exc:
         raise UnknownBlockError(f"unparseable block id {block_id!r}") from exc
     return kind, idx, btype, layer, variant
-
-
-def _block_kind(btype: str, variant: str) -> str:
-    return {("R", "S"): RES_SPATIAL, ("R", "T"): RES_TEMPORAL,
-            ("A", "S"): ATTN_SPATIAL, ("A", "T"): ATTN_TEMPORAL}[(btype, variant)]
 
 
 def _make_layer(stage_id: str, layer: int, width: int, in_channels: int, with_attn: bool):
@@ -297,11 +284,6 @@ def layout(graph: BlockGraph) -> GraphLayout:
     head = (cur_ch, graph.latent_channels)
     stem = (graph.latent_channels + graph.cond_channels, downs[0].width if downs else cur_ch)
     return GraphLayout(stem=stem, stages=plans, head=head, errors=errors)
-
-
-def validate(graph: BlockGraph) -> list:
-    """Return the list of structural problems (empty when the graph is ok)."""
-    return layout(graph).errors
 
 
 def check(graph: BlockGraph) -> GraphLayout:
@@ -600,9 +582,6 @@ class Model:
         return _timed(timings, "head", lambda: T.conv2d(
             T.silu(self._gn(h, "head.gn")), self._p("head.conv.w"), self._p("head.conv.b"), pad=1))
 
-    def __call__(self, x, c_noise, cond=None):
-        return self.forward(x, c_noise, cond)
-
 
 def build(graph: BlockGraph, init_seed: int) -> Model:
     """Validate the graph and construct a deterministically initialized model."""
@@ -614,8 +593,9 @@ def build(graph: BlockGraph, init_seed: int) -> Model:
 # ablation
 # ---------------------------------------------------------------------------
 
-def ablate(graph: BlockGraph, block_id: str):
-    """Replace one block with identity (or a 1x1 shortcut conv on mismatch)."""
+def ablate(graph: BlockGraph, block_id: str) -> BlockGraph:
+    """The graph with one block replaced by identity (or by a 1x1 shortcut
+    conv when its channels change)."""
     target = graph.find_block(block_id)
     if target.replacement is not None:
         raise UnknownBlockError(f"{block_id} is already ablated")
@@ -625,9 +605,7 @@ def ablate(graph: BlockGraph, block_id: str):
         blocks = tuple(replace(b, replacement=repl) if b.block_id == block_id else b
                        for b in s.blocks)
         new_stages.append(replace(s, blocks=blocks))
-    edited = replace(graph, stages=tuple(new_stages))
-    edit = AblationEdit(block_id, repl, target.in_channels, target.out_channels)
-    return edited, edit
+    return replace(graph, stages=tuple(new_stages))
 
 
 # ---------------------------------------------------------------------------

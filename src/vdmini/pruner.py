@@ -167,7 +167,7 @@ def profile_importance(teacher: Model, eval_set: list, blocks: list,
 
     report = AblationReport(reference_fvd=ref_fvd)
     for block_id in sorted(blocks):
-        ablated_graph, _ = netgraph.ablate(teacher.graph, block_id)
+        ablated_graph = netgraph.ablate(teacher.graph, block_id)
         model = _PrefixCache(_inherit(teacher, ablated_graph), steps, prefixes,
                              start=block_id)
         row = AblationRow(block_id, math.nan, math.nan,

@@ -56,30 +56,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Convenience operators; these all route through the op functions below
-    # so gradient recording stays in one place.
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, float(other))
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, -float(other))
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return mul_scalar(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
-
 
 class Node:
     """One tape entry: op kind, input tensors, and a vjp closure."""
@@ -161,26 +137,10 @@ def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
 # elementwise and arithmetic ops
 # ---------------------------------------------------------------------------
 
-def identity(x: Tensor) -> Tensor:
-    return _record("identity", x.data, [x], lambda g: (g,))
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} vs {b.shape}")
     return _record("add", a.data + b.data, [a, b], lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} vs {b.shape}")
-    return _record("sub", a.data - b.data, [a, b], lambda g: (g, -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
-    return _record("mul", a.data * b.data, [a, b], lambda g: (g * b.data, g * a.data))
 
 
 def add_scalar(x: Tensor, c: float) -> Tensor:
@@ -230,11 +190,6 @@ def silu(x: Tensor) -> Tensor:
     return _record("silu", out, [x], vjp)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
-    return _record("sigmoid", s, [x], lambda g: (g * s * (1.0 - s),))
-
-
 def softplus(x: Tensor) -> Tensor:
     # log(1 + e^x) computed stably for large |x|
     out = np.logaddexp(0.0, x.data)
@@ -245,25 +200,6 @@ def softplus(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
     return _record("relu", np.where(mask, x.data, 0.0), [x], lambda g: (g * mask,))
-
-
-def _softmax_rows(z: Array) -> Array:
-    """Softmax over the last axis, max-shifted, written into `z` itself."""
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis, max-shifted for stability."""
-    y = _softmax_rows(x.data.copy())
-
-    def vjp(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - inner) * y,)
-
-    return _record("softmax", y, [x], vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -331,27 +267,6 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D or batched-3-D matrix product; (B,M,K)@(K,N) also allowed."""
-    ad, bd = a.data, b.data
-    if ad.ndim not in (2, 3) or bd.ndim not in (2, 3):
-        raise ShapeError(f"matmul: ranks {ad.shape} vs {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]:
-        raise ShapeError(f"matmul: inner dims {ad.shape} vs {bd.shape}")
-    out = ad @ bd
-
-    def vjp(g):
-        ga = g @ np.swapaxes(bd, -1, -2)
-        gb = np.swapaxes(ad, -1, -2) @ g
-        if bd.ndim == 2 and gb.ndim == 3:
-            gb = gb.sum(axis=0)
-        if ad.ndim == 2 and ga.ndim == 3:
-            ga = ga.sum(axis=0)
-        return ga, gb
-
-    return _record("matmul", out, [a, b], vjp)
-
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """x @ w.T + b with x (..., K) and w (O, K)."""
@@ -533,24 +448,17 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
     return _record("upsample_nearest2x", out, [x], vjp)
 
 
-def downsample_stride2(x: Tensor) -> Tensor:
-    """2x2 mean pooling with stride 2; spatial dims must be even."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"downsample_stride2: rank {x.shape}")
-    n, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"downsample_stride2: odd spatial dims {x.shape}")
-    out = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
-
-    def vjp(g):
-        return (g.repeat(2, axis=2).repeat(2, axis=3) * 0.25,)
-
-    return _record("downsample_stride2", out, [x], vjp)
-
-
 # ---------------------------------------------------------------------------
 # attention (exact softmax(QK^T / sqrt(d)) V, single head), one tape node each
 # ---------------------------------------------------------------------------
+
+def _softmax_rows(z: Array) -> Array:
+    """Softmax over the last axis, max-shifted, written into `z` itself."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
 
 def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens) -> Tensor:
     """Attention over the (B, T, C) tokens `to_tokens(x.data)`; `from_tokens`
@@ -611,31 +519,24 @@ def attention_temporal(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor
 # ---------------------------------------------------------------------------
 
 _OPS = {
-    "identity": identity,
     "add": add,
-    "sub": sub,
-    "mul": mul,
     "add_scalar": add_scalar,
     "mul_scalar": mul_scalar,
     "bias_add": bias_add,
     "relu": relu,
     "silu": silu,
-    "sigmoid": sigmoid,
     "softplus": softplus,
-    "softmax": softmax,
     "reshape": reshape,
     "transpose": transpose,
     "concat": concat,
     "sum": sum_all,
     "mean": mean_all,
     "mse": mse,
-    "matmul": matmul,
     "linear": linear,
     "conv2d": conv2d,
     "conv1d_frames": conv1d_frames,
     "group_norm": group_norm,
     "upsample_nearest2x": upsample_nearest2x,
-    "downsample_stride2": downsample_stride2,
     "attention_spatial": attention_spatial,
     "attention_temporal": attention_temporal,
 }

@@ -37,54 +37,42 @@ TOL = 1e-4
 # ---------------------------------------------------------------------------
 
 def _op_cases(rng):
-    """One scalar-valued closure per differentiable op kind.
+    """One scalar-valued closure per differentiable op kind: the op's output
+    against a constant of its shape, through `mse`.
 
     Every constant is drawn once up front so repeated evaluations inside the
     finite-difference probe see the exact same function.
     """
     c = lambda *s: Tensor(rng.standard_normal(s))
     v4 = c(2, 3, 4, 4)
-    c5, c4, c6, c23, c32, c22, c24, c43, c2344 = (
-        c(5), c(4), c(6), c(2, 3), c(3, 2), c(2, 2), c(2, 4), c(4, 3), c(2, 3, 4, 4))
-    c2244, c2388, c2322, w2d, w1d, g3 = (
-        c(2, 2, 4, 4), c(2, 3, 8, 8), c(2, 3, 2, 2), c(2, 3, 3, 3), c(2, 3, 3), c(3))
+    c0, c5, d5, c4, c6, c23, c25, c32, c24, c43, c2344 = (
+        c(), c(5), c(5), c(4), c(6), c(2, 3), c(2, 5), c(3, 2), c(2, 4), c(4, 3), c(2, 3, 4, 4))
+    c2244, c2388, g3 = c(2, 2, 4, 4), c(2, 3, 8, 8), c(3)
     k, q, v, o = c(3, 3), c(3, 3), c(3, 3), c(3, 3)
     relu_x = Tensor(rng.standard_normal(4) + 3.0)  # keep clear of the kink
     cases = {
-        "add": (lambda x: T.sum_all(T.add(x, c5)), c(5)),
-        "sub": (lambda x: T.sum_all(T.sub(x, c5)), c(5)),
-        "mul": (lambda x: T.sum_all(T.mul(x, c5)), c(5)),
-        "add_scalar": (lambda x: T.sum_all(T.add_scalar(x, 1.7)), c(4)),
-        "mul_scalar": (lambda x: T.sum_all(T.mul_scalar(x, -2.3)), c(4)),
-        "identity": (lambda x: T.sum_all(T.identity(x)), c(4)),
-        "bias_add": (lambda x: T.sum_all(T.bias_add(v4, x)), c(3)),
-        "concat": (lambda x: T.sum_all(T.concat([x, c23], axis=1)), c(2, 2)),
-        "reshape": (lambda x: T.sum_all(T.mul(T.reshape(x, (6,)), c6)), c(2, 3)),
-        "transpose": (lambda x: T.sum_all(T.mul(T.transpose(x, (1, 0)), c32)), c(2, 3)),
-        "sum": (lambda x: T.sum_all(T.mul(x, x)), c(5)),
-        "mean": (lambda x: T.mean_all(T.mul(x, x)), c(5)),
+        "add": (lambda x: T.mse(T.add(x, c5), d5), c(5)),
+        "add_scalar": (lambda x: T.mse(T.add_scalar(x, 1.7), c4), c(4)),
+        "mul_scalar": (lambda x: T.mse(T.mul_scalar(x, -2.3), c4), c(4)),
+        "bias_add": (lambda x: T.mse(T.bias_add(v4, x), c2344), c(3)),
+        "concat": (lambda x: T.mse(T.concat([x, c23], axis=1), c25), c(2, 2)),
+        "reshape": (lambda x: T.mse(T.reshape(x, (6,)), c6), c(2, 3)),
+        "transpose": (lambda x: T.mse(T.transpose(x, (1, 0)), c32), c(2, 3)),
+        "sum": (lambda x: T.mse(T.sum_all(x), c0), c(5)),
+        "mean": (lambda x: T.mse(T.mean_all(x), c0), c(5)),
         "mse": (lambda x: T.mse(x, c23), c(2, 3)),
-        "matmul": (lambda x: T.sum_all(T.mul(T.matmul(x, c32), c22)), c(2, 3)),
-        "linear": (lambda x: T.sum_all(T.mul(T.linear(x, c43, c4), c24)), c(2, 3)),
-        "sigmoid": (lambda x: T.sum_all(T.mul(T.sigmoid(x), c4)), c(4)),
-        "silu": (lambda x: T.sum_all(T.mul(T.silu(x), c4)), c(4)),
-        "softplus": (lambda x: T.sum_all(T.mul(T.softplus(x), c4)), c(4)),
-        "relu": (lambda x: T.sum_all(T.mul(T.relu(x), c4)), relu_x),
-        "softmax": (lambda x: T.sum_all(T.mul(T.softmax(x), c24)), c(2, 4)),
-        "conv2d": (lambda x: T.sum_all(T.mul(
-            T.conv2d(v4, x, stride=1, pad=1), c2244)), c(2, 3, 3, 3)),
-        "conv1d_frames": (lambda x: T.sum_all(T.mul(
-            T.conv1d_frames(v4, x, pad=1), c2244)), c(2, 3, 3)),
-        "group_norm": (lambda x: T.sum_all(T.mul(
-            T.group_norm(v4, x, g3, groups=1), c2344)), c(3)),
-        "upsample_nearest2x": (lambda x: T.sum_all(T.mul(
-            T.upsample_nearest2x(x), c2388)), c(2, 3, 4, 4)),
-        "downsample_stride2": (lambda x: T.sum_all(T.mul(
-            T.downsample_stride2(x), c2322)), c(2, 3, 4, 4)),
-        "attention_spatial": (lambda x: T.sum_all(T.mul(
-            T.attention_spatial(v4, x, k, v, o), c2344)), c(3, 3)),
-        "attention_temporal": (lambda x: T.sum_all(T.mul(
-            T.attention_temporal(v4, x, k, v, o), c2344)), c(3, 3)),
+        "linear": (lambda x: T.mse(T.linear(x, c43, c4), c24), c(2, 3)),
+        "silu": (lambda x: T.mse(T.silu(x), c4), c(4)),
+        "softplus": (lambda x: T.mse(T.softplus(x), c4), c(4)),
+        "relu": (lambda x: T.mse(T.relu(x), c4), relu_x),
+        "conv2d": (lambda x: T.mse(T.conv2d(v4, x, stride=1, pad=1), c2244), c(2, 3, 3, 3)),
+        "conv1d_frames": (lambda x: T.mse(T.conv1d_frames(v4, x, pad=1), c2244), c(2, 3, 3)),
+        "group_norm": (lambda x: T.mse(T.group_norm(v4, x, g3, groups=1), c2344), c(3)),
+        "upsample_nearest2x": (lambda x: T.mse(T.upsample_nearest2x(x), c2388), c(2, 3, 4, 4)),
+        "attention_spatial": (lambda x: T.mse(
+            T.attention_spatial(v4, x, k, v, o), c2344), c(3, 3)),
+        "attention_temporal": (lambda x: T.mse(
+            T.attention_temporal(v4, x, k, v, o), c2344), c(3, 3)),
     }
     return cases
 
@@ -92,7 +80,7 @@ def _op_cases(rng):
 def test_criterion_1_gradient_oracle_ops_and_losses():
     start = time.time()
     points = 0
-    for seed in range(4):
+    for seed in range(5):
         rng = np.random.default_rng(seed)
         cases = _op_cases(rng)
         assert set(cases) == set(T.op_kinds())
@@ -348,7 +336,7 @@ def test_criterion_8_null_vs_contributing_block(trained_teacher, eval_corpus):
 
     def paired_deltas(teacher_model, block_id):
         deltas = []
-        ablated_graph, _ = ng.ablate(teacher_model.graph, block_id)
+        ablated_graph = ng.ablate(teacher_model.graph, block_id)
         ablated = pr._inherit(teacher_model, ablated_graph)
         base = {s: ek.fvd(_generate(teacher_model, conds, shape, s), evalv,
                           extractor) for s in gen_seeds} \

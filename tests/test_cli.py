@@ -122,11 +122,35 @@ def test_config_values_are_type_checked_against_the_defaults(tmp_path):
             cli.load_config(str(path), None, None, environ={})
     with pytest.raises(cli.ConfigError, match="VDMINI_SEED__X"):
         cli.load_config(None, None, None, environ={"VDMINI_SEED": "5", "VDMINI_SEED__X": "1"})
-    # an integer passes for a number and is kept as given
+    # an integer passes for a number and is kept as given; a 0-step distill
+    # (the pruned-only student) and untimed or 3-rep latency are legal values
     path = tmp_path / "ok.json"
-    path.write_text(json.dumps({"schedule": {"rho": 7}, "train_teacher": {"lr": 0.001}}))
+    path.write_text(json.dumps({"schedule": {"rho": 7}, "train_teacher": {"lr": 0.001},
+                                "distill": {"steps": 0}, "profile": {"latency_reps": 0},
+                                "eval": {"latency_reps": 3}}))
     cfg = cli.load_config(str(path), None, None, environ={})
     assert cfg["schedule"]["rho"] == 7 and type(cfg["schedule"]["rho"]) is int
+    assert cfg["distill"]["steps"] == 0
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "widths", [4, 6]),
+    ("model", "widths", [4, 6, 0]),
+    ("data", "height", 7),
+    ("data", "height", 0),
+    ("data", "width", 12),
+    ("data", "speeds", []),
+    ("schedule", "n_levels", 0),
+    ("profile", "latency_reps", 2),
+    ("eval", "latency_reps", 1),
+    ("train_teacher", "steps", -1),
+    ("distill", "steps", -2),
+], ids=str)
+def test_bad_config_value_is_exit_2_with_one_json_line(tmp_path, capsys, section, key, value):
+    cfg = _cfg_file(tmp_path, {section: {**FAST.get(section, {}), key: value}})
+    assert _run(["plan", "--config", cfg, "--out", str(tmp_path / "r")]) == cli.EXIT_CONFIG
+    assert f"'{section}.{key}'" in _config_error(capsys)
+    assert not (tmp_path / "r").exists()
 
 
 def test_stage_seed_is_stable_and_distinct():

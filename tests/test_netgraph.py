@@ -16,7 +16,7 @@ def small_graph():
 
 def test_origin_shaped_graph_validates_and_builds():
     graph = ng.toy_teacher_graph()
-    assert ng.validate(graph) == []
+    assert ng.layout(graph).errors == []
     model = ng.build(graph, 0)
     x = Tensor(np.random.default_rng(0).standard_normal((2, 1, 16, 16)))
     out = model.forward(x, 0.0)
@@ -26,7 +26,7 @@ def test_origin_shaped_graph_validates_and_builds():
 def test_empty_mid_stage_validates():
     counts = dict(ng.ORIGIN_LAYER_COUNTS, M=0)
     graph = ng.make_unet_graph(counts, SMALL_WIDTHS, emb_dim=8)
-    assert ng.validate(graph) == []
+    assert ng.layout(graph).errors == []
 
 
 def test_forced_channel_mismatch_is_reported():
@@ -38,7 +38,7 @@ def test_forced_channel_mismatch_is_reported():
     stages[1] = replace(bad_stage, blocks=bad_blocks)
     bad = ng.BlockGraph(tuple(stages), graph.latent_channels, graph.cond_channels,
                         graph.emb_dim, graph.gn_groups)
-    errors = ng.validate(bad)
+    errors = ng.layout(bad).errors
     assert errors, "mismatch must be reported"
     assert any(bad_blocks[0].block_id in e for e in errors)
     with pytest.raises(GraphError):
@@ -46,28 +46,26 @@ def test_forced_channel_mismatch_is_reported():
 
 
 def test_ablate_channel_matched_block_becomes_identity():
-    graph = small_graph()
-    _, edit = ng.ablate(graph, "D.0.R.0.S")
-    assert edit.replacement == ng.IDENTITY
-    assert edit.in_channels == edit.out_channels
+    block = ng.ablate(small_graph(), "D.0.R.0.S").find_block("D.0.R.0.S")
+    assert block.replacement == ng.IDENTITY
+    assert block.in_channels == block.out_channels
 
 
 def test_ablate_channel_mismatched_block_becomes_shortcut_conv():
-    graph = small_graph()
-    _, edit = ng.ablate(graph, "U.0.R.0.S")
-    assert edit.replacement == ng.SHORTCUT_CONV
-    assert edit.in_channels != edit.out_channels
+    block = ng.ablate(small_graph(), "U.0.R.0.S").find_block("U.0.R.0.S")
+    assert block.replacement == ng.SHORTCUT_CONV
+    assert block.in_channels != block.out_channels
 
 
 def test_ablate_every_block_still_validates():
     graph = small_graph()
     for block_id in graph.block_ids():
-        ablated, _ = ng.ablate(graph, block_id)
-        assert ng.validate(ablated) == [], block_id
+        ablated = ng.ablate(graph, block_id)
+        assert ng.layout(ablated).errors == [], block_id
 
 
 def test_ablate_twice_is_rejected():
-    graph, _ = ng.ablate(small_graph(), "D.1.R.0.S")
+    graph = ng.ablate(small_graph(), "D.1.R.0.S")
     with pytest.raises(UnknownBlockError):
         ng.ablate(graph, "D.1.R.0.S")
 
@@ -86,23 +84,24 @@ def test_stem_conv_hand_count():
 
 
 def test_identity_replacement_has_zero_params():
-    graph, edit = ng.ablate(small_graph(), "D.0.R.0.S")
-    assert edit.replacement == ng.IDENTITY
+    graph = ng.ablate(small_graph(), "D.0.R.0.S")
+    assert graph.find_block("D.0.R.0.S").replacement == ng.IDENTITY
     per_owner, _ = ng.count_params(graph)
     assert per_owner.get("D.0.R.0.S", 0) == 0
 
 
 def test_shortcut_conv_param_count_formula():
-    graph, edit = ng.ablate(small_graph(), "U.0.R.0.S")
+    graph = ng.ablate(small_graph(), "U.0.R.0.S")
+    block = graph.find_block("U.0.R.0.S")
     per_owner, _ = ng.count_params(graph)
-    assert per_owner["U.0.R.0.S"] == edit.in_channels * edit.out_channels + edit.out_channels
+    assert per_owner["U.0.R.0.S"] == block.in_channels * block.out_channels + block.out_channels
 
 
 def test_ablation_param_delta_matches_block_cost():
     graph = small_graph()
     before, total_before = ng.count_params(graph)
     for block_id in ("D.2.R.1.S", "U.1.A.0.T", "U.0.R.0.S"):
-        ablated, _ = ng.ablate(graph, block_id)
+        ablated = ng.ablate(graph, block_id)
         after, total_after = ng.count_params(ablated)
         assert total_before - total_after == before[block_id] - after.get(block_id, 0)
 
@@ -129,7 +128,7 @@ def test_forward_broadcasts_condition_to_every_frame():
 
 
 def test_graph_json_round_trip():
-    graph, _ = ng.ablate(small_graph(), "M.R.0.S")
+    graph = ng.ablate(small_graph(), "M.R.0.S")
     doc = ng.graph_to_json(graph)
     back = ng.graph_from_json(doc)
     assert ng.graph_to_json(back) == doc
@@ -151,12 +150,12 @@ def test_resume_from_recorded_state_matches_whole_forward():
     assert list(states) == graph.block_ids()
     replacements = set()
     for block_id in graph.block_ids():
-        ablated_graph, edit = ng.ablate(graph, block_id)
+        ablated_graph = ng.ablate(graph, block_id)
         model = ng.Model(ablated_graph, {n: teacher.params.get(n, p) for n, p in
                                          ng.init_params(ablated_graph, 0).items()})
         resumed = model.resume(states[block_id], block_id)
         assert np.array_equal(resumed.data, model.forward(x, 0.3, cond).data), block_id
-        replacements.add(edit.replacement)
+        replacements.add(ablated_graph.find_block(block_id).replacement)
     assert replacements == {ng.IDENTITY, ng.SHORTCUT_CONV}
     with pytest.raises(UnknownBlockError):
         teacher.resume(states["D.0.R.0.S"], "D.9.R.0.S")

@@ -66,7 +66,7 @@ def test_plan_rejects_its_own_output():
 
 
 def test_plan_rejects_ablated_graph():
-    graph, _ = ng.ablate(ng.toy_teacher_graph(), "D.0.R.0.S")
+    graph = ng.ablate(ng.toy_teacher_graph(), "D.0.R.0.S")
     with pytest.raises(PlanError, match="non-conforming stage layout"):
         pr.plan_vdmini(graph)
 
@@ -99,7 +99,7 @@ def test_param_layout_is_pinned():
     teacher = ng.toy_teacher_graph()
     graphs = {"teacher": teacher,
               "student": pr.student_graph(teacher, pr.plan_vdmini(teacher)),
-              "U.1.R.0.S": ng.ablate(teacher, "U.1.R.0.S")[0]}
+              "U.1.R.0.S": ng.ablate(teacher, "U.1.R.0.S")}
     for key, graph in graphs.items():
         h = hashlib.sha256()
         for s in ng.enumerate_params(graph):
@@ -273,7 +273,7 @@ def _perturbed_teacher(seed=1):
 def test_inherit_ablated_matches_init_then_overwrite():
     teacher = _perturbed_teacher()
     plan = pr.plan_vdmini(teacher.graph)
-    ablated = [ng.ablate(teacher.graph, block_id)[0]
+    ablated = [ng.ablate(teacher.graph, block_id)
                for block_id in ("D.1.A.0.S", "U.1.R.0.S")]  # identity, shortcut conv
     cases = [(pr._inherit(teacher, g), _init_then_overwrite(teacher, g)) for g in ablated]
     cases.append((pr.apply_plan(teacher, plan),
@@ -311,7 +311,7 @@ def test_profile_resumed_rows_equal_whole_sampling(steps):
     assert report.reference_fvd == ref_fvd
     assert len(report.rows) == len(blocks)
     for row in report.rows:
-        graph, _ = ng.ablate(teacher.graph, row.block_id)
+        graph = ng.ablate(teacher.graph, row.block_id)
         fvd = whole_fvd(_init_then_overwrite(teacher, graph))
         assert row.error is None
         assert row.fvd_after_ablation == fvd, row.block_id
@@ -320,7 +320,7 @@ def test_profile_resumed_rows_equal_whole_sampling(steps):
 
 def test_prefix_cache_runs_whole_when_the_first_input_differs():
     teacher = _perturbed_teacher()
-    graph, _ = ng.ablate(teacher.graph, "D.2.R.0.T")
+    graph = ng.ablate(teacher.graph, "D.2.R.0.T")
     model = pr._inherit(teacher, graph)
     x = Tensor(np.random.default_rng(0).standard_normal((2, 1, 16, 16)))
     prefixes = []

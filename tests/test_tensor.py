@@ -19,11 +19,6 @@ def test_conv2d_all_ones_hand_value():
     assert out.data.ravel()[0] == 9.0
 
 
-def test_identity_bitwise():
-    x = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
-    assert np.array_equal(T.identity(x).data, x.data)
-
-
 def test_linear_identity_weight():
     x = Tensor(np.array([[1.0, 2.0]]))
     w = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -58,20 +53,20 @@ def test_silu_grad_at_zero_is_half():
 def test_backward_rejects_non_scalar_root():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
-        y = T.identity(x)
+        y = T.mul_scalar(x, 2.0)
     with pytest.raises(NonScalarRootError):
         backward(tape, y)
 
 
 def test_finite_difference_quadratic_is_tight():
     x = Tensor(np.random.default_rng(0).standard_normal(6))
-    report = finite_difference_check(lambda t: T.sum_all(T.mul(t, t)), x, eps=1e-5)
+    report = finite_difference_check(lambda t: T.mse(t, Tensor(np.zeros(6))), x, eps=1e-5)
     assert report.max_rel_err <= 1e-6
 
 
 def test_finite_difference_constant_function():
     x = Tensor(np.random.default_rng(2).standard_normal(4))
-    report = finite_difference_check(lambda t: T.sum_all(T.mul(t, Tensor(np.zeros(4)))), x)
+    report = finite_difference_check(lambda t: T.mul_scalar(T.sum_all(t), 0.0), x)
     assert report.max_rel_err == 0.0
     assert np.array_equal(report.analytic, np.zeros(4))
 
@@ -80,12 +75,12 @@ def test_named_grads_omits_parameters_the_tape_never_reached():
     used = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     unused = Tensor(np.ones(2), requires_grad=True)
     with Tape() as tape:
-        y = T.sum_all(T.mul(used, used))
+        y = T.mse(used, Tensor(np.zeros(2)))
     grads = backward(tape, y)
     named = named_grads({"used": used, "unused": unused}, grads)
     assert list(named) == ["used"]
     assert named["used"] is grads[used]
-    assert np.array_equal(named["used"].data, [2.0, -4.0])
+    assert np.array_equal(named["used"].data, [1.0, -2.0])
 
 
 def test_shape_errors_are_typed():
@@ -104,9 +99,8 @@ def test_tensors_are_immutable():
 
 
 def test_softmax_rows_sum_to_one():
-    x = Tensor(np.random.default_rng(4).standard_normal((3, 5)) * 50)
-    y = T.softmax(x)
-    assert np.allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
+    y = T._softmax_rows(np.random.default_rng(4).standard_normal((3, 5)) * 50)
+    assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_mca_style_ops_unit_values():
@@ -157,7 +151,7 @@ def test_single_node_ops_gradients_for_every_input(name, op, inputs):
     for i in range(len(inputs)):
         def f(t, i=i):
             args = tensors[:i] + [t] + tensors[i + 1:]
-            return T.sum_all(T.mul(op(*args), probe))
+            return T.mse(op(*args), probe)
         report = finite_difference_check(f, tensors[i])
         assert report.max_rel_err <= 1e-7, f"{name} input {i}: {report}"
 
@@ -210,11 +204,6 @@ def _sigmoid_ref(x):
 def _silu_ref(x):
     s = _sigmoid_ref(x)
     return x * s, lambda g: (g * (s + x * s * (1.0 - s)),)
-
-
-def _sigmoid_op_ref(x):
-    s = _sigmoid_ref(x)
-    return s, lambda g: (g * s * (1.0 - s),)
 
 
 def _softplus_ref(x):
@@ -346,8 +335,7 @@ def _kernel_cases():
     r = lambda *s: rng.standard_normal(s)
     extremes = np.array([-1000.0, -50.0, -0.0, 0.0, 50.0, 1000.0])
     cases = []
-    for name, op, ref in (("silu", T.silu, _silu_ref), ("sigmoid", T.sigmoid, _sigmoid_op_ref),
-                          ("softplus", T.softplus, _softplus_ref)):
+    for name, op, ref in (("silu", T.silu, _silu_ref), ("softplus", T.softplus, _softplus_ref)):
         for x in (np.array(0.7), r(2, 3, 4, 4), extremes):
             cases.append((f"{name} {x.shape}", op, ref, [x], {}))
     x, gamma, beta = r(2, 4, 3, 5), r(4), r(4)
@@ -400,14 +388,14 @@ def test_sigmoid_family_does_not_warn_on_overflow():
     g = np.linspace(-1.0, 1.0, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for op, ref in ((T.silu, _silu_ref), (T.sigmoid, _sigmoid_op_ref), (T.softplus, _softplus_ref)):
+        for op, ref in ((T.silu, _silu_ref), (T.softplus, _softplus_ref)):
             with Tape() as tape:
                 out = op(Tensor(x, requires_grad=True))
             got = tape.nodes[0][0].vjp(g)
             want, want_vjp = ref(x)
             assert _bits(out.data) == _bits(want)
             assert [_bits(a) for a in got] == [_bits(a) for a in want_vjp(g)]
-    assert T.sigmoid(Tensor(x)).data[0] == 0.0 and T.silu(Tensor(x)).data[0] == 0.0
+    assert T._sigmoid(x)[0] == 0.0 and T.silu(Tensor(x)).data[0] == 0.0
 
 
 def test_adam_matches_the_textbook_update_bitwise():
