@@ -136,7 +136,10 @@ _VALUE_RULES = (
     ("data.height", _multiple_of_8, "a positive multiple of 8"),
     ("data.width", _multiple_of_8, "a positive multiple of 8"),
     ("data.speeds", lambda v: len(v) > 0, "a non-empty list"),
+    ("model.emb_dim", lambda v: v >= 2 and v % 2 == 0, "an even integer of at least 2"),
     ("schedule.n_levels", lambda v: v >= 1, "at least 1"),
+    ("schedule.rho", lambda v: v > 0, "above 0"),
+    ("schedule.sigma_data", lambda v: v > 0, "above 0"),
     ("profile.latency_reps", _reps, "0 or at least 3"),
     ("eval.latency_reps", _reps, "0 or at least 3"),
     ("train_teacher.steps", lambda v: v >= 0, "at least 0"),
@@ -145,7 +148,11 @@ _VALUE_RULES = (
 
 
 def _check_values(cfg: dict) -> None:
-    for dotted, rule, want in _VALUE_RULES:
+    # the noise levels fall from sigma_max to sigma_min
+    sigma_max = cfg["schedule"]["sigma_max"]
+    rules = _VALUE_RULES + (("schedule.sigma_min", lambda v: 0 < v < sigma_max,
+                             f"above 0 and below schedule.sigma_max ({sigma_max!r})"),)
+    for dotted, rule, want in rules:
         section, key = dotted.split(".")
         value = cfg[section][key]
         if not rule(value):

@@ -317,7 +317,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
         raise ShapeError(f"conv2d: kernel {w.shape} too large for input {x.shape} pad {pad}")
     pads = ((0, 0), (0, 0), (pad, pad), (pad, pad))
 
-    def im2col():  # rebuilt in the vjp, so the tape holds neither the padded input nor this matrix
+    def im2col():  # rebuilt in `vjp`, so the tape holds neither the padded input nor this matrix
         xp = _zero_pad(x.data, pads) if pad else x.data
         win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
         win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)  # (C, kh, kw, N, Ho, Wo)
@@ -326,6 +326,24 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
     out = w.data.reshape(o, c * kh * kw) @ im2col()
     if b is not None:
         out += b.data[:, None]
+
+    def vjp_stride1(g):
+        # One column matrix of g, zero-padded by k-1-pad, gives both gradients:
+        # gx is the valid correlation of it with the flipped, transposed kernel,
+        # and gw, flipped back, is x correlated with it.
+        g2 = g.transpose(1, 0, 2, 3)  # (O, N, Ho, Wo)
+        ph, pw = kh - 1 - pad, kw - 1 - pad
+        gp = _zero_pad(g2, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else g2
+        win = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(2, 3))
+        cols = np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3)).reshape(o * kh * kw, n * h * wd)
+        wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
+        gx = (wflip @ cols).reshape(c, n, h, wd).transpose(1, 0, 2, 3)
+        xc = x.data.transpose(1, 0, 2, 3).reshape(c, n * h * wd)
+        gw = (xc @ cols.T).reshape(c, o, kh, kw).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        grads = [gx, gw]
+        if b is not None:
+            grads.append(g2.reshape(o, n * ho * wo).sum(axis=1))
+        return tuple(grads)
 
     def vjp(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
@@ -344,7 +362,8 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
         return tuple(grads)
 
     inputs = [x, w] if b is None else [x, w, b]
-    return _record("conv2d", out.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), inputs, vjp)
+    out = out.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
+    return _record("conv2d", out, inputs, vjp_stride1 if stride == 1 and pad < min(kh, kw) else vjp)
 
 
 def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0) -> Tensor:
@@ -452,17 +471,18 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
 # attention (exact softmax(QK^T / sqrt(d)) V, single head), one tape node each
 # ---------------------------------------------------------------------------
 
-def _softmax_rows(z: Array) -> Array:
-    """Softmax over the last axis, max-shifted, written into `z` itself."""
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
+# Batch items per chunk are sized so that one chunk's (chunk, T, T) scores
+# take about this many bytes (one 256-token frame) and stay in L2.
+_CHUNK_BYTES = 1 << 19
 
 
 def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens) -> Tensor:
     """Attention over the (B, T, C) tokens `to_tokens(x.data)`; `from_tokens`
-    maps (B, T, C) back to the layout of x."""
+    maps (B, T, C) back to the layout of x.
+
+    The forward keeps the unnormalised exponentials e and their row sums rs,
+    and normalises the (T, C) output instead of the (T, T) weights. The vjp
+    uses the row-dot identity sum_j(dA * A) = dO . O (Dao et al., 2022)."""
     c = x.shape[1]
     if any(t.shape != (c, c) for t in ws):
         raise ShapeError(f"{op}: weights {[t.shape for t in ws]} vs {c} channels")
@@ -472,22 +492,39 @@ def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens)
     flat = tokens.reshape(bsz * nt, c)
     q, k, v = ((flat @ m.T).reshape(bsz, nt, c) for m in (wq, wk, wv))
     scale = 1.0 / math.sqrt(c)
-    a = q @ k.transpose(0, 2, 1)
-    a *= scale
-    a = _softmax_rows(a)
-    av = (a @ v).reshape(bsz * nt, c)
+    q *= scale
+    step = max(1, _CHUNK_BYTES // (8 * nt * nt))
+    chunks = [slice(i, min(i + step, bsz)) for i in range(0, bsz, step)]
+    e = np.empty((bsz, nt, nt))
+    rs = np.empty((bsz, nt, 1))
+    o = np.empty((bsz, nt, c))
+    for s in chunks:
+        es = np.matmul(q[s], k[s].transpose(0, 2, 1), out=e[s])
+        es -= es.max(axis=-1, keepdims=True)
+        np.exp(es, out=es)
+        es.sum(axis=-1, keepdims=True, out=rs[s])
+        np.matmul(es, v[s], out=o[s])
+    o /= rs
+    av = o.reshape(bsz * nt, c)
 
     def vjp(g):
         g2 = to_tokens(g).reshape(bsz * nt, c)
         gwo = g2.T @ av
         gav = (g2 @ wo).reshape(bsz, nt, c)
-        gs = gav @ v.transpose(0, 2, 1)  # (ga - (ga * a).sum(-1)) * a * scale, in place
-        gs -= (gs * a).sum(axis=-1, keepdims=True)
-        gs *= a
-        gs *= scale
-        gq = (gs @ k).reshape(bsz * nt, c)
-        gk = (gs.transpose(0, 2, 1) @ q).reshape(bsz * nt, c)
-        gv = (a.transpose(0, 2, 1) @ gav).reshape(bsz * nt, c)
+        d = (gav * o).sum(axis=-1, keepdims=True)
+        gav /= rs
+        d /= rs
+        gq, gk, gv = (np.empty((bsz, nt, c)) for _ in range(3))
+        gs = np.empty((min(step, bsz), nt, nt))
+        for s in chunks:
+            gss = np.matmul(gav[s], v[s].transpose(0, 2, 1), out=gs[: s.stop - s.start])
+            gss -= d[s]
+            gss *= e[s]
+            np.matmul(gss, k[s], out=gq[s])
+            np.matmul(gss.transpose(0, 2, 1), q[s], out=gk[s])
+            np.matmul(e[s].transpose(0, 2, 1), gav[s], out=gv[s])
+        gq *= scale
+        gq, gk, gv = (t.reshape(bsz * nt, c) for t in (gq, gk, gv))
         gx = gq @ wq
         gx += gk @ wk
         gx += gv @ wv

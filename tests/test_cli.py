@@ -136,11 +136,17 @@ def test_config_values_are_type_checked_against_the_defaults(tmp_path):
 @pytest.mark.parametrize("section,key,value", [
     ("model", "widths", [4, 6]),
     ("model", "widths", [4, 6, 0]),
+    ("model", "emb_dim", 7),
+    ("model", "emb_dim", 0),
     ("data", "height", 7),
     ("data", "height", 0),
     ("data", "width", 12),
     ("data", "speeds", []),
     ("schedule", "n_levels", 0),
+    ("schedule", "sigma_min", 90.0),
+    ("schedule", "sigma_min", 0.0),
+    ("schedule", "rho", 0.0),
+    ("schedule", "sigma_data", -1.0),
     ("profile", "latency_reps", 2),
     ("eval", "latency_reps", 1),
     ("train_teacher", "steps", -1),

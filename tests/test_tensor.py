@@ -99,8 +99,13 @@ def test_tensors_are_immutable():
 
 
 def test_softmax_rows_sum_to_one():
-    y = T._softmax_rows(np.random.default_rng(4).standard_normal((3, 5)) * 50)
-    assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-12)
+    # x50 logits: without the max shift the exponentials overflow
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2, 3, 5, 6))
+    ws = [rng.standard_normal((3, 3)) * (50.0 if i == 0 else 0.5) for i in range(4)]
+    got = T.attention_spatial(Tensor(x), *(Tensor(w) for w in ws)).data
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, _attention_spatial_loop(x, ws), rtol=1e-12, atol=1e-12)
 
 
 def test_mca_style_ops_unit_values():
@@ -131,6 +136,9 @@ def _grad_cases():
     ws = [c(3, 3) / 2.0 for _ in range(4)]
     return [
         ("conv2d stride 1", lambda *a: T.conv2d(*a, stride=1, pad=1), [x, w2, b]),
+        ("conv2d k3 p0", lambda *a: T.conv2d(*a, pad=0), [x, w2, b]),
+        ("conv2d k1 p0", lambda *a: T.conv2d(*a, pad=0), [x, w2[:, :, :1, :1], b]),
+        ("conv2d k1 p1", lambda *a: T.conv2d(*a, pad=1), [x, w2[:, :, :1, :1], b]),
         ("conv2d stride 2", lambda *a: T.conv2d(*a, stride=2, pad=1), [x, w2, b]),
         ("conv1d_frames", lambda *a: T.conv1d_frames(*a, pad=1), [x, w1, b]),
         ("attention_spatial", T.attention_spatial, [x] + ws),
@@ -176,24 +184,32 @@ def test_single_gemm_ops_match_loop_references():
     got = T.conv1d_frames(Tensor(x), Tensor(w1), Tensor(b), pad=1).data
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    def attend(tokens):  # (T, C) -> (T, C)
-        wq, wk, wv, wo = ws
-        scores = (tokens @ wq.T) @ (tokens @ wk.T).T / math.sqrt(tokens.shape[1])
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        return (e / e.sum(axis=1, keepdims=True)) @ (tokens @ wv.T) @ wo.T
-
-    spatial = np.stack([attend(x[f].reshape(3, 30).T).T.reshape(3, 5, 6) for f in range(2)])
     temporal = np.empty_like(x)
     for i in range(5):
         for j in range(6):
-            temporal[:, :, i, j] = attend(x[:, :, i, j])
-    for op, want in ((T.attention_spatial, spatial), (T.attention_temporal, temporal)):
+            temporal[:, :, i, j] = _attend_loop(x[:, :, i, j], ws)
+    for op, want in ((T.attention_spatial, _attention_spatial_loop(x, ws)),
+                     (T.attention_temporal, temporal)):
         got = op(Tensor(x), *(Tensor(w) for w in ws)).data
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def _attend_loop(tokens, ws):  # (T, C) -> (T, C)
+    wq, wk, wv, wo = ws
+    scores = (tokens @ wq.T) @ (tokens @ wk.T).T / math.sqrt(tokens.shape[1])
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)) @ (tokens @ wv.T) @ wo.T
+
+
+def _attention_spatial_loop(x, ws):
+    f, c, h, w = x.shape
+    return np.stack([_attend_loop(x[i].reshape(c, h * w).T, ws).T.reshape(c, h, w) for i in range(f)])
+
+
 # ---------------------------------------------------------------------------
-# the hot kernels equal, bit for bit, the plain expressions they replace
+# each hot kernel equals, bit for bit, the plain NumPy expressions of its own
+# math; where that math was rewritten (the stride-1 conv2d vjp, attention),
+# the expressions it replaced stay as a second reference, equal to round-off
 # ---------------------------------------------------------------------------
 
 def _sigmoid_ref(x):
@@ -235,7 +251,7 @@ def _group_norm_ref(x, gamma, beta, groups, eps=1e-5):
     return out, vjp
 
 
-def _conv2d_ref(x, w, b=None, stride=1, pad=0):
+def _conv2d_parent_ref(x, w, b=None, stride=1, pad=0):
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     ho = (h + 2 * pad - kh) // stride + 1
@@ -263,6 +279,30 @@ def _conv2d_ref(x, w, b=None, stride=1, pad=0):
     return out.reshape(o, n, ho, wo).transpose(1, 0, 2, 3), vjp
 
 
+def _conv2d_ref(x, w, b=None, stride=1, pad=0):
+    """For stride 1 and pad < k, both gradients come from one column matrix of
+    g zero-padded by k-1-pad: gx through the flipped, transposed kernel, gw as
+    x times its transpose, flipped back. Other convs keep `_conv2d_parent_ref`'s vjp."""
+    out, parent_vjp = _conv2d_parent_ref(x, w, b, stride, pad)
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    if stride != 1 or pad >= min(kh, kw):
+        return out, parent_vjp
+
+    def vjp(g):
+        g2 = g.transpose(1, 0, 2, 3)
+        gp = np.pad(g2, ((0, 0), (0, 0), (kh - 1 - pad,) * 2, (kw - 1 - pad,) * 2))
+        win = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(2, 3))
+        cols = np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3)).reshape(o * kh * kw, n * h * wd)
+        wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
+        gx = (wflip @ cols).reshape(c, n, h, wd).transpose(1, 0, 2, 3)
+        gw = (x.transpose(1, 0, 2, 3).reshape(c, n * h * wd) @ cols.T).reshape(c, o, kh, kw)
+        grads = [gx, gw.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]]
+        return tuple(grads + ([g2.reshape(o, -1).sum(axis=1)] if b is not None else []))
+
+    return out, vjp
+
+
 def _conv1d_ref(x, w, b, pad):
     f, c, h, wd = x.shape
     o, _, k = w.shape
@@ -286,6 +326,39 @@ def _conv1d_ref(x, w, b, pad):
 
 
 def _attention_ref(x, wq, wk, wv, wo, to_tokens, from_tokens):
+    """Scale folded into q; the output normalised by the row sums rs of the
+    exponentials e; the vjp by the row-dot identity D = (dO * O).sum(-1)."""
+    c = x.shape[1]
+    tokens = to_tokens(x)
+    bsz, nt, _ = tokens.shape
+    flat = tokens.reshape(bsz * nt, c)
+    q, k, v = ((flat @ m.T).reshape(bsz, nt, c) for m in (wq, wk, wv))
+    scale = 1.0 / math.sqrt(c)
+    q = q * scale
+    z = q @ k.transpose(0, 2, 1)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    rs = e.sum(axis=-1, keepdims=True)
+    o = (e @ v) / rs
+    av = o.reshape(bsz * nt, c)
+
+    def vjp(g):
+        g2 = to_tokens(g).reshape(bsz * nt, c)
+        gwo = g2.T @ av
+        gav = (g2 @ wo).reshape(bsz, nt, c)
+        d = (gav * o).sum(axis=-1, keepdims=True) / rs
+        gav = gav / rs
+        gs = (gav @ v.transpose(0, 2, 1) - d) * e
+        gq = ((gs @ k) * scale).reshape(bsz * nt, c)
+        gk = (gs.transpose(0, 2, 1) @ q).reshape(bsz * nt, c)
+        gv = (e.transpose(0, 2, 1) @ gav).reshape(bsz * nt, c)
+        gx = gq @ wq + gk @ wk + gv @ wv
+        return (from_tokens(gx.reshape(bsz, nt, c)),
+                gq.T @ flat, gk.T @ flat, gv.T @ flat, gwo)
+
+    return from_tokens((av @ wo.T).reshape(bsz, nt, c)), vjp
+
+
+def _attention_parent_ref(x, wq, wk, wv, wo, to_tokens, from_tokens):
     c = x.shape[1]
     tokens = to_tokens(x)
     bsz, nt, _ = tokens.shape
@@ -362,6 +435,27 @@ def _kernel_cases():
 
 _KERNEL_CASES = _kernel_cases()
 
+_PARENT_REFS = {
+    "conv2d": _conv2d_parent_ref,
+    "attention_spatial": lambda *a: _attention_parent_ref(*a, *_spatial_tokens(a[0])),
+    "attention_temporal": lambda *a: _attention_parent_ref(*a, *_temporal_tokens(a[0])),
+}
+# the cases whose math changed: both attentions and the stride-1 convs with pad < k
+_REWRITTEN_CASES = [(name, op, ref, inputs, kw) for name, op, ref, inputs, kw in _KERNEL_CASES
+                    if name.startswith("attention")
+                    or (name.startswith("conv2d") and kw["stride"] == 1 and kw["pad"] < inputs[1].shape[-1])]
+
+
+def _g_layouts(shape):
+    """A C-order g and one with permuted strides, both read-only."""
+    g = np.random.default_rng(18).standard_normal(shape)
+    gs = [g]
+    if g.ndim == 4:
+        gs.append(np.ascontiguousarray(g.transpose(2, 0, 3, 1)).transpose(1, 3, 0, 2))
+    for a in gs:
+        a.flags.writeable = False
+    return gs
+
 
 @pytest.mark.parametrize("name,op,ref,inputs,kw", _KERNEL_CASES, ids=[c[0] for c in _KERNEL_CASES])
 def test_kernels_match_parent_expressions_bitwise(name, op, ref, inputs, kw):
@@ -370,17 +464,41 @@ def test_kernels_match_parent_expressions_bitwise(name, op, ref, inputs, kw):
     (node, _), = tape.nodes
     want, want_vjp = ref(*inputs, **kw)
     assert _bits(out.data) == _bits(want)
-    g = np.random.default_rng(18).standard_normal(out.shape)
-    # a C-order g and one with permuted strides, both read-only: a vjp that
-    # wrote into g, or into what it keeps, would differ on the second call
-    gs = [g]
-    if g.ndim == 4:
-        gs.append(np.ascontiguousarray(g.transpose(2, 0, 3, 1)).transpose(1, 3, 0, 2))
-    for g in gs:
-        g.flags.writeable = False
+    # a vjp that wrote into g, or into what it keeps, would differ on the second call
+    for g in _g_layouts(out.shape):
         first = [_bits(a) for a in node.vjp(g)]
         assert [_bits(a) for a in want_vjp(g)] == first
         assert [_bits(a) for a in node.vjp(g)] == first
+
+
+@pytest.mark.parametrize("name,op,ref,inputs,kw", _REWRITTEN_CASES, ids=[c[0] for c in _REWRITTEN_CASES])
+def test_rewritten_kernels_match_the_expressions_they_replaced(name, op, ref, inputs, kw):
+    with Tape() as tape:
+        out = op(*[Tensor(a, requires_grad=True) for a in inputs], **kw)
+    (node, _), = tape.nodes
+    want, want_vjp = _PARENT_REFS[name.split()[0]](*inputs, **kw)
+    np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    for g in _g_layouts(out.shape):
+        for got, want in zip(node.vjp(g), want_vjp(g), strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("op", [T.attention_spatial, T.attention_temporal])
+def test_attention_chunks_do_not_change_a_bit(op, monkeypatch):
+    rng = np.random.default_rng(21)
+    x, ws = rng.standard_normal((5, 4, 3, 2)), [rng.standard_normal((4, 4)) / 2.0 for _ in range(4)]
+
+    def run():
+        with Tape() as tape:
+            out = op(Tensor(x, requires_grad=True), *(Tensor(w, requires_grad=True) for w in ws))
+        return [_bits(out.data)] + [_bits(a) for g in _g_layouts(out.shape) for a in tape.nodes[0][0].vjp(g)]
+
+    whole = run()  # every batch item fits in one default-sized chunk
+    batch, tokens = (5, 6) if op is T.attention_spatial else (6, 5)
+    for per_chunk in (1, 2):  # 5 or 6 chunks, then 3 with a short last one
+        monkeypatch.setattr(T, "_CHUNK_BYTES", per_chunk * 8 * tokens * tokens)
+        assert -(-batch // per_chunk) >= 3
+        assert run() == whole
 
 
 def test_sigmoid_family_does_not_warn_on_overflow():
