@@ -136,6 +136,8 @@ _VALUE_RULES = (
     ("data.height", _multiple_of_8, "a positive multiple of 8"),
     ("data.width", _multiple_of_8, "a positive multiple of 8"),
     ("data.speeds", lambda v: len(v) > 0, "a non-empty list"),
+    # the motion proxy and every temporal block need two frames
+    ("data.frames", lambda v: v >= 2, "at least 2"),
     ("model.emb_dim", lambda v: v >= 2 and v % 2 == 0, "an even integer of at least 2"),
     ("schedule.n_levels", lambda v: v >= 1, "at least 1"),
     ("schedule.rho", lambda v: v > 0, "above 0"),
@@ -144,6 +146,17 @@ _VALUE_RULES = (
     ("eval.latency_reps", _reps, "0 or at least 3"),
     ("train_teacher.steps", lambda v: v >= 0, "at least 0"),
     ("distill.steps", lambda v: v >= 0, "at least 0"),
+    ("train_teacher.batch", lambda v: v >= 1, "at least 1"),
+    ("distill.batch", lambda v: v >= 1, "at least 1"),
+    ("profile.sample_steps", lambda v: v >= 1, "at least 1"),
+    ("eval.sample_steps", lambda v: v >= 1, "at least 1"),
+    # a learning rate at or below 0 trains by gradient ascent, or not at all
+    ("train_teacher.lr", lambda v: v > 0, "above 0"),
+    ("distill.student_lr", lambda v: v > 0, "above 0"),
+    ("distill.disc_lr", lambda v: v > 0, "above 0"),
+    ("distill.lambda_icd", lambda v: v >= 0, "at least 0"),
+    ("distill.lambda_mca", lambda v: v >= 0, "at least 0"),
+    ("distill.mca_warmup_steps", lambda v: v >= 0, "at least 0"),
 )
 
 

@@ -85,29 +85,35 @@ def add_noise(x0: Tensor, sigma: float, rng: np.random.Generator) -> Tensor:
 
 
 def denoise(model: Model, x_t: Tensor, sigma: float, cond: Optional[Tensor],
-            p: Preconditioner) -> Tensor:
-    """D(x_t; sigma) = c0 x_t + c1 f(c2 x_t, c3)."""
+            p: Preconditioner, videos: int = 1) -> Tensor:
+    """D(x_t; sigma) = c0 x_t + c1 f(c2 x_t, c3); x_t may stack `videos`
+    videos on axis 0, as `Model.forward` takes them."""
     c0, c1, c2, c3 = precondition_coeffs(sigma, p)
     if c1 == 0.0:
         # boundary: no network contribution, return the (scaled) input bitwise
         return x_t if c0 == 1.0 else T.mul_scalar(x_t, c0)
-    inner = model.forward(T.mul_scalar(x_t, c2), c3, cond)
+    inner = model.forward(T.mul_scalar(x_t, c2), c3, cond, videos=videos)
     if inner.shape != x_t.shape:
         raise ShapeError(f"denoise: network output {inner.shape} vs input {x_t.shape}")
     return T.add(T.mul_scalar(x_t, c0), T.mul_scalar(inner, c1))
 
 
 def sample(model: Model, schedule: NoiseSchedule, steps: int, cond: Optional[Tensor],
-           rng: np.random.Generator, shape: tuple,
-           p: Optional[Preconditioner] = None) -> Tensor:
-    """Euler sampler along the schedule; steps=1 is one-step generation."""
+           rng, shape: tuple, p: Optional[Preconditioner] = None) -> Tensor:
+    """Euler sampler along the schedule; steps=1 is one-step generation.
+
+    `rng` is a generator, or a list of them, one per video: each draws its
+    video's noise of `shape`, the noises are stacked on axis 0, and `cond`
+    stacks the videos' conditions likewise. Each Euler step is then one
+    network call for all the videos."""
     if steps < 1:
         raise VdminiError(f"steps must be >= 1, got {steps}")
     p = p or Preconditioner(sigma_data=schedule.sigma_data)
-    x = Tensor(schedule.sigma_max * rng.standard_normal(shape))
+    rngs = rng if isinstance(rng, list) else [rng]
+    x = Tensor(np.concatenate([schedule.sigma_max * r.standard_normal(shape) for r in rngs]))
     sigmas = list(schedule.sigmas(steps)) + [0.0]
     for s_cur, s_next in zip(sigmas[:-1], sigmas[1:]):
-        d = denoise(model, x, s_cur, cond, p).detach()
+        d = denoise(model, x, s_cur, cond, p, videos=len(rngs)).detach()
         # Euler step on dx/dsigma = (x - D) / sigma
         x = Tensor(x.data + (s_next - s_cur) * (x.data - d.data) / s_cur)
     return x
@@ -115,13 +121,30 @@ def sample(model: Model, schedule: NoiseSchedule, steps: int, cond: Optional[Ten
 
 def sample_set(model: Model, schedule: NoiseSchedule, conds: list, seed: int,
                shape: tuple, steps: int = 1) -> list:
-    """One sample per condition; sample i draws its noise from a generator
-    seeded with SeedSequence([seed, i]), so each sample is independent of
-    the others and of the set's length."""
-    return [sample(model, schedule, steps, cond,
-                   np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i]))),
-                   shape)
-            for i, cond in enumerate(conds)]
+    """One sample of `shape` per condition, all in one `sample` chain: each
+    Euler step is one network call for the whole set.
+
+    Sample i draws its noise from a generator seeded with
+    SeedSequence([seed, i]). The network never mixes two videos, and the
+    noise embedding is one row that they share, so each sample is what
+    sampling it alone gives: independent of the others and of the set's
+    size. That holds bit for bit wherever each video's columns in the
+    convolution GEMMs fill whole BLAS column blocks (F*H*W/64 a multiple of
+    8 with OpenBLAS, as at the default and test shapes); elsewhere a GEMM's
+    tail columns may round differently, by about 1e-14. The conditions must
+    be all None or all of one shape."""
+    if not conds:
+        return []
+    if all(c is None for c in conds):
+        cond = None
+    elif any(c is None or c.shape != conds[0].shape for c in conds):
+        raise ShapeError("sample_set: the conditions must be all None or all of one shape")
+    else:
+        cond = Tensor(np.concatenate([c.data for c in conds]))
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
+            for i in range(len(conds))]
+    x = sample(model, schedule, steps, cond, rngs, shape)
+    return [Tensor(v) for v in np.split(x.data, len(conds))]
 
 
 def sample_sigma(schedule: NoiseSchedule, rng: np.random.Generator,

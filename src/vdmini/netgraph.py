@@ -344,6 +344,13 @@ def _attn_block_params(b: BlockSpec):
     ]
 
 
+def shortcut_params(b: BlockSpec) -> list:
+    """The 1x1 conv that stands in for a block ablated with a channel change."""
+    return [ParamSpec(f"{b.block_id}.ablate.w", (b.out_channels, b.in_channels, 1, 1),
+                      "avg", b.block_id),
+            ParamSpec(f"{b.block_id}.ablate.b", (b.out_channels,), "zeros", b.block_id)]
+
+
 def enumerate_params(graph: BlockGraph) -> list:
     """Every parameter of the built model, in canonical order."""
     lay = check(graph)
@@ -368,11 +375,7 @@ def enumerate_params(graph: BlockGraph) -> list:
             if b.replacement == IDENTITY:
                 continue
             if b.replacement == SHORTCUT_CONV:
-                specs += [
-                    ParamSpec(f"{b.block_id}.ablate.w", (b.out_channels, b.in_channels, 1, 1),
-                              "avg", b.block_id),
-                    ParamSpec(f"{b.block_id}.ablate.b", (b.out_channels,), "zeros", b.block_id),
-                ]
+                specs += shortcut_params(b)
             elif b.kind in (RES_SPATIAL, RES_TEMPORAL):
                 specs += _res_block_params(b, graph)
             else:
@@ -430,12 +433,21 @@ def sinusoidal_embedding(value: float, dim: int) -> Tensor:
 
 
 @dataclass(frozen=True)
+class Embedding:
+    """What every block reads besides its input: the noise embedding, one
+    (1, emb_dim) row that all videos share, and the number of videos whose
+    frames are stacked on axis 0."""
+    value: Tensor
+    videos: int = 1
+
+
+@dataclass(frozen=True)
 class BlockState:
     """What the forward walk holds on entering a block: the activation, the
-    Down-stage outputs kept for skips so far, and the noise embedding."""
+    Down-stage outputs kept for skips so far, and the embedding."""
     h: Tensor
     skips: dict
-    emb: Tensor
+    emb: Embedding
 
 
 def _timed(timings: Optional[dict], key: str, fn):
@@ -473,14 +485,14 @@ class Model:
         return T.group_norm(x, self._p(f"{prefix}.g"), self._p(f"{prefix}.b"),
                             groups=self.graph.gn_groups)
 
-    def _res_block(self, x, b: BlockSpec, emb):
+    def _res_block(self, x, b: BlockSpec, emb: Embedding):
         bid = b.block_id
         spatial = b.kind == RES_SPATIAL
         conv = (lambda h, w, bias: T.conv2d(h, w, bias, pad=1)) if spatial else \
-               (lambda h, w, bias: T.conv1d_frames(h, w, bias, pad=1))
+               (lambda h, w, bias: T.conv1d_frames(h, w, bias, pad=1, videos=emb.videos))
         h = T.silu(self._gn(x, f"{bid}.gn1"))
         h = conv(h, self._p(f"{bid}.conv1.w"), self._p(f"{bid}.conv1.b"))
-        shift = T.linear(emb, self._p(f"{bid}.emb.w"), self._p(f"{bid}.emb.b"))
+        shift = T.linear(emb.value, self._p(f"{bid}.emb.w"), self._p(f"{bid}.emb.b"))
         h = T.bias_add(h, T.reshape(shift, (shift.shape[-1],)), axis=1)
         h = T.silu(self._gn(h, f"{bid}.gn2"))
         h = conv(h, self._p(f"{bid}.conv2.w"), self._p(f"{bid}.conv2.b"))
@@ -488,12 +500,14 @@ class Model:
             x = T.conv2d(x, self._p(f"{bid}.skip.w"), self._p(f"{bid}.skip.b"))
         return T.add(x, h)
 
-    def _attn_block(self, x, b: BlockSpec):
+    def _attn_block(self, x, b: BlockSpec, videos: int):
         bid = b.block_id
-        attn = T.attention_spatial if b.kind == ATTN_SPATIAL else T.attention_temporal
+        ws = [self._p(f"{bid}.{w}") for w in ("wq", "wk", "wv", "wo")]
         h = self._gn(x, f"{bid}.gn")
-        x = T.add(x, attn(h, self._p(f"{bid}.wq"), self._p(f"{bid}.wk"),
-                          self._p(f"{bid}.wv"), self._p(f"{bid}.wo")))
+        if b.kind == ATTN_SPATIAL:
+            x = T.add(x, T.attention_spatial(h, *ws))
+        else:
+            x = T.add(x, T.attention_temporal(h, *ws, videos=videos))
         h = self._gn(x, f"{bid}.gn2")
         f, c, hh, ww = h.shape
         tokens = T.transpose(h, (0, 2, 3, 1))
@@ -502,37 +516,48 @@ class Model:
         m = T.linear(m, self._p(f"{bid}.lin2.w"), self._p(f"{bid}.lin2.b"))
         return T.add(x, T.transpose(m, (0, 3, 1, 2)))
 
-    def _block(self, x, b: BlockSpec, emb):
+    def _block(self, x, b: BlockSpec, emb: Embedding):
         if b.replacement == IDENTITY:
             return x
         if b.replacement == SHORTCUT_CONV:
             return T.conv2d(x, self._p(f"{b.block_id}.ablate.w"), self._p(f"{b.block_id}.ablate.b"))
         if b.kind in (RES_SPATIAL, RES_TEMPORAL):
             return self._res_block(x, b, emb)
-        return self._attn_block(x, b)
+        return self._attn_block(x, b, emb.videos)
 
     def forward(self, x: Tensor, c_noise: float, cond: Optional[Tensor] = None,
                 collect_features: bool = False, timings: Optional[dict] = None,
-                states: Optional[dict] = None):
+                states: Optional[dict] = None, videos: int = 1):
         """Denoiser inner network: (F, C, H, W) latent -> same shape.
+
+        Axis 0 may hold `videos` equal runs of frames, all at noise level
+        c_noise; they never mix, so each video's output is what it gets
+        alone. `cond` then stacks one condition per video, of 1 or F frames
+        each, and each is spread over its own video's frames.
 
         Returns the output tensor, or (output, stage-boundary features)
         when collect_features is set. A `states` dict is filled with the
         BlockState entering each block, keyed by block id, for `resume`.
         """
         g = self.graph
-        f = x.shape[0]
+        nf = x.shape[0]
         if x.data.ndim != 4 or x.shape[1] != g.latent_channels:
             raise ShapeError(f"forward: latent shape {x.shape} vs {g.latent_channels} channels")
+        if videos < 1 or nf % videos:
+            raise ShapeError(f"forward: {nf} frames do not split into {videos} videos")
+        frame = (g.cond_channels,) + x.shape[2:]
         if cond is None:
-            cdata = np.zeros((f, g.cond_channels) + x.shape[2:])
+            cdata = np.zeros((nf,) + frame)
         else:
-            if cond.shape[1:] != (g.cond_channels,) + x.shape[2:]:
-                raise ShapeError(f"forward: condition shape {cond.shape} vs latent {x.shape}")
-            cdata = np.broadcast_to(cond.data, (f, g.cond_channels) + x.shape[2:]).copy()
+            per_video = cond.shape[0] // videos if cond.shape[0] % videos == 0 else 0
+            if cond.shape[1:] != frame or per_video not in (1, nf // videos):
+                raise ShapeError(f"forward: condition shape {cond.shape} vs latent {x.shape} "
+                                 f"of {videos} videos")
+            cdata = np.broadcast_to(cond.data.reshape((videos, per_video) + frame),
+                                    (videos, nf // videos) + frame).reshape((nf,) + frame)
         emb = sinusoidal_embedding(c_noise, g.emb_dim)
         emb = T.silu(T.linear(emb, self._p("emb.lin1.w"), self._p("emb.lin1.b")))
-        emb = T.linear(emb, self._p("emb.lin2.w"), self._p("emb.lin2.b"))
+        emb = Embedding(T.linear(emb, self._p("emb.lin2.w"), self._p("emb.lin2.b")), videos)
         h = T.concat([x, Tensor(cdata)], axis=1)
         h = _timed(timings, "stem",
                    lambda: T.conv2d(h, self._p("stem.conv.w"), self._p("stem.conv.b"), pad=1))
@@ -545,7 +570,7 @@ class Model:
         entering that block (as `forward` records it in `states`)."""
         return self._walk(state.h, dict(state.skips), state.emb, start=block_id)
 
-    def _walk(self, h: Tensor, skips: dict, emb: Tensor, start: Optional[str] = None,
+    def _walk(self, h: Tensor, skips: dict, emb: Embedding, start: Optional[str] = None,
               timings: Optional[dict] = None, features: Optional[dict] = None,
               states: Optional[dict] = None) -> Tensor:
         """Run the stages and the head on the stem output h. With `start`,

@@ -67,8 +67,25 @@ def _inherit(teacher: Model, graph: BlockGraph, rename: Optional[dict] = None) -
     return Model(graph, params)
 
 
-def _call_inputs(x: Tensor, c_noise: float, cond: Optional[Tensor]) -> tuple:
-    return x.data, np.float64(c_noise), None if cond is None else cond.data
+def _ablated(teacher: Model, block_id: str) -> Model:
+    """The teacher with block `block_id` ablated, built from the teacher's
+    own parameter Tensors (no copies, no new wrappers). Only the 1x1 conv
+    that replaces a block whose channel count changes is new, initialised
+    as `init_params(graph, 0)` would; its parameters are the same, bit for
+    bit, as `_inherit(teacher, netgraph.ablate(teacher.graph, block_id))`'s."""
+    graph = netgraph.ablate(teacher.graph, block_id)
+    params = {name: t for name, t in teacher.params.items()
+              if not name.startswith(block_id + ".")}
+    block = graph.find_block(block_id)
+    if block.replacement == netgraph.SHORTCUT_CONV:
+        params.update((spec.name, Tensor(netgraph._init_param(spec, 0), requires_grad=True))
+                      for spec in netgraph.shortcut_params(block))
+    return Model(graph, params)
+
+
+def _call_inputs(x: Tensor, c_noise: float, cond: Optional[Tensor], videos: int) -> tuple:
+    return (x.data, np.float64(c_noise), None if cond is None else cond.data,
+            np.int64(videos))
 
 
 def _same_bits(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
@@ -79,48 +96,47 @@ def _same_bits(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
 
 @dataclass
 class _Prefix:
-    """The teacher's first network call of one sample: its inputs
-    (`_call_inputs`) and the state entering each block (block id ->
-    netgraph.BlockState)."""
-    inputs: tuple
-    states: dict
+    """The teacher's first network call of a sample set: its inputs
+    (`_call_inputs`; None until recorded) and the state entering each block
+    (block id -> netgraph.BlockState)."""
+    inputs: Optional[tuple] = None
+    states: dict = field(default_factory=dict)
 
 
 class _PrefixCache:
-    """A model whose first network call of each sample records, or resumes
-    from, the teacher's prefix.
+    """A model whose first network call records, or resumes from, the
+    teacher's prefix.
 
-    `diffusion.sample` calls the network once per Euler step, and the
-    first call's input (the seeded noise, its c_noise and condition) does
-    not depend on the model. With `start` None the first call of each
-    sample runs whole and records the state entering every block (the
-    teacher's reference pass). With `start` set, the model is the teacher
-    with block `start` ablated, so up to that block it computes exactly
-    what the teacher did: its first call resumes at `start` from the
-    recorded state, provided its inputs equal the recorded ones bit for
-    bit. Every other call runs whole.
+    `diffusion.sample_set` runs the whole set as one network call per Euler
+    step, and the first call's input (the stacked seeded noise, its c_noise,
+    the stacked conditions and the video count) does not depend on the
+    model. With `start` None the first call runs whole and records into
+    `prefix` its inputs and the state entering every block (the teacher's
+    reference pass). With `start` set, the model is the teacher with block
+    `start` ablated, so up to that block it computes exactly what the
+    teacher did: its first call resumes at `start` from the recorded state,
+    provided its inputs equal the recorded ones bit for bit. Every other
+    call runs whole.
     """
 
-    def __init__(self, model: Model, steps: int, prefixes: list,
-                 start: Optional[str] = None):
+    def __init__(self, model: Model, prefix: _Prefix, start: Optional[str] = None):
         self.model = model
-        self.steps = steps
-        self.prefixes = prefixes
+        self.prefix = prefix
         self.start = start
         self.calls = 0
 
-    def forward(self, x: Tensor, c_noise: float, cond: Optional[Tensor] = None) -> Tensor:
-        sample, step = divmod(self.calls, self.steps)
+    def forward(self, x: Tensor, c_noise: float, cond: Optional[Tensor] = None,
+                videos: int = 1) -> Tensor:
+        first = self.calls == 0
         self.calls += 1
-        if step == 0 and self.start is None:
-            prefix = _Prefix(_call_inputs(x, c_noise, cond), {})
-            self.prefixes.append(prefix)
-            return self.model.forward(x, c_noise, cond, states=prefix.states)
-        if step == 0:
-            prefix = self.prefixes[sample]
-            if all(map(_same_bits, prefix.inputs, _call_inputs(x, c_noise, cond))):
-                return self.model.resume(prefix.states[self.start], self.start)
-        return self.model.forward(x, c_noise, cond)
+        if first and self.start is None:
+            self.prefix.inputs = _call_inputs(x, c_noise, cond, videos)
+            return self.model.forward(x, c_noise, cond, states=self.prefix.states,
+                                      videos=videos)
+        if first and self.prefix.inputs is not None and all(
+                map(_same_bits, self.prefix.inputs, _call_inputs(x, c_noise, cond, videos))):
+            return self.model.resume(self.prefix.states[self.start], self.start)
+        return self.model.forward(x, c_noise, cond, videos=videos)
 
 
 def _fvd(samples: list, eval_stats: evalkit.GaussianStats,
@@ -139,13 +155,17 @@ def profile_importance(teacher: Model, eval_set: list, blocks: list,
                        steps: int = 1, latency_reps: int = 3) -> AblationReport:
     """Ablate each block in turn and score the FVD proxy of its samples.
 
-    Every sample set uses the same seeded noise and conditions, so each
-    ablated model's first network call of a sample would recompute the
+    Each sample set runs as one network call per Euler step
+    (`diffusion.sample_set`), and every set uses the same seeded noise and
+    conditions, so each ablated model's first call would recompute the
     teacher's, bit for bit, up to the ablated block. The teacher's
     reference pass records the state entering every block on that call,
     and each ablated model resumes from it at its ablated block (later
-    Euler steps run whole). The eval set is embedded once. The report is
-    the same, byte for byte, as sampling every ablated model whole.
+    Euler steps run whole). Each ablated model shares the teacher's
+    parameter Tensors (`_ablated`), and the eval set is embedded once. The
+    report is the same, byte for byte, as sampling every ablated model
+    whole, one video at a time, at the shapes where `sample_set`'s samples
+    do not depend on the set's size (see there).
     """
     if not eval_set:
         raise VdminiError("profile_importance: empty eval set")
@@ -160,16 +180,14 @@ def profile_importance(teacher: Model, eval_set: list, blocks: list,
                                                reps=latency_reps).per_block_ms
 
     eval_stats = evalkit.fit_gaussian(evalkit.extract_features(eval_set, extractor))
-    prefixes: list = []
-    ref_samples = diffusion.sample_set(_PrefixCache(teacher, steps, prefixes), schedule,
+    prefix = _Prefix()
+    ref_samples = diffusion.sample_set(_PrefixCache(teacher, prefix), schedule,
                                        conds, seed, shape, steps)
     ref_fvd = _fvd(ref_samples, eval_stats, extractor)
 
     report = AblationReport(reference_fvd=ref_fvd)
     for block_id in sorted(blocks):
-        ablated_graph = netgraph.ablate(teacher.graph, block_id)
-        model = _PrefixCache(_inherit(teacher, ablated_graph), steps, prefixes,
-                             start=block_id)
+        model = _PrefixCache(_ablated(teacher, block_id), prefix, start=block_id)
         row = AblationRow(block_id, math.nan, math.nan,
                           per_block_ms.get(block_id, 0.0),
                           per_block_params.get(block_id, 0))

@@ -366,25 +366,34 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
     return _record("conv2d", out, inputs, vjp_stride1 if stride == 1 and pad < min(kh, kw) else vjp)
 
 
-def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0) -> Tensor:
-    """1-D convolution along the frame axis of (F, C, H, W), kernel (O, C, k)."""
+def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0,
+                  videos: int = 1) -> Tensor:
+    """1-D convolution along the frame axis of (F, C, H, W), kernel (O, C, k).
+
+    Axis 0 holds `videos` equal runs of frames, each convolved (and padded)
+    on its own; the output stacks their outputs the same way."""
     if x.data.ndim != 4 or w.data.ndim != 3:
         raise ShapeError(f"conv1d_frames: ranks {x.shape} vs {w.shape}")
-    f, c, h, wd = x.shape
+    nf, c, h, wd = x.shape
     o, ci, k = w.shape
     if ci != c:
         raise ShapeError(f"conv1d_frames: channels {x.shape} vs kernel {w.shape}")
     if b is not None and b.shape != (o,):
         raise ShapeError(f"conv1d_frames: bias {b.shape} vs kernel {w.shape}")
+    if videos < 1 or nf % videos:
+        raise ShapeError(f"conv1d_frames: {nf} frames do not split into {videos} videos")
+    f = nf // videos
     fo = f + 2 * pad - k + 1
     if fo < 1:
         raise ShapeError(f"conv1d_frames: kernel {w.shape} too long for {x.shape} pad {pad}")
-    pads = ((pad, pad), (0, 0), (0, 0), (0, 0))
+    pads = ((0, 0), (pad, pad), (0, 0), (0, 0), (0, 0))
 
     def im2col():  # rebuilt in the vjp, as in conv2d
-        xp = _zero_pad(x.data, pads) if pad else x.data
-        win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (Fo, C, H, W, k)
-        return np.ascontiguousarray(win.transpose(1, 4, 0, 2, 3)).reshape(c * k, fo * h * wd)
+        xv = x.data.reshape(videos, f, c, h, wd)
+        xp = _zero_pad(xv, pads) if pad else xv
+        win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)  # (V, Fo, C, H, W, k)
+        return np.ascontiguousarray(win.transpose(2, 5, 0, 1, 3, 4)).reshape(
+            c * k, videos * fo * h * wd)
 
     w2 = w.data.reshape(o, c * k)
     out = w2 @ im2col()
@@ -392,20 +401,21 @@ def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0
         out += b.data[:, None]
 
     def vjp(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(o, fo * h * wd)
+        g2 = g.transpose(1, 0, 2, 3).reshape(o, videos * fo * h * wd)
         gw = (g2 @ im2col().T).reshape(w.shape)
-        gcols = (w2.T @ g2).reshape(c, k, fo, h, wd).transpose(2, 0, 1, 3, 4)
-        gxp = np.zeros((f + 2 * pad, c, h, wd))
+        gcols = (w2.T @ g2).reshape(c, k, videos, fo, h, wd).transpose(2, 3, 0, 1, 4, 5)
+        gxp = np.zeros((videos, f + 2 * pad, c, h, wd))
         for i in range(k):
-            gxp[i : i + fo] += gcols[:, :, i]
-        gx = gxp[pad : pad + f]
+            gxp[:, i : i + fo] += gcols[:, :, :, i]
+        gx = gxp[:, pad : pad + f].reshape(nf, c, h, wd)
         grads = [gx, gw]
         if b is not None:
             grads.append(g2.sum(axis=1))
         return tuple(grads)
 
     inputs = [x, w] if b is None else [x, w, b]
-    return _record("conv1d_frames", out.reshape(o, fo, h, wd).transpose(1, 0, 2, 3), inputs, vjp)
+    out = out.reshape(o, videos * fo, h, wd).transpose(1, 0, 2, 3)
+    return _record("conv1d_frames", out, inputs, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +553,21 @@ def attention_spatial(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor)
                       lambda t: t.transpose(0, 2, 1).reshape(f, c, h, w))
 
 
-def attention_temporal(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
-    """Self-attention per spatial site; frames are the token axis."""
-    f, c, h, w = x.shape
+def attention_temporal(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+                       videos: int = 1) -> Tensor:
+    """Self-attention per spatial site; frames are the token axis. Axis 0
+    holds `videos` equal runs of frames, and tokens attend only within
+    their own video."""
+    nf, c, h, w = x.shape
+    if videos < 1 or nf % videos:
+        raise ShapeError(f"attention_temporal: {nf} frames do not split into {videos} videos")
+    f = nf // videos
     return _attention("attention_temporal", x, (wq, wk, wv, wo),
-                      lambda a: a.reshape(f, c, h * w).transpose(2, 0, 1),  # (HW, F, C)
-                      lambda t: t.transpose(1, 2, 0).reshape(f, c, h, w))
+                      # (V, F, C, HW) -> (V * HW, F, C)
+                      lambda a: a.reshape(videos, f, c, h * w).transpose(0, 3, 1, 2)
+                                 .reshape(videos * h * w, f, c),
+                      lambda t: t.reshape(videos, h * w, f, c).transpose(0, 2, 3, 1)
+                                 .reshape(nf, c, h, w))
 
 
 # ---------------------------------------------------------------------------

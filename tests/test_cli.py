@@ -151,6 +151,19 @@ def test_config_values_are_type_checked_against_the_defaults(tmp_path):
     ("eval", "latency_reps", 1),
     ("train_teacher", "steps", -1),
     ("distill", "steps", -2),
+    ("train_teacher", "lr", -1.0),
+    ("train_teacher", "lr", 0.0),
+    ("distill", "student_lr", 0.0),
+    ("distill", "disc_lr", -1e-5),
+    ("data", "frames", 1),
+    ("data", "frames", 0),
+    ("train_teacher", "batch", 0),
+    ("distill", "batch", 0),
+    ("profile", "sample_steps", 0),
+    ("eval", "sample_steps", 0),
+    ("distill", "lambda_icd", -0.1),
+    ("distill", "lambda_mca", -1.0),
+    ("distill", "mca_warmup_steps", -1),
 ], ids=str)
 def test_bad_config_value_is_exit_2_with_one_json_line(tmp_path, capsys, section, key, value):
     cfg = _cfg_file(tmp_path, {section: {**FAST.get(section, {}), key: value}})

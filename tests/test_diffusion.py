@@ -5,7 +5,7 @@ import pytest
 
 from vdmini import diffusion as df
 from vdmini import netgraph as ng
-from vdmini.errors import VdminiError
+from vdmini.errors import ShapeError, VdminiError
 from vdmini.tensor import Tape, Tensor, backward
 
 SD = 0.5
@@ -14,7 +14,7 @@ SD = 0.5
 class ZeroNet:
     """Inner network f == 0."""
 
-    def forward(self, x, c_noise, cond=None):
+    def forward(self, x, c_noise, cond=None, videos=1):
         return Tensor(np.zeros(x.shape))
 
     def detached(self):
@@ -27,7 +27,7 @@ class ConstNet:
     def __init__(self, value):
         self.value = value
 
-    def forward(self, x, c_noise, cond=None):
+    def forward(self, x, c_noise, cond=None, videos=1):
         return Tensor(np.full(x.shape, self.value))
 
     def detached(self):
@@ -41,7 +41,7 @@ class PerfectDenoiser:
         self.x_star = np.asarray(x_star, dtype=np.float64)
         self.sigma_data = sigma_data
 
-    def forward(self, x, c_noise, cond=None):
+    def forward(self, x, c_noise, cond=None, videos=1):
         sigma = math.exp(4.0 * c_noise)
         c0, c1, c2, _ = df.precondition_coeffs(sigma, df.Preconditioner(sigma_data=self.sigma_data))
         x_t = x.data / c2
@@ -148,18 +148,34 @@ def test_sampler_is_deterministic():
 
 
 def test_sample_set_seeds_each_sample_by_its_index():
+    # noise on every weight: in a fresh model every residual branch ends in
+    # a zero conv, so each block is the identity and mixing videos would not show
     graph = ng.make_unet_graph(ng.ORIGIN_LAYER_COUNTS, (4, 6, 8), emb_dim=8)
-    model = ng.build(graph, 0)
+    rng = np.random.default_rng(1)
+    model = ng.Model(graph, {n: Tensor(p.data + 0.3 * rng.standard_normal(p.shape))
+                             for n, p in ng.build(graph, 1).params.items()})
     schedule = df.NoiseSchedule(n_levels=4)
     shape = (2, 1, 16, 16)
     conds = [Tensor(np.full((1, 1, 16, 16), v)) for v in (0.2, 0.7, 0.4)]
-    got = df.sample_set(model, schedule, conds, 13, shape, 2)
-    assert len(got) == len(conds)
-    for i, (cond, out) in enumerate(zip(conds, got)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([13, i])))
-        want = df.sample(model, schedule, 2, cond, rng, shape)
-        assert np.array_equal(out.data, want.data), i
+    alone = [df.sample(model, schedule, 2, cond,
+                       np.random.Generator(np.random.PCG64(np.random.SeedSequence([13, i]))),
+                       shape)
+             for i, cond in enumerate(conds)]
+    for n in (1, 2, 3):
+        got = df.sample_set(model, schedule, conds[:n], 13, shape, 2)
+        assert len(got) == n
+        for i in range(n):
+            assert np.array_equal(got[i].data, alone[i].data), (n, i)
     assert df.sample_set(model, schedule, [], 13, shape, 2) == []
+
+
+def test_sample_set_rejects_mixed_conditions():
+    model = ng.build(ng.make_unet_graph(ng.ORIGIN_LAYER_COUNTS, (4, 6, 8), emb_dim=8), 0)
+    schedule = df.NoiseSchedule(n_levels=4)
+    one, two = Tensor(np.zeros((1, 1, 16, 16))), Tensor(np.zeros((2, 1, 16, 16)))
+    for conds in ([one, None], [one, two]):
+        with pytest.raises(ShapeError, match="all None or all of one shape"):
+            df.sample_set(model, schedule, conds, 0, (2, 1, 16, 16))
 
 
 def test_schedule_is_strictly_decreasing():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vdmini import netgraph as ng
-from vdmini.errors import GraphError, UnknownBlockError
+from vdmini.errors import GraphError, ShapeError, UnknownBlockError
 from vdmini.tensor import Tensor
 
 SMALL_WIDTHS = (4, 6, 8)
@@ -125,6 +125,29 @@ def test_forward_broadcasts_condition_to_every_frame():
     cond = Tensor(np.random.default_rng(2).standard_normal((1, 1, 16, 16)))
     out = model.forward(x, 0.25, cond)
     assert out.shape == x.shape
+
+
+def test_forward_keeps_stacked_videos_apart():
+    graph = small_graph()
+    rng = np.random.default_rng(5)
+    model = ng.Model(graph, {n: Tensor(p.data + 0.3 * rng.standard_normal(p.shape))
+                             for n, p in ng.build(graph, 0).params.items()})
+    # 2 frames of 16x16: each video's GEMM columns fill whole BLAS column
+    # blocks at every stage (see diffusion.sample_set)
+    xs = [rng.standard_normal((2, 1, 16, 16)) for _ in range(2)]
+    stacked = Tensor(np.concatenate(xs))
+    for frames in (1, 2):  # a first-frame condition, or one per frame
+        conds = [rng.standard_normal((frames, 1, 16, 16)) for _ in xs]
+        out = model.forward(stacked, 0.4, Tensor(np.concatenate(conds)), videos=2)
+        alone = [model.forward(Tensor(x), 0.4, Tensor(c)).data for x, c in zip(xs, conds)]
+        assert np.array_equal(out.data, np.concatenate(alone)), frames
+    out = model.forward(stacked, 0.4, videos=2)
+    assert np.array_equal(out.data, np.concatenate([model.forward(Tensor(x), 0.4).data
+                                                    for x in xs]))
+    with pytest.raises(ShapeError, match="videos"):
+        model.forward(stacked, 0.4, videos=3)
+    with pytest.raises(ShapeError, match="condition"):
+        model.forward(stacked, 0.4, Tensor(np.zeros((6, 1, 16, 16))), videos=2)
 
 
 def test_graph_json_round_trip():

@@ -183,7 +183,7 @@ def test_apply_plan_retained_block_matches_teacher_activations():
     assert spec_t.in_channels == spec_s.in_channels
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((2, spec_t.in_channels, 4, 4)))
-    emb = Tensor(rng.standard_normal(graph.emb_dim))
+    emb = ng.Embedding(Tensor(rng.standard_normal(graph.emb_dim)))
     out_t = teacher._res_block(x, spec_t, emb)
     out_s = student._res_block(x, spec_s, emb)
     assert np.array_equal(out_t.data, out_s.data)
@@ -304,8 +304,12 @@ def test_profile_resumed_rows_equal_whole_sampling(steps):
                                    seed=3, steps=steps, latency_reps=0)
 
     def whole_fvd(model):
-        shape = eval_set[0].shape
-        return ek.fvd(df.sample_set(model, schedule, conds, 3, shape, steps), eval_set, ex)
+        # each video sampled alone, not through the batched sample_set
+        samples = [df.sample(model, schedule, steps, cond,
+                             np.random.Generator(np.random.PCG64(np.random.SeedSequence([3, i]))),
+                             eval_set[0].shape)
+                   for i, cond in enumerate(conds)]
+        return ek.fvd(samples, eval_set, ex)
 
     ref_fvd = whole_fvd(teacher)
     assert report.reference_fvd == ref_fvd
@@ -318,21 +322,37 @@ def test_profile_resumed_rows_equal_whole_sampling(steps):
         assert row.delta_fvd == fvd - ref_fvd, row.block_id
 
 
+def test_ablated_shares_the_teachers_tensors_and_matches_inherit():
+    teacher = _perturbed_teacher()
+    for block_id in ("D.1.A.0.S", "U.1.R.0.S", "M.R.1.T"):  # U.1.R.0.S: shortcut conv
+        model = pr._ablated(teacher, block_id)
+        want = pr._inherit(teacher, ng.ablate(teacher.graph, block_id))
+        assert model.graph == want.graph
+        assert sorted(model.params) == sorted(want.params)
+        for name, p in want.params.items():
+            assert np.array_equal(model.params[name].data, p.data), name
+            if name in teacher.params:
+                assert model.params[name] is teacher.params[name], name
+    assert set(pr._ablated(teacher, "U.1.R.0.S").params) - set(teacher.params) == {
+        "U.1.R.0.S.ablate.w", "U.1.R.0.S.ablate.b"}
+
+
 def test_prefix_cache_runs_whole_when_the_first_input_differs():
     teacher = _perturbed_teacher()
-    graph = ng.ablate(teacher.graph, "D.2.R.0.T")
-    model = pr._inherit(teacher, graph)
-    x = Tensor(np.random.default_rng(0).standard_normal((2, 1, 16, 16)))
-    prefixes = []
-    pr._PrefixCache(teacher, 1, prefixes).forward(x, 0.5)
-    resumed = pr._PrefixCache(model, 1, prefixes, start="D.2.R.0.T")
-    assert np.array_equal(resumed.forward(x, 0.5).data, model.forward(x, 0.5).data)
-    # one flipped bit in the input: resuming would return the recorded
-    # teacher prefix's answer; the cache must run the whole model instead
+    model = pr._ablated(teacher, "D.2.R.0.T")
+    x = Tensor(np.random.default_rng(0).standard_normal((4, 1, 16, 16)))  # 2 videos
+    prefix = pr._Prefix()
+    pr._PrefixCache(teacher, prefix).forward(x, 0.5, videos=2)
+    resumed = pr._PrefixCache(model, prefix, start="D.2.R.0.T")
+    assert np.array_equal(resumed.forward(x, 0.5, videos=2).data,
+                          model.forward(x, 0.5, videos=2).data)
+    # one flipped bit in the input, or another video count: resuming would
+    # return the recorded teacher prefix's answer; the cache must run the
+    # whole model instead
     bumped = x.data.copy()
     bumped.view(np.uint64)[0, 0, 0, 0] ^= 1
-    resumed = pr._PrefixCache(model, 1, prefixes, start="D.2.R.0.T")
-    out = resumed.forward(Tensor(bumped), 0.5)
-    assert np.array_equal(out.data, model.forward(Tensor(bumped), 0.5).data)
-    assert not np.array_equal(out.data, model.resume(prefixes[0].states["D.2.R.0.T"],
-                                                     "D.2.R.0.T").data)
+    recorded = model.resume(prefix.states["D.2.R.0.T"], "D.2.R.0.T").data
+    for args, videos in (((Tensor(bumped), 0.5), 2), ((x, 0.5), 1)):
+        out = pr._PrefixCache(model, prefix, start="D.2.R.0.T").forward(*args, videos=videos)
+        assert np.array_equal(out.data, model.forward(*args, videos=videos).data)
+        assert not np.array_equal(out.data, recorded)

@@ -539,3 +539,58 @@ def test_adam_matches_the_textbook_update_bitwise():
         for n in want:
             assert _bits(params[n].data) == _bits(want[n]), (t, n)
             assert _bits(opt.m[n]) == _bits(m[n]) and _bits(opt.v[n]) == _bits(v[n]), (t, n)
+
+
+def _video_cases():
+    """(name, op taking x and the other inputs plus `videos`, other inputs)
+    for the ops whose axis 0 may stack several videos' frames."""
+    rng = np.random.default_rng(23)
+    w1, b = rng.standard_normal((4, 3, 3)), rng.standard_normal(4)
+    ws = [rng.standard_normal((3, 3)) / 2.0 for _ in range(4)]
+    return [
+        ("conv1d_frames p0", lambda *a, videos: T.conv1d_frames(*a, pad=0, videos=videos), [w1]),
+        ("conv1d_frames p0 bias", lambda *a, videos: T.conv1d_frames(*a, pad=0, videos=videos),
+         [w1, b]),
+        ("conv1d_frames p1", lambda *a, videos: T.conv1d_frames(*a, pad=1, videos=videos), [w1]),
+        ("conv1d_frames p1 bias", lambda *a, videos: T.conv1d_frames(*a, pad=1, videos=videos),
+         [w1, b]),
+        ("attention_temporal", T.attention_temporal, ws),
+    ]
+
+
+_VIDEO_CASES = [(name, op, rest, videos) for name, op, rest in _video_cases()
+                for videos in (2, 3)]
+
+
+@pytest.mark.parametrize("name,op,rest,videos", _VIDEO_CASES,
+                         ids=[f"{c[0]} videos{c[3]}" for c in _VIDEO_CASES])
+def test_stacked_videos_equal_per_video_calls(name, op, rest, videos):
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal((videos * 4, 3, 2, 3))  # 4 frames per video
+    parts = np.split(x, videos)
+    with Tape() as tape:
+        out = op(Tensor(x, requires_grad=True), *(Tensor(a) for a in rest), videos=videos)
+    assert len(tape.nodes) == 1 and tape.nodes[0][0].op == name.split()[0]
+    g = rng.standard_normal(out.shape)
+    gx = tape.nodes[0][0].vjp(g)[0]
+    alone_out, alone_gx = [], []
+    for part, gpart in zip(parts, np.split(g, videos)):
+        with Tape() as tape:
+            o = op(Tensor(part, requires_grad=True), *(Tensor(a) for a in rest), videos=1)
+        alone_out.append(o.data)
+        alone_gx.append(tape.nodes[0][0].vjp(gpart)[0])
+    assert _bits(out.data) == _bits(np.concatenate(alone_out))
+    assert _bits(gx) == _bits(np.concatenate(alone_gx))
+
+    probe = Tensor(rng.standard_normal(out.shape))
+    inputs = [x] + rest
+    for i in range(len(inputs)):
+        def f(t, i=i):
+            args = [Tensor(a) for a in inputs[:i]] + [t] + [Tensor(a) for a in inputs[i + 1:]]
+            return T.mse(op(*args, videos=videos), probe)
+        report = finite_difference_check(f, Tensor(inputs[i]))
+        assert report.max_rel_err <= 1e-7, f"{name} videos {videos} input {i}: {report}"
+
+    with pytest.raises(ShapeError, match="videos"):
+        op(Tensor(x[1:]), *(Tensor(a) for a in rest), videos=videos)
+    assert len(T.op_kinds()) == 20
