@@ -120,7 +120,7 @@ def sample(model: Model, schedule: NoiseSchedule, steps: int, cond: Optional[Ten
 
 
 def sample_set(model: Model, schedule: NoiseSchedule, conds: list, seed: int,
-               shape: tuple, steps: int = 1) -> list:
+               shape: tuple, steps: int = 1, runs: int = 1) -> list:
     """One sample of `shape` per condition, all in one `sample` chain: each
     Euler step is one network call for the whole set.
 
@@ -132,7 +132,10 @@ def sample_set(model: Model, schedule: NoiseSchedule, conds: list, seed: int,
     convolution GEMMs fill whole BLAS column blocks (F*H*W/64 a multiple of
     8 with OpenBLAS, as at the default and test shapes); elsewhere a GEMM's
     tail columns may round differently, by about 1e-14. The conditions must
-    be all None or all of one shape."""
+    be all None or all of one shape. With `runs` > 1 the chain stacks the
+    set that many times, each run with the same noise, and returns
+    `runs * len(conds)` samples, run after run (one model per run, as
+    `Model.forward` with `ablated` runs them)."""
     if not conds:
         return []
     if all(c is None for c in conds):
@@ -140,11 +143,11 @@ def sample_set(model: Model, schedule: NoiseSchedule, conds: list, seed: int,
     elif any(c is None or c.shape != conds[0].shape for c in conds):
         raise ShapeError("sample_set: the conditions must be all None or all of one shape")
     else:
-        cond = Tensor(np.concatenate([c.data for c in conds]))
+        cond = Tensor(np.concatenate([c.data for c in conds] * runs))
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
-            for i in range(len(conds))]
+            for _ in range(runs) for i in range(len(conds))]
     x = sample(model, schedule, steps, cond, rngs, shape)
-    return [Tensor(v) for v in np.split(x.data, len(conds))]
+    return [Tensor(v) for v in np.split(x.data, len(rngs))]
 
 
 def sample_sigma(schedule: NoiseSchedule, rng: np.random.Generator,

@@ -10,6 +10,10 @@ pruned student.
 Block ids follow the D/M/U naming, e.g. "D.0.R.1.S" is the spatial half
 of the second ResBlock layer of the first DownBlock; "M.A.0.T" is the
 temporal attention block in the Mid stage.
+
+`Model.forward` and `Model.resume` also walk a group of ablated models at
+once, one run of videos per model. `resume` starts at the group's first
+block from the states a forward recorded; each run joins at its own block.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -527,13 +531,18 @@ class Model:
 
     def forward(self, x: Tensor, c_noise: float, cond: Optional[Tensor] = None,
                 collect_features: bool = False, timings: Optional[dict] = None,
-                states: Optional[dict] = None, videos: int = 1):
+                states: Optional[dict] = None, videos: int = 1, ablated: Sequence = ()):
         """Denoiser inner network: (F, C, H, W) latent -> same shape.
 
         Axis 0 may hold `videos` equal runs of frames, all at noise level
         c_noise; they never mix, so each video's output is what it gets
         alone. `cond` then stacks one condition per video, of 1 or F frames
         each, and each is spread over its own video's frames.
+
+        With `ablated` (BlockSpecs as `ablate` replaces them, a shortcut
+        conv's parameters in `params`), the videos split into one run per
+        entry, and run i is the output with block ablated[i] replaced (no
+        gradients: the runs are split on raw arrays).
 
         Returns the output tensor, or (output, stage-boundary features)
         when collect_features is set. A `states` dict is filled with the
@@ -543,8 +552,10 @@ class Model:
         nf = x.shape[0]
         if x.data.ndim != 4 or x.shape[1] != g.latent_channels:
             raise ShapeError(f"forward: latent shape {x.shape} vs {g.latent_channels} channels")
-        if videos < 1 or nf % videos:
-            raise ShapeError(f"forward: {nf} frames do not split into {videos} videos")
+        runs = max(1, len(ablated))
+        if videos < 1 or nf % videos or videos % runs:
+            raise ShapeError(f"forward: {nf} frames do not split into {videos} videos "
+                             f"of {runs} models")
         frame = (g.cond_channels,) + x.shape[2:]
         if cond is None:
             cdata = np.zeros((nf,) + frame)
@@ -557,28 +568,48 @@ class Model:
                                     (videos, nf // videos) + frame).reshape((nf,) + frame)
         emb = sinusoidal_embedding(c_noise, g.emb_dim)
         emb = T.silu(T.linear(emb, self._p("emb.lin1.w"), self._p("emb.lin1.b")))
-        emb = Embedding(T.linear(emb, self._p("emb.lin2.w"), self._p("emb.lin2.b")), videos)
+        emb = T.linear(emb, self._p("emb.lin2.w"), self._p("emb.lin2.b"))
         h = T.concat([x, Tensor(cdata)], axis=1)
         h = _timed(timings, "stem",
                    lambda: T.conv2d(h, self._p("stem.conv.w"), self._p("stem.conv.b"), pad=1))
         features = {} if collect_features else None
-        h = self._walk(h, {}, emb, timings=timings, features=features, states=states)
+        h = self._walk(h, Embedding(emb, videos // runs), ablated,
+                       timings=timings, features=features, states=states)
         return (h, features) if collect_features else h
 
-    def resume(self, state: BlockState, block_id: str) -> Tensor:
-        """The forward output, computed from `block_id` on, given the state
-        entering that block (as `forward` records it in `states`)."""
-        return self._walk(state.h, dict(state.skips), state.emb, start=block_id)
+    def resume(self, states: dict, ablated: Sequence) -> Tensor:
+        """`forward(x, ..., ablated=ablated)` for the x whose own forward
+        through this model recorded `states`, taken once per entry: the walk
+        starts at ablated[0]'s block, and run i joins at ablated[i]'s block,
+        from the state recorded there. `ablated` must be in walk order."""
+        return self._walk(None, None, ablated, states)
 
-    def _walk(self, h: Tensor, skips: dict, emb: Embedding, start: Optional[str] = None,
-              timings: Optional[dict] = None, features: Optional[dict] = None,
-              states: Optional[dict] = None) -> Tensor:
-        """Run the stages and the head on the stem output h. With `start`,
-        h, skips and emb are the state entering that block, and everything
-        before it is skipped."""
+    def _walk(self, h: Optional[Tensor], emb: Optional[Embedding], ablated: Sequence = (),
+              recorded: Optional[dict] = None, timings: Optional[dict] = None,
+              features: Optional[dict] = None, states: Optional[dict] = None) -> Tensor:
+        """Run the stages and the head on the stem output h, which stacks one
+        run of `emb.videos` videos per entry of `ablated` (or one run when it
+        is empty); run i takes block ablated[i]'s replacement.
+
+        With `recorded`, h and emb are None: everything before ablated[0]'s
+        block is skipped, and run i joins at ablated[i]'s block with the
+        activation and skips recorded there."""
+        at = {b.block_id: i for i, b in enumerate(ablated)}
+        ids = [bid for bid in self.graph.block_ids() if bid in at] if at else []
+        if len(ids) < len(ablated) or recorded is not None and (not ids or ids != list(at)):
+            raise UnknownBlockError(f"ablated blocks {[b.block_id for b in ablated]}: unknown, "
+                                    f"repeated, or not in walk order to resume")
+        if recorded is None:
+            runs = max(1, len(ablated))
+            rows = h.shape[0] // runs
+        else:
+            runs, emb = 0, recorded[ids[0]].emb
+        videos = emb.videos  # per run
+        emb = Embedding(emb.value, runs * videos)
+        skips: dict = {}  # Down stage id -> its output
         for sp in self._layout.stages:
             sid = sp.stage.stage_id
-            if start is None:
+            if runs:
                 if sp.down_conv:
                     h = _timed(timings, f"down.{sid}", lambda h=h: T.conv2d(
                         h, self._p(f"down.{sid}.w"), self._p(f"down.{sid}.b"), stride=2, pad=1))
@@ -589,21 +620,33 @@ class Model:
                 if sp.skip_from:
                     h = T.concat([h, skips[sp.skip_from]], axis=1)
             for b in sp.stage.blocks:
-                if start is not None:
-                    if b.block_id != start:
-                        continue
-                    start = None
+                i = at.get(b.block_id)
+                if not runs and i != 0:
+                    continue
                 if states is not None:
                     states[b.block_id] = BlockState(h, dict(skips), emb)
-                h = _timed(timings, b.block_id, lambda h=h, b=b: self._block(h, b, emb))
-            if start is not None:
-                continue
-            if sp.stage.kind == "Down":
+                if i is None:
+                    h = _timed(timings, b.block_id, lambda h=h, b=b: self._block(h, b, emb))
+                    continue
+                if i == runs:  # run i joins here, with the recorded state's rows
+                    state = recorded[b.block_id]
+                    h = T.concat([h, state.h]) if runs else state.h
+                    skips = {k: T.concat([skips[k], s]) if runs else s
+                             for k, s in state.skips.items()}
+                    rows, runs = state.h.shape[0], runs + 1
+                # run i takes the replacement, the other runs the block
+                lo, hi = i * rows, (i + 1) * rows
+                out = self._block(Tensor(h.data[lo:hi]), ablated[i], Embedding(emb.value, videos))
+                if runs > 1:
+                    rest = self._block(Tensor(np.concatenate([h.data[:lo], h.data[hi:]])), b,
+                                       Embedding(emb.value, (runs - 1) * videos)).data
+                    out = Tensor(np.concatenate([rest[:lo], out.data, rest[lo:]]))
+                h = out
+                emb = Embedding(emb.value, runs * videos)
+            if runs and sp.stage.kind == "Down":
                 skips[sid] = h
             if features is not None and sp.stage.kind in ("Down", "Up"):
                 features[sid] = h
-        if start is not None:
-            raise UnknownBlockError(f"no block {start!r}")
         return _timed(timings, "head", lambda: T.conv2d(
             T.silu(self._gn(h, "head.gn")), self._p("head.conv.w"), self._p("head.conv.b"), pad=1))
 

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import Optional, Sequence
 
 from . import diffusion, evalkit, netgraph
 from .errors import MetricError, PlanError, VdminiError
@@ -67,83 +65,45 @@ def _inherit(teacher: Model, graph: BlockGraph, rename: Optional[dict] = None) -
     return Model(graph, params)
 
 
-def _ablated(teacher: Model, block_id: str) -> Model:
-    """The teacher with block `block_id` ablated, built from the teacher's
-    own parameter Tensors (no copies, no new wrappers). Only the 1x1 conv
-    that replaces a block whose channel count changes is new, initialised
-    as `init_params(graph, 0)` would; its parameters are the same, bit for
-    bit, as `_inherit(teacher, netgraph.ablate(teacher.graph, block_id))`'s."""
-    graph = netgraph.ablate(teacher.graph, block_id)
-    params = {name: t for name, t in teacher.params.items()
-              if not name.startswith(block_id + ".")}
-    block = graph.find_block(block_id)
-    if block.replacement == netgraph.SHORTCUT_CONV:
-        params.update((spec.name, Tensor(netgraph._init_param(spec, 0), requires_grad=True))
-                      for spec in netgraph.shortcut_params(block))
-    return Model(graph, params)
+# Byte budget of a group's largest convolution column matrix: a group's
+# models share one walk, so its working set grows with them (8 models at
+# widths 4/6/8 on 2 videos of 2x16x16, 1 at the default shapes).
+_GROUP_BYTES = 5 << 20
 
 
-def _call_inputs(x: Tensor, c_noise: float, cond: Optional[Tensor], videos: int) -> tuple:
-    return (x.data, np.float64(c_noise), None if cond is None else cond.data,
-            np.int64(videos))
+def _group(teacher: Model, block_ids: list) -> tuple:
+    """(model, ablated): the teacher's graph and parameter Tensors plus the
+    replacement of each block in `block_ids` (`netgraph.ablate`'s BlockSpec;
+    a shortcut conv's parameters initialised as `init_params(graph, 0)`
+    would), for `Model.forward`/`resume` with `ablated`."""
+    ablated = [netgraph.ablate(teacher.graph, bid).find_block(bid) for bid in block_ids]
+    params = dict(teacher.params)
+    params.update((spec.name, Tensor(netgraph._init_param(spec, 0), requires_grad=True))
+                  for b in ablated if b.replacement == netgraph.SHORTCUT_CONV
+                  for spec in netgraph.shortcut_params(b))
+    return Model(teacher.graph, params), ablated
 
 
-def _same_bits(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
-    if a is None or b is None:
-        return a is b
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+class _FirstStep:
+    """`diffusion.sample`'s network. Its first call (the first Euler step,
+    whose input is the teacher's, once per model) records the teacher's
+    `states`, or resumes the group from them; later calls run whole."""
 
-
-@dataclass
-class _Prefix:
-    """The teacher's first network call of a sample set: its inputs
-    (`_call_inputs`; None until recorded) and the state entering each block
-    (block id -> netgraph.BlockState)."""
-    inputs: Optional[tuple] = None
-    states: dict = field(default_factory=dict)
-
-
-class _PrefixCache:
-    """A model whose first network call records, or resumes from, the
-    teacher's prefix.
-
-    `diffusion.sample_set` runs the whole set as one network call per Euler
-    step, and the first call's input (the stacked seeded noise, its c_noise,
-    the stacked conditions and the video count) does not depend on the
-    model. With `start` None the first call runs whole and records into
-    `prefix` its inputs and the state entering every block (the teacher's
-    reference pass). With `start` set, the model is the teacher with block
-    `start` ablated, so up to that block it computes exactly what the
-    teacher did: its first call resumes at `start` from the recorded state,
-    provided its inputs equal the recorded ones bit for bit. Every other
-    call runs whole.
-    """
-
-    def __init__(self, model: Model, prefix: _Prefix, start: Optional[str] = None):
-        self.model = model
-        self.prefix = prefix
-        self.start = start
-        self.calls = 0
+    def __init__(self, model: Model, states: dict, ablated: Sequence = ()):
+        self.model, self.states, self.ablated = model, states, ablated
 
     def forward(self, x: Tensor, c_noise: float, cond: Optional[Tensor] = None,
                 videos: int = 1) -> Tensor:
-        first = self.calls == 0
-        self.calls += 1
-        if first and self.start is None:
-            self.prefix.inputs = _call_inputs(x, c_noise, cond, videos)
-            return self.model.forward(x, c_noise, cond, states=self.prefix.states,
-                                      videos=videos)
-        if first and self.prefix.inputs is not None and all(
-                map(_same_bits, self.prefix.inputs, _call_inputs(x, c_noise, cond, videos))):
-            return self.model.resume(self.prefix.states[self.start], self.start)
-        return self.model.forward(x, c_noise, cond, videos=videos)
+        states, self.states = self.states, None
+        if states is not None and self.ablated:
+            return self.model.resume(states, self.ablated)
+        return self.model.forward(x, c_noise, cond, states=states, videos=videos,
+                                  ablated=self.ablated)
 
 
 def _fvd(samples: list, eval_stats: evalkit.GaussianStats,
          extractor: evalkit.FeatureExtractor) -> float:
     """evalkit.fvd against an eval set whose Gaussian is already fitted."""
-    if not samples:
-        raise MetricError("fvd: empty video set")
     stats = evalkit.fit_gaussian(evalkit.extract_features(samples, extractor))
     return evalkit.frechet_distance(stats, eval_stats)
 
@@ -156,16 +116,19 @@ def profile_importance(teacher: Model, eval_set: list, blocks: list,
     """Ablate each block in turn and score the FVD proxy of its samples.
 
     Each sample set runs as one network call per Euler step
-    (`diffusion.sample_set`), and every set uses the same seeded noise and
-    conditions, so each ablated model's first call would recompute the
-    teacher's, bit for bit, up to the ablated block. The teacher's
-    reference pass records the state entering every block on that call,
-    and each ablated model resumes from it at its ablated block (later
-    Euler steps run whole). Each ablated model shares the teacher's
-    parameter Tensors (`_ablated`), and the eval set is embedded once. The
-    report is the same, byte for byte, as sampling every ablated model
-    whole, one video at a time, at the shapes where `sample_set`'s samples
-    do not depend on the set's size (see there).
+    (`diffusion.sample_set`), with the same seeded noise and conditions, so
+    up to its ablated block each ablated model's first call recomputes the
+    teacher's. The teacher's reference pass records the state entering
+    every block on that call. The ablated models then run in groups of
+    consecutive blocks in walk order (sized by `_GROUP_BYTES`), each group
+    as one walk with its models' sample sets stacked (`sample_set(...,
+    runs=)`): the first step resumes at the group's first block and each
+    model joins at its own block from the recorded state (`Model.resume`);
+    later steps run the group from the stem. The eval set is embedded once,
+    and `netgraph.ablate` is called once per profiled block. The report
+    is the same, byte for byte, as sampling every ablated model whole, one
+    video at a time, at the shapes where `sample_set`'s samples do not
+    depend on the set's size (see there).
     """
     if not eval_set:
         raise VdminiError("profile_importance: empty eval set")
@@ -180,24 +143,35 @@ def profile_importance(teacher: Model, eval_set: list, blocks: list,
                                                reps=latency_reps).per_block_ms
 
     eval_stats = evalkit.fit_gaussian(evalkit.extract_features(eval_set, extractor))
-    prefix = _Prefix()
-    ref_samples = diffusion.sample_set(_PrefixCache(teacher, prefix), schedule,
+    states: dict = {}
+    ref_samples = diffusion.sample_set(_FirstStep(teacher, states), schedule,
                                        conds, seed, shape, steps)
     ref_fvd = _fvd(ref_samples, eval_stats, extractor)
 
-    report = AblationReport(reference_fvd=ref_fvd)
-    for block_id in sorted(blocks):
-        model = _PrefixCache(_ablated(teacher, block_id), prefix, start=block_id)
-        row = AblationRow(block_id, math.nan, math.nan,
-                          per_block_ms.get(block_id, 0.0),
-                          per_block_params.get(block_id, 0))
-        try:
-            samples = diffusion.sample_set(model, schedule, conds, seed, shape, steps)
-            row.fvd_after_ablation = _fvd(samples, eval_stats, extractor)
-            row.delta_fvd = row.fvd_after_ablation - ref_fvd
-        except MetricError as exc:
-            row.error = str(exc)
-        report.rows.append(row)
+    order = {bid: i for i, bid in enumerate(teacher.graph.block_ids())}
+    walk = sorted(set(blocks), key=lambda bid: (order.get(bid, -1), bid))
+    # models per group: _GROUP_BYTES over one model's largest conv column
+    # matrix, 3x3 taps of a block's input channels by its videos' pixels
+    f, _, h, w = shape
+    largest = max((8 * b.in_channels * 9 * len(conds) * f * h * w // s.res_divisor ** 2
+                   for s in teacher.graph.stages for b in s.blocks), default=1)
+    size = max(1, _GROUP_BYTES // largest)
+    rows: dict = {}
+    for k in range(0, len(walk), size):
+        model, ablated = _group(teacher, walk[k:k + size])  # unknown ids raise here
+        samples = diffusion.sample_set(_FirstStep(model, states, ablated), schedule,
+                                       conds, seed, shape, steps, runs=len(ablated))
+        for i, b in enumerate(ablated):
+            row = rows[b.block_id] = AblationRow(b.block_id, math.nan, math.nan,
+                                                 per_block_ms.get(b.block_id, 0.0),
+                                                 per_block_params.get(b.block_id, 0))
+            try:
+                row.fvd_after_ablation = _fvd(samples[i * len(conds):(i + 1) * len(conds)],
+                                              eval_stats, extractor)
+                row.delta_fvd = row.fvd_after_ablation - ref_fvd
+            except MetricError as exc:
+                row.error = str(exc)
+    report = AblationReport(ref_fvd, [rows[block_id] for block_id in sorted(blocks)])
     report.rows = report.sorted_rows()
     return report
 

@@ -363,7 +363,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
 
     inputs = [x, w] if b is None else [x, w, b]
     out = out.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
-    return _record("conv2d", out, inputs, vjp_stride1 if stride == 1 and pad < min(kh, kw) else vjp)
+    # the one-matrix vjp's columns have O*kh*kw rows against the other's C*kh*kw
+    one_matrix = stride == 1 and pad < min(kh, kw) and o <= 2 * c
+    return _record("conv2d", out, inputs, vjp_stride1 if one_matrix else vjp)
 
 
 def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0,
@@ -505,11 +507,13 @@ def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens)
     q *= scale
     step = max(1, _CHUNK_BYTES // (8 * nt * nt))
     chunks = [slice(i, min(i + step, bsz)) for i in range(0, bsz, step)]
-    e = np.empty((bsz, nt, nt))
+    # only the vjp reads e whole; outside a tape one chunk's buffer is reused
+    taped = Tape.current() is not None and _tracked(x, *ws)
+    e = np.empty((bsz if taped else min(step, bsz), nt, nt))
     rs = np.empty((bsz, nt, 1))
     o = np.empty((bsz, nt, c))
     for s in chunks:
-        es = np.matmul(q[s], k[s].transpose(0, 2, 1), out=e[s])
+        es = np.matmul(q[s], k[s].transpose(0, 2, 1), out=e[s] if taped else e[: s.stop - s.start])
         es -= es.max(axis=-1, keepdims=True)
         np.exp(es, out=es)
         es.sum(axis=-1, keepdims=True, out=rs[s])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from vdmini import evalkit as ek
 from vdmini import netgraph as ng
 from vdmini import pruner as pr
 from vdmini import synthdata as sd
-from vdmini.errors import PlanError
+from vdmini.errors import PlanError, UnknownBlockError
 from vdmini.tensor import Tensor
 
 GOLDEN = Path(__file__).parent / "golden" / "plan.json"
@@ -324,35 +325,85 @@ def test_profile_resumed_rows_equal_whole_sampling(steps):
 
 def test_ablated_shares_the_teachers_tensors_and_matches_inherit():
     teacher = _perturbed_teacher()
-    for block_id in ("D.1.A.0.S", "U.1.R.0.S", "M.R.1.T"):  # U.1.R.0.S: shortcut conv
-        model = pr._ablated(teacher, block_id)
+    blocks = ["D.1.A.0.S", "M.R.1.T", "U.1.R.0.S"]  # U.1.R.0.S: shortcut conv
+    model, ablated = pr._group(teacher, blocks)
+    assert model.graph == teacher.graph
+    assert [b.block_id for b in ablated] == blocks
+    for block_id, spec in zip(blocks, ablated):
         want = pr._inherit(teacher, ng.ablate(teacher.graph, block_id))
-        assert model.graph == want.graph
-        assert sorted(model.params) == sorted(want.params)
+        assert spec == want.graph.find_block(block_id)
         for name, p in want.params.items():
             assert np.array_equal(model.params[name].data, p.data), name
             if name in teacher.params:
                 assert model.params[name] is teacher.params[name], name
-    assert set(pr._ablated(teacher, "U.1.R.0.S").params) - set(teacher.params) == {
-        "U.1.R.0.S.ablate.w", "U.1.R.0.S.ablate.b"}
+    assert set(model.params) - set(teacher.params) == {"U.1.R.0.S.ablate.w", "U.1.R.0.S.ablate.b"}
 
 
-def test_prefix_cache_runs_whole_when_the_first_input_differs():
+def test_grouped_walk_matches_each_ablated_model_whole():
+    # RB-S, RB-T, TB-S, TB-T, the shortcut conv U.1.R.0.S, and blocks that
+    # join after the D.0, D.1 and D.2 skips were stored
     teacher = _perturbed_teacher()
-    model = pr._ablated(teacher, "D.2.R.0.T")
-    x = Tensor(np.random.default_rng(0).standard_normal((4, 1, 16, 16)))  # 2 videos
-    prefix = pr._Prefix()
-    pr._PrefixCache(teacher, prefix).forward(x, 0.5, videos=2)
-    resumed = pr._PrefixCache(model, prefix, start="D.2.R.0.T")
-    assert np.array_equal(resumed.forward(x, 0.5, videos=2).data,
-                          model.forward(x, 0.5, videos=2).data)
-    # one flipped bit in the input, or another video count: resuming would
-    # return the recorded teacher prefix's answer; the cache must run the
-    # whole model instead
-    bumped = x.data.copy()
-    bumped.view(np.uint64)[0, 0, 0, 0] ^= 1
-    recorded = model.resume(prefix.states["D.2.R.0.T"], "D.2.R.0.T").data
-    for args, videos in (((Tensor(bumped), 0.5), 2), ((x, 0.5), 1)):
-        out = pr._PrefixCache(model, prefix, start="D.2.R.0.T").forward(*args, videos=videos)
-        assert np.array_equal(out.data, model.forward(*args, videos=videos).data)
-        assert not np.array_equal(out.data, recorded)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((4, 1, 16, 16)))  # 2 videos of 2 frames
+    cond = Tensor(rng.standard_normal((2, 1, 16, 16)))
+    states = {}
+    teacher.forward(x, 0.5, cond, states=states, videos=2)
+    groups = (["D.0.R.0.T", "D.1.A.0.S", "D.2.R.1.S", "M.A.0.T", "U.1.R.0.S", "U.3.A.2.S"],
+              ["U.1.R.0.S"], ["D.2.A.0.T", "U.2.R.1.T"])
+    for blocks in groups:
+        model, ablated = pr._group(teacher, blocks)
+        n = len(blocks)
+        resumed = model.resume(states, ablated).data
+        whole = model.forward(Tensor(np.concatenate([x.data] * n)), 0.5,
+                              Tensor(np.concatenate([cond.data] * n)), videos=2 * n,
+                              ablated=ablated).data
+        for i, block_id in enumerate(blocks):
+            want = pr._inherit(teacher, ng.ablate(teacher.graph, block_id)).forward(
+                x, 0.5, cond, videos=2).data
+            assert np.array_equal(resumed[4 * i:4 * (i + 1)], want), block_id
+            assert np.array_equal(whole[4 * i:4 * (i + 1)], want), block_id
+    model, ablated = pr._group(teacher, ["D.1.A.0.S", "D.0.R.0.T"])
+    with pytest.raises(UnknownBlockError, match="walk order"):
+        model.resume(states, ablated)
+    with pytest.raises(UnknownBlockError):
+        pr._group(teacher, ["D.0.R.0.T", "D.9.R.0.S"])
+    with pytest.raises(UnknownBlockError):
+        pr.profile_importance(teacher, _eval_videos(n=2), ["D.9.R.0.S"], ek.FeatureExtractor(),
+                              df.NoiseSchedule(n_levels=4), latency_reps=0)
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_profile_report_does_not_depend_on_the_group_size(steps, monkeypatch):
+    teacher = _perturbed_teacher()
+    eval_set = _eval_videos(n=2)
+    conds = [sd.first_frame_condition(v) for v in eval_set]
+    blocks = ["D.0.R.0.S", "D.1.A.0.T", "D.2.R.1.S", "M.R.1.T", "U.0.R.0.S", "U.1.R.0.S",
+              "U.2.A.1.S", "U.3.A.2.T"]
+    resume = ng.Model.resume
+    reports, walks = [], []
+    monkeypatch.setattr(ng.Model, "resume", lambda *a: walks.append(1) or resume(*a))
+    for budget in (1, 1 << 40):  # one model per group, then all in one
+        monkeypatch.setattr(pr, "_GROUP_BYTES", budget)
+        report = pr.profile_importance(teacher, eval_set, blocks, ek.FeatureExtractor(),
+                                       df.NoiseSchedule(n_levels=4), conds=conds, seed=3,
+                                       steps=steps, latency_reps=0)
+        reports.append((repr(report), report.to_csv()))
+    assert len(walks) == len(blocks) + 1
+    assert reports[0] == reports[1]
+
+
+def test_profile_memory_is_bounded_by_the_group_budget():
+    # criterion 11's FAST_PIPELINE shapes: 4 eval videos of 2 frames, widths 4/6/8
+    teacher = _perturbed_teacher()
+    eval_set = _eval_videos(n=4)
+    conds = [sd.first_frame_condition(v) for v in eval_set]
+    tracemalloc.start()
+    try:
+        report = pr.profile_importance(teacher, eval_set, teacher.graph.block_ids(),
+                                       ek.FeatureExtractor(), df.NoiseSchedule(n_levels=4),
+                                       conds=conds, seed=5, latency_reps=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.rows) == 76
+    assert peak < 3 * pr._GROUP_BYTES, peak

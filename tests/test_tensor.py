@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -140,6 +141,7 @@ def _grad_cases():
         ("conv2d k1 p0", lambda *a: T.conv2d(*a, pad=0), [x, w2[:, :, :1, :1], b]),
         ("conv2d k1 p1", lambda *a: T.conv2d(*a, pad=1), [x, w2[:, :, :1, :1], b]),
         ("conv2d stride 2", lambda *a: T.conv2d(*a, stride=2, pad=1), [x, w2, b]),
+        ("conv2d o > 2c", lambda *a: T.conv2d(*a, pad=1), [x, c(7, 3, 3, 3), c(7)]),
         ("conv1d_frames", lambda *a: T.conv1d_frames(*a, pad=1), [x, w1, b]),
         ("attention_spatial", T.attention_spatial, [x] + ws),
         ("attention_temporal", T.attention_temporal, [x] + ws),
@@ -280,13 +282,14 @@ def _conv2d_parent_ref(x, w, b=None, stride=1, pad=0):
 
 
 def _conv2d_ref(x, w, b=None, stride=1, pad=0):
-    """For stride 1 and pad < k, both gradients come from one column matrix of
-    g zero-padded by k-1-pad: gx through the flipped, transposed kernel, gw as
-    x times its transpose, flipped back. Other convs keep `_conv2d_parent_ref`'s vjp."""
+    """For stride 1, pad < k and O <= 2C, both gradients come from one column
+    matrix of g zero-padded by k-1-pad: gx through the flipped, transposed
+    kernel, gw as x times its transpose, flipped back. Other convs keep
+    `_conv2d_parent_ref`'s vjp."""
     out, parent_vjp = _conv2d_parent_ref(x, w, b, stride, pad)
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    if stride != 1 or pad >= min(kh, kw):
+    if stride != 1 or pad >= min(kh, kw) or o > 2 * c:
         return out, parent_vjp
 
     def vjp(g):
@@ -430,6 +433,9 @@ def _kernel_cases():
     for name, op, tokens in (("attention_spatial", T.attention_spatial, _spatial_tokens),
                              ("attention_temporal", T.attention_temporal, _temporal_tokens)):
         cases.append((name, op, lambda *a, t=tokens: _attention_ref(*a, *t(a[0])), [x] + ws, {}))
+    # O > 2C: the stride-1 conv keeps the two-matrix vjp
+    cases.append(("conv2d k3 s1 p1 o7", T.conv2d, _conv2d_ref, [r(2, 3, 6, 5), r(7, 3, 3, 3), r(7)],
+                  {"stride": 1, "pad": 1}))
     return cases
 
 
@@ -443,7 +449,8 @@ _PARENT_REFS = {
 # the cases whose math changed: both attentions and the stride-1 convs with pad < k
 _REWRITTEN_CASES = [(name, op, ref, inputs, kw) for name, op, ref, inputs, kw in _KERNEL_CASES
                     if name.startswith("attention")
-                    or (name.startswith("conv2d") and kw["stride"] == 1 and kw["pad"] < inputs[1].shape[-1])]
+                    or (name.startswith("conv2d") and kw["stride"] == 1 and kw["pad"] < inputs[1].shape[-1]
+                        and inputs[1].shape[0] <= 2 * inputs[1].shape[1])]
 
 
 def _g_layouts(shape):
@@ -499,6 +506,26 @@ def test_attention_chunks_do_not_change_a_bit(op, monkeypatch):
         monkeypatch.setattr(T, "_CHUNK_BYTES", per_chunk * 8 * tokens * tokens)
         assert -(-batch // per_chunk) >= 3
         assert run() == whole
+
+
+@pytest.mark.parametrize("op,shape", [(T.attention_spatial, (16, 2, 8, 8)),
+                                      (T.attention_temporal, (64, 2, 4, 4))])
+def test_untaped_attention_keeps_one_chunk_of_scores(op, shape, monkeypatch):
+    rng = np.random.default_rng(22)
+    x, ws = rng.standard_normal(shape), [rng.standard_normal((2, 2)) for _ in range(4)]
+    batch, tokens = 16, 64
+    monkeypatch.setattr(T, "_CHUNK_BYTES", 8 * tokens * tokens)  # one batch item per chunk
+    with Tape():
+        taped = op(Tensor(x, requires_grad=True), *(Tensor(w, requires_grad=True) for w in ws))
+    inputs = [Tensor(x)] + [Tensor(w) for w in ws]
+    tracemalloc.start()
+    try:
+        untaped = op(*inputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert untaped.node is None and _bits(untaped.data) == _bits(taped.data)
+    assert peak < batch * tokens * tokens * 8, peak  # the whole (B, T, T) scores
 
 
 def test_sigmoid_family_does_not_warn_on_overflow():
