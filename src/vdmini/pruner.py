@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import diffusion, evalkit, netgraph
 from .errors import MetricError, PlanError, VdminiError
 from .netgraph import BlockGraph, Model, StageSpec
@@ -84,21 +86,45 @@ def _group(teacher: Model, block_ids: list) -> tuple:
     return Model(teacher.graph, params), ablated
 
 
-class _FirstStep:
-    """`diffusion.sample`'s network. Its first call (the first Euler step,
-    whose input is the teacher's, once per model) records the teacher's
-    `states`, or resumes the group from them; later calls run whole."""
+def _stacked(a: Optional[np.ndarray], b: Optional[np.ndarray], runs: int) -> bool:
+    """Whether `a` is `runs` copies of `b` stacked on axis 0, bit for bit."""
+    if a is None or b is None:
+        return a is b
+    return (a.dtype == b.dtype and a.shape == (runs * b.shape[0],) + b.shape[1:]
+            and a.tobytes() == b.tobytes() * runs)
 
-    def __init__(self, model: Model, states: dict, ablated: Sequence = ()):
-        self.model, self.states, self.ablated = model, states, ablated
+
+class _FirstStep:
+    """`diffusion.sample`'s network. Without `recorded`, its first call (the
+    teacher's first Euler step) runs whole and records its inputs and the
+    state entering every block. With the teacher's `recorded` _FirstStep,
+    the model is `_group`'s, and its first call resumes the group from the
+    recorded states, provided its inputs are the recorded ones once per
+    model, bit for bit (else resuming would answer for the teacher's input).
+    Every other call runs whole."""
+
+    def __init__(self, model: Model, recorded: Optional["_FirstStep"] = None,
+                 ablated: Sequence = ()):
+        self.model, self.recorded, self.ablated = model, recorded, ablated
+        self.inputs: Optional[tuple] = None  # x, c_noise, cond, videos of the first call
+        self.states: dict = {}
+        self._first = True
 
     def forward(self, x: Tensor, c_noise: float, cond: Optional[Tensor] = None,
                 videos: int = 1) -> Tensor:
-        states, self.states = self.states, None
-        if states is not None and self.ablated:
-            return self.model.resume(states, self.ablated)
-        return self.model.forward(x, c_noise, cond, states=states, videos=videos,
-                                  ablated=self.ablated)
+        first, self._first = self._first, False
+        cdata = None if cond is None else cond.data
+        rec, runs = self.recorded, len(self.ablated)
+        if first and rec is None:
+            self.inputs = (x.data, c_noise, cdata, videos)
+            return self.model.forward(x, c_noise, cond, states=self.states, videos=videos,
+                                      ablated=self.ablated)
+        if first and runs and rec.inputs is not None:
+            rx, rc_noise, rcond, rvideos = rec.inputs
+            if (c_noise == rc_noise and videos == runs * rvideos and _stacked(x.data, rx, runs)
+                    and _stacked(cdata, rcond, runs)):
+                return self.model.resume(rec.states, self.ablated)
+        return self.model.forward(x, c_noise, cond, videos=videos, ablated=self.ablated)
 
 
 def _fvd(samples: list, eval_stats: evalkit.GaussianStats,
@@ -143,8 +169,8 @@ def profile_importance(teacher: Model, eval_set: list, blocks: list,
                                                reps=latency_reps).per_block_ms
 
     eval_stats = evalkit.fit_gaussian(evalkit.extract_features(eval_set, extractor))
-    states: dict = {}
-    ref_samples = diffusion.sample_set(_FirstStep(teacher, states), schedule,
+    ref = _FirstStep(teacher)
+    ref_samples = diffusion.sample_set(ref, schedule,
                                        conds, seed, shape, steps)
     ref_fvd = _fvd(ref_samples, eval_stats, extractor)
 
@@ -159,7 +185,7 @@ def profile_importance(teacher: Model, eval_set: list, blocks: list,
     rows: dict = {}
     for k in range(0, len(walk), size):
         model, ablated = _group(teacher, walk[k:k + size])  # unknown ids raise here
-        samples = diffusion.sample_set(_FirstStep(model, states, ablated), schedule,
+        samples = diffusion.sample_set(_FirstStep(model, ref, ablated), schedule,
                                        conds, seed, shape, steps, runs=len(ablated))
         for i, b in enumerate(ablated):
             row = rows[b.block_id] = AblationRow(b.block_id, math.nan, math.nan,

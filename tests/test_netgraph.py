@@ -156,3 +156,33 @@ def test_graph_json_round_trip():
     back = ng.graph_from_json(doc)
     assert ng.graph_to_json(back) == doc
     assert back.find_block("M.R.0.S").replacement == ng.IDENTITY
+
+
+def test_resume_from_recorded_state_matches_whole_forward():
+    # the teacher's state entering a block is the ablated model's too, so
+    # resuming there must give the ablated model's whole forward, bit for bit
+    graph = small_graph()
+    rng = np.random.default_rng(4)
+    teacher = ng.Model(graph, {n: Tensor(p.data + 0.3 * rng.standard_normal(p.shape))
+                               for n, p in ng.build(graph, 0).params.items()})
+    x = Tensor(rng.standard_normal((2, 1, 8, 8)))
+    cond = Tensor(rng.standard_normal((1, 1, 8, 8)))
+    states = {}
+    out = teacher.forward(x, 0.3, cond, states=states)
+    assert np.array_equal(out.data, teacher.forward(x, 0.3, cond).data)
+    assert list(states) == graph.block_ids()
+    replacements = set()
+    for block_id in graph.block_ids():
+        ablated_graph = ng.ablate(graph, block_id)
+        params = {n: teacher.params.get(n, p) for n, p in
+                  ng.init_params(ablated_graph, 0).items()}
+        spec = ablated_graph.find_block(block_id)
+        resumed = ng.Model(graph, {**teacher.params, **params}).resume(states, [spec])
+        whole = ng.Model(ablated_graph, params).forward(x, 0.3, cond)
+        assert np.array_equal(resumed.data, whole.data), block_id
+        replacements.add(spec.replacement)
+    assert replacements == {ng.IDENTITY, ng.SHORTCUT_CONV}
+    unknown = replace(graph.find_block("D.0.R.0.S"), block_id="D.9.R.0.S",
+                      replacement=ng.IDENTITY)
+    with pytest.raises(UnknownBlockError):
+        teacher.resume(states, [unknown])

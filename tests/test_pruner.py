@@ -339,6 +339,27 @@ def test_ablated_shares_the_teachers_tensors_and_matches_inherit():
     assert set(model.params) - set(teacher.params) == {"U.1.R.0.S.ablate.w", "U.1.R.0.S.ablate.b"}
 
 
+def test_prefix_cache_runs_whole_when_the_first_input_differs():
+    teacher = _perturbed_teacher()
+    model, ablated = pr._group(teacher, ["D.2.R.0.T", "U.1.R.0.S"])
+    x = Tensor(np.random.default_rng(0).standard_normal((4, 1, 16, 16)))  # 2 videos
+    ref = pr._FirstStep(teacher)
+    ref.forward(x, 0.5, videos=2)
+    stacked = Tensor(np.concatenate([x.data] * 2))  # once per model
+    assert np.array_equal(pr._FirstStep(model, ref, ablated).forward(stacked, 0.5, videos=4).data,
+                          model.forward(stacked, 0.5, videos=4, ablated=ablated).data)
+    # one flipped bit in one model's input, another noise level or another
+    # video count: resuming would return the recorded teacher prefix's
+    # answer; the first step must run the whole group instead
+    bumped = stacked.data.copy()
+    bumped.view(np.uint64)[4, 0, 0, 0] ^= 1
+    recorded = model.resume(ref.states, ablated).data
+    for args, videos in (((Tensor(bumped), 0.5), 4), ((stacked, 0.25), 4), ((stacked, 0.5), 2)):
+        out = pr._FirstStep(model, ref, ablated).forward(*args, videos=videos)
+        assert np.array_equal(out.data, model.forward(*args, videos=videos, ablated=ablated).data)
+        assert not np.array_equal(out.data, recorded)
+
+
 def test_grouped_walk_matches_each_ablated_model_whole():
     # RB-S, RB-T, TB-S, TB-T, the shortcut conv U.1.R.0.S, and blocks that
     # join after the D.0, D.1 and D.2 skips were stored
