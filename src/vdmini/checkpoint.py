@@ -4,10 +4,17 @@ Layout: magic "VDMK", format version (u32 LE), tensor count (u32 LE), a
 directory of (name length u32, UTF-8 name, rank u64, dims u64..., payload
 byte offset u64), the little-endian float64 payloads, and a trailing CRC32
 (u32 LE) of everything before it. Round-trips are bit-exact.
+
+Neither direction holds the file in memory: `save_checkpoint` streams the
+arrays' own bytes, and `load_checkpoint` checks the CRC a chunk at a time,
+then reads the payload once into one float64 buffer that every loaded
+tensor is a view of.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -20,62 +27,84 @@ from .tensor import Tensor
 MAGIC = b"VDMK"
 VERSION = 1
 
+_CRC_CHUNK = 1 << 16
+
 
 def save_checkpoint(params: dict[str, Tensor], path) -> None:
     names = sorted(params)
-    directory = bytearray()
-    payload = bytearray()
-    for name in names:
-        data = np.ascontiguousarray(params[name].data, dtype="<f8")
+    arrays = [np.ascontiguousarray(params[name].data, dtype="<f8") for name in names]
+    head = bytearray(MAGIC + struct.pack("<II", VERSION, len(names)))
+    offset = 0
+    for name, data in zip(names, arrays):
         raw = name.encode("utf-8")
-        directory += struct.pack("<I", len(raw)) + raw
-        directory += struct.pack("<Q", data.ndim)
-        directory += struct.pack(f"<{data.ndim}Q", *data.shape) if data.ndim else b""
-        directory += struct.pack("<Q", len(payload))
-        payload += data.tobytes()
-    body = MAGIC + struct.pack("<II", VERSION, len(names)) + bytes(directory) + bytes(payload)
-    blob = body + struct.pack("<I", zlib.crc32(body))
+        head += struct.pack(f"<I{len(raw)}sQ{data.ndim}QQ", len(raw), raw, data.ndim, *data.shape, offset)
+        offset += data.nbytes
     tmp = Path(str(path) + ".tmp")
-    tmp.write_bytes(blob)
+    with open(tmp, "wb") as f:
+        f.write(head)
+        crc = zlib.crc32(head)
+        for data in arrays:
+            f.write(data)
+            crc = zlib.crc32(data, crc)
+        f.write(struct.pack("<I", crc))
     tmp.replace(path)
 
 
 def load_checkpoint(path) -> dict[str, Tensor]:
-    blob = Path(path).read_bytes()
-    if len(blob) < 16:
-        raise CheckpointError(f"{path}: truncated file")
-    body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) != crc:
-        raise CheckpointError(f"{path}: checksum mismatch")
-    if body[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {body[:4]!r}")
-    version, count = struct.unpack_from("<II", body, 4)
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    pos = 12
-    entries = []
-    try:
+    with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size - 4  # where the CRC starts
+        if end < 12:
+            raise CheckpointError(f"{path}: truncated file")
+        crc, left = 0, end
+        while left:
+            chunk = f.read(min(left, _CRC_CHUNK))
+            if not chunk:
+                raise CheckpointError(f"{path}: truncated file")
+            crc = zlib.crc32(chunk, crc)
+            left -= len(chunk)
+        if struct.unpack("<I", f.read(4)) != (crc,):
+            raise CheckpointError(f"{path}: checksum mismatch")
+        f.seek(0)
+        magic, version, count = struct.unpack("<4sII", f.read(12))
+        if magic != MAGIC:
+            raise CheckpointError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version}")
+        pos = 12
+
+        def take(nbytes: int) -> bytes:  # the next directory bytes, never past the CRC
+            nonlocal pos
+            if pos + nbytes > end:
+                raise CheckpointError(f"{path}: truncated directory")
+            pos += nbytes
+            return f.read(nbytes)
+
+        entries = []
         for _ in range(count):
-            (nlen,) = struct.unpack_from("<I", body, pos)
-            pos += 4
-            name = body[pos : pos + nlen].decode("utf-8")
-            pos += nlen
-            (rank,) = struct.unpack_from("<Q", body, pos)
-            pos += 8
-            dims = struct.unpack_from(f"<{rank}Q", body, pos) if rank else ()
-            pos += 8 * rank
-            (offset,) = struct.unpack_from("<Q", body, pos)
-            pos += 8
+            (nlen,) = struct.unpack("<I", take(4))
+            try:
+                name = take(nlen).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: tensor name is not UTF-8") from exc
+            (rank,) = struct.unpack("<Q", take(8))
+            dims = struct.unpack(f"<{rank}Q", take(8 * rank))
+            (offset,) = struct.unpack("<Q", take(8))
             entries.append((name, dims, offset))
-    except struct.error as exc:
-        raise CheckpointError(f"{path}: truncated directory") from exc
+        size = end - pos
+        for name, dims, offset in entries:  # Python ints: no product overflows
+            if offset % 8:
+                raise CheckpointError(f"{path}: payload for {name!r} is not 8-byte aligned")
+            if offset + 8 * math.prod(dims) > size:
+                raise CheckpointError(f"{path}: payload for {name!r} out of bounds")
+        payload = np.empty(size // 8, dtype="<f8")
+        if f.readinto(payload) != payload.nbytes:
+            raise CheckpointError(f"{path}: truncated payload")
     params = {}
     for name, dims, offset in entries:
-        n = int(np.prod(dims)) if dims else 1
-        start = pos + offset
-        end = start + 8 * n
-        if end > len(body):
-            raise CheckpointError(f"{path}: payload for {name!r} out of bounds")
-        arr = np.frombuffer(body[start:end], dtype="<f8").reshape(dims)
+        start = offset // 8
+        try:
+            arr = payload[start : start + math.prod(dims)].reshape(dims)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: tensor {name!r} has unusable shape {dims}") from exc
         params[name] = Tensor(arr, requires_grad=True)
     return params

@@ -440,14 +440,17 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int = 1, eps: flo
     var = np.multiply(d, d).sum(axis=2, keepdims=True) / m  # what xg.var computes
     inv = 1.0 / np.sqrt(var + eps)
     d *= inv
-    xhat = d.reshape(x.shape)
     gshape = (1, c) + (1,) * len(spatial)
-    out = xhat * gamma.data.reshape(gshape)
+    # the output is written over xhat; the vjp rebuilds xhat from x, mu and inv
+    out = d.reshape(x.shape)
+    out *= gamma.data.reshape(gshape)
     out += beta.data.reshape(gshape)
 
     def vjp(g):
+        d = x.data.reshape(n, groups, -1) - mu
+        d *= inv
         affine_axes = (0,) + tuple(range(2, x.data.ndim))
-        ggamma = (g * xhat).sum(axis=affine_axes)
+        ggamma = (g * d.reshape(x.shape)).sum(axis=affine_axes)
         gbeta = g.sum(axis=affine_axes)
         # an owned C-order buffer, whatever the layout of g; it becomes gx
         dxhat = np.multiply(g, gamma.data.reshape(gshape), out=np.empty(x.shape)).reshape(n, groups, -1)
@@ -492,9 +495,11 @@ def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens)
     """Attention over the (B, T, C) tokens `to_tokens(x.data)`; `from_tokens`
     maps (B, T, C) back to the layout of x.
 
-    The forward keeps the unnormalised exponentials e and their row sums rs,
-    and normalises the (T, C) output instead of the (T, T) weights. The vjp
-    uses the row-dot identity sum_j(dA * A) = dO . O (Dao et al., 2022)."""
+    The forward keeps the row maxima mx and the row sums rs of the
+    exponentials e = exp(q k^T - mx), and normalises the (T, C) output
+    instead of the (T, T) weights. Both passes fill one chunk's e at a time:
+    the vjp rebuilds it, bit for bit, from q, k and mx, and uses the row-dot
+    identity sum_j(dA * A) = dO . O (Dao et al., 2022)."""
     c = x.shape[1]
     if any(t.shape != (c, c) for t in ws):
         raise ShapeError(f"{op}: weights {[t.shape for t in ws]} vs {c} channels")
@@ -507,14 +512,18 @@ def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens)
     q *= scale
     step = max(1, _CHUNK_BYTES // (8 * nt * nt))
     chunks = [slice(i, min(i + step, bsz)) for i in range(0, bsz, step)]
-    # only the vjp reads e whole; outside a tape one chunk's buffer is reused
-    taped = Tape.current() is not None and _tracked(x, *ws)
-    e = np.empty((bsz if taped else min(step, bsz), nt, nt))
+    mx = np.empty((bsz, nt, 1))
     rs = np.empty((bsz, nt, 1))
+
+    def scores(s, buf):  # one chunk's q k^T, in `buf`
+        return np.matmul(q[s], k[s].transpose(0, 2, 1), out=buf[: s.stop - s.start])
+
+    e = np.empty((min(step, bsz), nt, nt))
     o = np.empty((bsz, nt, c))
     for s in chunks:
-        es = np.matmul(q[s], k[s].transpose(0, 2, 1), out=e[s] if taped else e[: s.stop - s.start])
-        es -= es.max(axis=-1, keepdims=True)
+        es = scores(s, e)
+        es.max(axis=-1, keepdims=True, out=mx[s])
+        es -= mx[s]
         np.exp(es, out=es)
         es.sum(axis=-1, keepdims=True, out=rs[s])
         np.matmul(es, v[s], out=o[s])
@@ -529,14 +538,17 @@ def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens)
         gav /= rs
         d /= rs
         gq, gk, gv = (np.empty((bsz, nt, c)) for _ in range(3))
-        gs = np.empty((min(step, bsz), nt, nt))
+        e, gs = (np.empty((min(step, bsz), nt, nt)) for _ in range(2))
         for s in chunks:
+            es = scores(s, e)
+            es -= mx[s]
+            np.exp(es, out=es)
             gss = np.matmul(gav[s], v[s].transpose(0, 2, 1), out=gs[: s.stop - s.start])
             gss -= d[s]
-            gss *= e[s]
+            gss *= es
             np.matmul(gss, k[s], out=gq[s])
             np.matmul(gss.transpose(0, 2, 1), q[s], out=gk[s])
-            np.matmul(e[s].transpose(0, 2, 1), gav[s], out=gv[s])
+            np.matmul(es.transpose(0, 2, 1), gav[s], out=gv[s])
         gq *= scale
         gq, gk, gv = (t.reshape(bsz * nt, c) for t in (gq, gk, gv))
         gx = gq @ wq

@@ -1,13 +1,14 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
 
 from vdmini import cli
-from vdmini.tensor import Tensor
 
 GOLDEN = Path(__file__).parent / "golden" / "plan.json"
 
@@ -320,10 +321,7 @@ def test_distill_with_a_teacher_written_in_place_is_exit_2_and_saves_no_student(
     out = tmp_path / "run"
     for stage in ("gen-data", "train-teacher", "plan"):
         assert _run([stage, "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
-    load, step = cli.checkpoint.load_checkpoint, cli.icmd.distill_step
-
-    def load_owned(path):  # arrays that own their memory, so their flag can flip
-        return {n: Tensor(p.data.copy(), requires_grad=True) for n, p in load(path).items()}
+    step = cli.icmd.distill_step
 
     def step_that_writes_the_teacher(state, *args):
         arr = next(iter(state.teacher.params.values())).data
@@ -332,13 +330,30 @@ def test_distill_with_a_teacher_written_in_place_is_exit_2_and_saves_no_student(
         arr.flags.writeable = False
         return step(state, *args)
 
-    monkeypatch.setattr(cli.checkpoint, "load_checkpoint", load_owned)
     monkeypatch.setattr(cli.icmd, "distill_step", step_that_writes_the_teacher)
     capsys.readouterr()
     assert _run(["distill", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     record = _one_error_record(capsys)
     assert record["message"] == "teacher parameters changed during distillation"
     assert not (out / "student.vdmk").exists()
+
+
+@pytest.mark.parametrize("raw,dims,message", [
+    (b"w", (1 << 62, 4), "payload for 'w' out of bounds"),  # 2**64 elements: 0 in int64
+    (b"\xff\xfe", (1,), "tensor name is not UTF-8"),
+], ids=["int64-overflow", "name-not-utf8"])
+def test_profile_with_a_crc_valid_teacher_with_a_bad_directory_is_exit_2(
+        tmp_path, capsys, raw, dims, message):
+    cfg = _cfg_file(tmp_path)
+    out = tmp_path / "run"
+    out.mkdir()
+    body = b"VDMK" + struct.pack(f"<III{len(raw)}sQ{len(dims)}QQ", 1, 1, len(raw), raw,
+                                 len(dims), *dims, 0) + bytes(16)
+    (out / "teacher.vdmk").write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    capsys.readouterr()
+    assert _run(["profile", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    record = _one_error_record(capsys)
+    assert record["message"].endswith(message), record
 
 
 def test_report_skips_files_without_config_hash(tmp_path):

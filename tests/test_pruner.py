@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -413,18 +412,13 @@ def test_profile_report_does_not_depend_on_the_group_size(steps, monkeypatch):
     assert reports[0] == reports[1]
 
 
-def test_profile_memory_is_bounded_by_the_group_budget():
+def test_profile_memory_is_bounded_by_the_group_budget(traced_peak):
     # criterion 11's FAST_PIPELINE shapes: 4 eval videos of 2 frames, widths 4/6/8
     teacher = _perturbed_teacher()
     eval_set = _eval_videos(n=4)
     conds = [sd.first_frame_condition(v) for v in eval_set]
-    tracemalloc.start()
-    try:
-        report = pr.profile_importance(teacher, eval_set, teacher.graph.block_ids(),
-                                       ek.FeatureExtractor(), df.NoiseSchedule(n_levels=4),
-                                       conds=conds, seed=5, latency_reps=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: pr.profile_importance(
+        teacher, eval_set, teacher.graph.block_ids(), ek.FeatureExtractor(),
+        df.NoiseSchedule(n_levels=4), conds=conds, seed=5, latency_reps=0))
     assert len(report.rows) == 76
     assert peak < 3 * pr._GROUP_BYTES, peak

@@ -510,22 +510,43 @@ def test_attention_chunks_do_not_change_a_bit(op, monkeypatch):
 
 @pytest.mark.parametrize("op,shape", [(T.attention_spatial, (16, 2, 8, 8)),
                                       (T.attention_temporal, (64, 2, 4, 4))])
-def test_untaped_attention_keeps_one_chunk_of_scores(op, shape, monkeypatch):
+def test_untaped_attention_keeps_one_chunk_of_scores(op, shape, monkeypatch, traced_peak):
     rng = np.random.default_rng(22)
     x, ws = rng.standard_normal(shape), [rng.standard_normal((2, 2)) for _ in range(4)]
+    g = rng.standard_normal(shape)
     batch, tokens = 16, 64
     monkeypatch.setattr(T, "_CHUNK_BYTES", 8 * tokens * tokens)  # one batch item per chunk
-    with Tape():
-        taped = op(Tensor(x, requires_grad=True), *(Tensor(w, requires_grad=True) for w in ws))
+    leaves = [Tensor(x, requires_grad=True)] + [Tensor(w, requires_grad=True) for w in ws]
+
+    def forward_and_vjp():
+        with Tape() as tape:
+            out = op(*leaves)
+        return out, tape.nodes[0][0].vjp(g)
+
+    (taped, _), taped_peak = traced_peak(forward_and_vjp)
     inputs = [Tensor(x)] + [Tensor(w) for w in ws]
-    tracemalloc.start()
-    try:
-        untaped = op(*inputs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    untaped, peak = traced_peak(lambda: op(*inputs))
     assert untaped.node is None and _bits(untaped.data) == _bits(taped.data)
-    assert peak < batch * tokens * tokens * 8, peak  # the whole (B, T, T) scores
+    scores = batch * tokens * tokens * 8  # the whole (B, T, T) scores
+    assert peak < scores, peak
+    assert taped_peak < scores, taped_peak
+
+
+def test_taped_group_norm_keeps_its_output_and_the_group_statistics(traced_peak):
+    rng = np.random.default_rng(23)
+    n, groups = 2, 4
+    x = Tensor(rng.standard_normal((n, 8, 32, 32)), requires_grad=True)
+    gamma, beta = Tensor(rng.standard_normal(8)), Tensor(rng.standard_normal(8))
+
+    def forward():  # with what the tape holds still alive
+        with Tape() as tape:
+            out = T.group_norm(x, gamma, beta, groups=groups)
+        return tape, out, tracemalloc.get_traced_memory()[0]
+
+    (tape, out, kept), _ = traced_peak(forward)
+    # mu and inv are (n, groups, 1), and the tape's Python objects take a few
+    # KiB; a second full-size array would be another out.data.nbytes (128 KiB)
+    assert kept < out.data.nbytes + 2 * 8 * n * groups + (1 << 14), kept - out.data.nbytes
 
 
 def test_sigmoid_family_does_not_warn_on_overflow():
