@@ -7,8 +7,9 @@ byte offset u64), the little-endian float64 payloads, and a trailing CRC32
 
 Neither direction holds the file in memory: `save_checkpoint` streams the
 arrays' own bytes, and `load_checkpoint` checks the CRC a chunk at a time,
-then reads the payload once into one float64 buffer that every loaded
-tensor is a view of.
+then reads each tensor's payload straight into an array of its own. No
+loaded tensor keeps another alive, so a model that keeps some of them
+(a pruned student) holds only those.
 """
 
 from __future__ import annotations
@@ -96,15 +97,14 @@ def load_checkpoint(path) -> dict[str, Tensor]:
                 raise CheckpointError(f"{path}: payload for {name!r} is not 8-byte aligned")
             if offset + 8 * math.prod(dims) > size:
                 raise CheckpointError(f"{path}: payload for {name!r} out of bounds")
-        payload = np.empty(size // 8, dtype="<f8")
-        if f.readinto(payload) != payload.nbytes:
-            raise CheckpointError(f"{path}: truncated payload")
-    params = {}
-    for name, dims, offset in entries:
-        start = offset // 8
-        try:
-            arr = payload[start : start + math.prod(dims)].reshape(dims)
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: tensor {name!r} has unusable shape {dims}") from exc
-        params[name] = Tensor(arr, requires_grad=True)
+        params = {}
+        for name, dims, offset in entries:
+            try:
+                arr = np.empty(dims, dtype="<f8")
+            except ValueError as exc:
+                raise CheckpointError(f"{path}: tensor {name!r} has unusable shape {dims}") from exc
+            f.seek(pos + offset)
+            if f.readinto(arr.reshape(-1)) != arr.nbytes:
+                raise CheckpointError(f"{path}: truncated payload")
+            params[name] = Tensor(arr, requires_grad=True)
     return params

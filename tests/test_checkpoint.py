@@ -131,8 +131,7 @@ def test_save_and_load_hold_no_whole_file_copy(tmp_path, traced_peak):
     loaded, load_peak = traced_peak(lambda: load_checkpoint(path))
     assert save_peak < 1.25 * payload, save_peak / payload
     assert load_peak < 1.25 * payload, load_peak / payload
-    # read-only views of one buffer
-    assert len({id(t.data.base) for t in loaded.values()}) == 1
-    assert loaded["layer0.w"].data.base is not None
+    # read-only arrays that each own their data, so none keeps another alive
+    assert all(t.data.base is None for t in loaded.values())
     assert not any(t.data.flags.writeable for t in loaded.values())
     assert all(np.array_equal(loaded[n].data, params[n].data) for n in params)
