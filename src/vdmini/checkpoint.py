@@ -33,7 +33,8 @@ _CRC_CHUNK = 1 << 16
 
 def save_checkpoint(params: dict[str, Tensor], path) -> None:
     names = sorted(params)
-    arrays = [np.ascontiguousarray(params[name].data, dtype="<f8") for name in names]
+    # np.require keeps a 0-d tensor 0-d, where ascontiguousarray makes it (1,)
+    arrays = [np.require(params[name].data, "<f8", "C") for name in names]
     head = bytearray(MAGIC + struct.pack("<II", VERSION, len(names)))
     offset = 0
     for name, data in zip(names, arrays):

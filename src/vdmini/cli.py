@@ -136,6 +136,8 @@ _VALUE_RULES = (
     ("data.height", _multiple_of_8, "a positive multiple of 8"),
     ("data.width", _multiple_of_8, "a positive multiple of 8"),
     ("data.speeds", lambda v: len(v) > 0, "a non-empty list"),
+    ("data.n_train", lambda v: v >= 1, "at least 1"),
+    ("data.n_eval", lambda v: v >= 1, "at least 1"),
     # the motion proxy and every temporal block need two frames
     ("data.frames", lambda v: v >= 2, "at least 2"),
     ("model.emb_dim", lambda v: v >= 2 and v % 2 == 0, "an even integer of at least 2"),

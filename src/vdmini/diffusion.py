@@ -55,12 +55,15 @@ class ConsistencyConfig:
             raise VdminiError(f"EMA decay must be in [0,1), got {self.ema_decay}")
 
 
-def precondition_coeffs(sigma: float, p: Preconditioner) -> tuple:
-    """(c0, c1, c2, c3) of the preconditioned denoiser at noise level sigma.
+def precondition_coeffs(sigma, p: Preconditioner) -> tuple:
+    """(c0, c1, c2, c3) of the preconditioned denoiser at noise level sigma;
+    for a sequence of levels, one array of each, an entry per level.
 
     Karras forms; the CM boundary c0(0)=1, c1(0)=0 holds exactly because
     the forms evaluate to exactly (1, 0) at sigma=0 in float64.
     """
+    if np.ndim(sigma):
+        return tuple(np.array(c) for c in zip(*(precondition_coeffs(s, p) for s in sigma)))
     if sigma < 0:
         raise VdminiError(f"sigma must be >= 0, got {sigma}")
     if p.mode not in ("EDM", "CM"):
@@ -84,14 +87,15 @@ def add_noise(x0: Tensor, sigma: float, rng: np.random.Generator) -> Tensor:
     return Tensor(x0.data + sigma * eps)
 
 
-def denoise(model: Model, x_t: Tensor, sigma: float, cond: Optional[Tensor],
+def denoise(model: Model, x_t: Tensor, sigma, cond: Optional[Tensor],
             p: Preconditioner, videos: int = 1) -> Tensor:
     """D(x_t; sigma) = c0 x_t + c1 f(c2 x_t, c3); x_t may stack `videos`
-    videos on axis 0, as `Model.forward` takes them."""
+    videos on axis 0, as `Model.forward` takes them, and sigma is one level
+    for all of them or a sequence of one per video."""
     c0, c1, c2, c3 = precondition_coeffs(sigma, p)
-    if c1 == 0.0:
+    if not np.any(c1):
         # boundary: no network contribution, return the (scaled) input bitwise
-        return x_t if c0 == 1.0 else T.mul_scalar(x_t, c0)
+        return x_t if np.all(c0 == 1.0) else T.mul_scalar(x_t, c0)
     inner = model.forward(T.mul_scalar(x_t, c2), c3, cond, videos=videos)
     if inner.shape != x_t.shape:
         raise ShapeError(f"denoise: network output {inner.shape} vs input {x_t.shape}")
@@ -125,25 +129,20 @@ def sample_set(model: Model, schedule: NoiseSchedule, conds: list, seed: int,
     Euler step is one network call for the whole set.
 
     Sample i draws its noise from a generator seeded with
-    SeedSequence([seed, i]). The network never mixes two videos, and the
-    noise embedding is one row that they share, so each sample is what
-    sampling it alone gives: independent of the others and of the set's
-    size. That holds bit for bit wherever each video's columns in the
-    convolution GEMMs fill whole BLAS column blocks (F*H*W/64 a multiple of
-    8 with OpenBLAS, as at the default and test shapes); elsewhere a GEMM's
-    tail columns may round differently, by about 1e-14. The conditions must
-    be all None or all of one shape. With `runs` > 1 the chain stacks the
-    set that many times, each run with the same noise, and returns
-    `runs * len(conds)` samples, run after run (one model per run, as
-    `Model.forward` with `ablated` runs them)."""
+    SeedSequence([seed, i]). The network never mixes two videos, and each
+    Euler step gives them one noise level, one embedding row that they
+    share, so each sample is what sampling it alone gives: independent of
+    the others and of the set's size. That holds bit for bit wherever each
+    video's columns in the convolution GEMMs fill whole BLAS column blocks
+    (F*H*W/64 a multiple of 8 with OpenBLAS, as at the default and test
+    shapes); elsewhere a GEMM's tail columns may round differently, by
+    about 1e-14. The conditions must be all None or all of one shape. With
+    `runs` > 1 the chain stacks the set that many times, each run with the
+    same noise, and returns `runs * len(conds)` samples, run after run (one
+    model per run, as `Model.forward` with `ablated` runs them)."""
     if not conds:
         return []
-    if all(c is None for c in conds):
-        cond = None
-    elif any(c is None or c.shape != conds[0].shape for c in conds):
-        raise ShapeError("sample_set: the conditions must be all None or all of one shape")
-    else:
-        cond = Tensor(np.concatenate([c.data for c in conds] * runs))
+    cond = stack_videos(conds * runs)
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
             for _ in range(runs) for i in range(len(conds))]
     x = sample(model, schedule, steps, cond, rngs, shape)
@@ -166,23 +165,39 @@ def sample_sigma(schedule: NoiseSchedule, rng: np.random.Generator,
     return min(max(s, schedule.sigma_min), schedule.sigma_max)
 
 
+def stack_videos(videos: list) -> Optional[Tensor]:
+    """Videos (or conditions), all None (giving None) or all of one shape, on axis 0."""
+    if all(v is None for v in videos):
+        return None
+    if any(v is None or v.shape != videos[0].shape for v in videos):
+        raise ShapeError("cannot stack: the videos must be all None or all of one shape")
+    return Tensor(np.concatenate([v.data for v in videos]))
+
+
+def weighted_error(d: Tensor, x0: Tensor, sigmas: list, sigma_data: float) -> Tensor:
+    """Mean over the videos stacked in d and x0 of each one's summed squared
+    error times its EDM weight (sigma^2 + sigma_data^2) / (sigma sigma_data)^2:
+    one mean squared error of the videos scaled by the weights' roots."""
+    root = [math.sqrt(s * s + sigma_data * sigma_data) / (s * sigma_data) for s in sigmas]
+    err = T.mse(T.mul_scalar(d, root), T.mul_scalar(x0, root))
+    return T.mul_scalar(err, x0.size // len(sigmas))
+
+
 def denoising_loss(model: Model, batch: list, schedule: NoiseSchedule,
                    rng: np.random.Generator, conds: Optional[list] = None,
                    p: Optional[Preconditioner] = None) -> Tensor:
-    """EDM-weighted denoising error, averaged over the batch."""
+    """EDM-weighted denoising error, averaged over the batch: a noise level
+    per video, and one network call for them all."""
     if not batch:
         raise VdminiError("denoising_loss: empty batch")
     p = p or Preconditioner(sigma_data=schedule.sigma_data)
-    sd = schedule.sigma_data
-    total = None
-    for i, x0 in enumerate(batch):
-        sigma = sample_sigma(schedule, rng)
-        x_t = add_noise(x0, sigma, rng)
-        d = denoise(model, x_t, sigma, conds[i] if conds else None, p)
-        weight = (sigma * sigma + sd * sd) / (sigma * sd) ** 2
-        term = T.mul_scalar(T.mse(d, x0), weight * x0.size)
-        total = term if total is None else T.add(total, term)
-    return T.mul_scalar(total, 1.0 / len(batch))
+    sigmas, noised = [], []
+    for x0 in batch:  # each video's sigma, then its noise
+        sigmas.append(sample_sigma(schedule, rng))
+        noised.append(add_noise(x0, sigmas[-1], rng))
+    d = denoise(model, stack_videos(noised), sigmas, stack_videos(conds) if conds else None,
+                p, videos=len(batch))
+    return weighted_error(d, stack_videos(batch), sigmas, schedule.sigma_data)
 
 
 def _cfg_denoise(teacher: Model, x: Tensor, sigma: float, cond: Optional[Tensor],

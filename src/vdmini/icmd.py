@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import diffusion, netgraph, tensor as T
+from . import diffusion, tensor as T
 from .diffusion import NoiseSchedule, Preconditioner
 from .errors import NonFiniteError, ShapeError, VdminiError
 from .netgraph import Model
@@ -133,13 +133,14 @@ class Discriminator:
     def _p(self, name: str) -> Tensor:
         return self.params[name]
 
-    def forward(self, x: Tensor, sigma: float) -> Tensor:
-        """Scalar logit: spatial-head mean plus temporal-head mean."""
+    def forward(self, x: Tensor, sigma) -> Tensor:
+        """One logit per noise level in `sigma` (a float: one video), each the
+        spatial-head mean plus the temporal-head mean of its run of frames."""
         if x.data.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(f"discriminator input shape {x.shape}")
-        c_noise = math.log(max(sigma, 1e-20)) / 4.0
-        f, _, hgt, wid = x.shape
-        cond = Tensor(np.full((f, 1, hgt, wid), c_noise))
+        levels = [math.log(max(s, 1e-20)) / 4.0 for s in np.ravel(sigma)]
+        v = len(levels)
+        cond = T.mul_scalar(Tensor(np.ones((x.shape[0], 1) + x.shape[2:])), levels)
         h = T.concat([x, cond], axis=1)
         s = T.silu(T.conv2d(h, self._p("spatio.conv1.w"), self._p("spatio.conv1.b"),
                             stride=2, pad=1))
@@ -149,22 +150,24 @@ class Discriminator:
         t = T.silu(T.conv2d(h, self._p("temporal.reduce.w"),
                             self._p("temporal.reduce.b"), stride=2, pad=1))
         t = T.silu(T.conv1d_frames(t, self._p("temporal.conv1.w"),
-                                   self._p("temporal.conv1.b"), pad=1))
+                                   self._p("temporal.conv1.b"), pad=1, videos=v))
         t = T.conv1d_frames(t, self._p("temporal.out.w"), self._p("temporal.out.b"),
-                            pad=1)
-        return T.add(T.mean_all(s), T.mean_all(t))
+                            pad=1, videos=v)
+        return T.add(T.mean_all(s, v), T.mean_all(t, v))
 
 
-def mca_gen_loss(logit: Tensor) -> Tensor:
-    """Non-saturating generator loss softplus(-D(fake)); ln 2 at logit 0."""
-    return T.softplus(T.mul_scalar(logit, -1.0))
+def mca_gen_loss(logits: Tensor) -> Tensor:
+    """Non-saturating generator loss softplus(-D(fake)), averaged over the
+    fakes' logits; ln 2 at logit 0."""
+    return T.mean_all(T.softplus(T.mul_scalar(logits, -1.0)))
 
 
-def mca_disc_loss(logit_fake: Tensor, logit_real: Tensor) -> Tensor:
-    """Hinge critic loss max(0, 1 + D(fake)) + max(0, 1 - D(real))."""
-    fake_term = T.relu(T.add_scalar(logit_fake, 1.0))
-    real_term = T.relu(T.add_scalar(T.mul_scalar(logit_real, -1.0), 1.0))
-    return T.add(fake_term, real_term)
+def mca_disc_loss(logits: Tensor) -> Tensor:
+    """Hinge critic loss max(0, 1 + D(fake)) + max(0, 1 - D(real)), averaged
+    over pairs; `logits` stacks V fakes' logits, then V reals'."""
+    v = logits.shape[0] // 2
+    hinge = T.relu(T.add_scalar(T.mul_scalar(logits, [1.0] * v + [-1.0] * v), 1.0))
+    return T.mul_scalar(T.mean_all(hinge), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,56 +214,24 @@ def _check_finite(value: float, term: str) -> float:
     return value
 
 
-def _teacher_features(teacher: Model, x_t: Tensor, sigma: float, cond,
-                      p: Preconditioner) -> dict:
-    """Teacher stage features at the same noised input, outside any tape."""
-    _, c1, c2, c3 = diffusion.precondition_coeffs(sigma, p)
-    _, feats = teacher.forward(
-        Tensor(c2 * x_t.data), c3, cond.detach() if cond is not None else None,
-        collect_features=True)
-    return {k: v.detach() for k, v in feats.items()}
-
-
-def _student_terms(state: DistillState, x0: Tensor, cond, sigma: float,
-                   x_t: Tensor, feats_t: dict, p: Preconditioner):
-    """Denoiser output, task loss, and distillation loss on one noised video."""
-    c0, c1, c2, c3 = diffusion.precondition_coeffs(sigma, p)
-    f_s, feats_s = state.student.forward(T.mul_scalar(x_t, c2), c3, cond,
-                                         collect_features=True)
-    d_s = T.add(T.mul_scalar(x_t, c0), T.mul_scalar(f_s, c1))
-    sd = p.sigma_data
-    weight = (sigma ** 2 + sd ** 2) / (sigma * sd) ** 2
-    task = T.mul_scalar(T.mse(d_s, x0.detach()), weight * x0.size)
-    icd = icd_loss(feats_t, feats_s)
-    return d_s, task, icd
-
-
-def _critic_update(state: DistillState, batch: list, fakes: list, inst: list,
-                   inst_eps: list) -> float:
-    """One hinge-loss step of the critic on detached fakes; returns its loss."""
-    with Tape() as tape:
-        loss_d = None
-        for x0, fake, (_, s_i), e_i in zip(batch, fakes, inst, inst_eps):
-            lf = state.disc.forward(Tensor(fake + s_i * e_i), s_i)
-            lr_ = state.disc.forward(Tensor(x0.data + s_i * e_i), s_i)
-            term = mca_disc_loss(lf, lr_)
-            loss_d = term if loss_d is None else T.add(loss_d, term)
-        loss_d = T.mul_scalar(loss_d, 1.0 / len(batch))
-    value = _check_finite(loss_d.item(), "mca_disc")
-    grads = named_grads(state.disc.params, backward(tape, loss_d))
-    state.disc.params = state.opt_disc.step(state.disc.params, grads)
-    return value
+def _teacher_features(teacher: Model, x_in: Tensor, c_noise, cond) -> dict:
+    """The teacher's stage features on the student's network input, outside
+    any tape: one noise level per video stacked in x_in."""
+    return teacher.forward(x_in, c_noise, cond, collect_features=True,
+                           videos=len(c_noise))[1]
 
 
 def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
                  conds: Optional[list] = None) -> dict:
     """One alternating update: critic first, then the student.
 
-    The student runs once per sample, on a tape. The critic trains on the
-    detached outputs of that forward; the critic step leaves the student
-    untouched, so these are the fakes a separate forward would give. The
-    generator term, scored by the updated critic, then joins the same tape,
-    and one backward updates the student.
+    Each video gets its own noise level, and each network runs once per
+    step on the stacked batch: the teacher for its features, then the
+    student on a tape. The critic trains on the detached outputs of that
+    forward; the critic step leaves the student untouched, so these are the
+    fakes a separate forward would give. The generator term, scored by the
+    updated critic, then joins the same tape, and one backward updates the
+    student.
 
     Returns the loss breakdown {task, icd, mca_gen, mca_disc, total} where
     total = task + lambda_icd * icd + lambda_mca * (mca_gen + mca_disc).
@@ -269,44 +240,40 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
     if not batch:
         raise VdminiError("distill_step: empty batch")
     check_teacher_frozen(state)
-    if conds is None:
-        conds = [None] * len(batch)
     p = Preconditioner("EDM", state.schedule.sigma_data)
     mca_on = state.step >= state.weights.mca_warmup_steps
+    # each video's sigma, then each one's noise, then the critic's noise
     sigmas = [diffusion.sample_sigma(state.schedule, rng) for _ in batch]
-    epss = [rng.standard_normal(x0.shape) for x0 in batch]
-    inst = [sample_instance_noise(state.noise, rng) for _ in batch]
-    inst_eps = [rng.standard_normal(x0.shape) for x0 in batch]
+    x_t = diffusion.stack_videos([diffusion.add_noise(x, s, rng) for x, s in zip(batch, sigmas)])
+    inst = [sample_instance_noise(state.noise, rng)[1] for _ in batch]
+    noise = np.concatenate([s * rng.standard_normal(x0.shape) for x0, s in zip(batch, inst)])
+    x0 = diffusion.stack_videos(batch)
+    cond = diffusion.stack_videos(conds) if conds else None
 
-    x_ts = [Tensor(x0.data + sigma * eps)
-            for x0, sigma, eps in zip(batch, sigmas, epss)]
-    teach_feats = [_teacher_features(state.teacher, x_t, sigma, cond, p)
-                   for x_t, sigma, cond in zip(x_ts, sigmas, conds)]
+    c0, c1, c2, c3 = diffusion.precondition_coeffs(sigmas, p)
+    x_in = T.mul_scalar(x_t, c2)
+    teach_feats = _teacher_features(state.teacher, x_in, c3, cond)
     tape = Tape()
     with tape:
-        task = icd = None
-        outs = []
-        for x0, cond, sigma, x_t, f_t in zip(batch, conds, sigmas, x_ts, teach_feats):
-            d_s, t_term, i_term = _student_terms(state, x0, cond, sigma, x_t, f_t, p)
-            outs.append(d_s)
-            task = t_term if task is None else T.add(task, t_term)
-            icd = i_term if icd is None else T.add(icd, i_term)
+        f_s, feats_s = state.student.forward(x_in, c3, cond, collect_features=True,
+                                             videos=len(batch))
+        d_s = T.add(T.mul_scalar(x_t, c0), T.mul_scalar(f_s, c1))
+        task = diffusion.weighted_error(d_s, x0, sigmas, p.sigma_data)
+        icd = icd_loss(teach_feats, feats_s)
 
-    mca_disc_val = (_critic_update(state, batch, [d.data for d in outs], inst, inst_eps)
-                    if mca_on else 0.0)
+    mca_disc_val = 0.0
+    if mca_on:  # one hinge step of the critic on the V fakes, then the V reals
+        fakes_reals = Tensor(np.concatenate([d_s.data + noise, x0.data + noise]))
+        with Tape() as critic_tape:
+            loss_d = mca_disc_loss(state.disc.forward(fakes_reals, inst + inst))
+        mca_disc_val = _check_finite(loss_d.item(), "mca_disc")
+        grads = named_grads(state.disc.params, backward(critic_tape, loss_d))
+        state.disc.params = state.opt_disc.step(state.disc.params, grads)
     with tape:
+        total = T.add(task, T.mul_scalar(icd, state.weights.lambda_icd))
         gen = None
         if mca_on:
-            for d_s, (_, s_i), e_i in zip(outs, inst, inst_eps):
-                noisy = T.add(d_s, Tensor(s_i * e_i))
-                g_term = mca_gen_loss(state.disc.forward(noisy, s_i))
-                gen = g_term if gen is None else T.add(gen, g_term)
-        inv = 1.0 / len(batch)
-        task = T.mul_scalar(task, inv)
-        icd = T.mul_scalar(icd, inv)
-        total = T.add(task, T.mul_scalar(icd, state.weights.lambda_icd))
-        if gen is not None:
-            gen = T.mul_scalar(gen, inv)
+            gen = mca_gen_loss(state.disc.forward(T.add(d_s, Tensor(noise)), inst))
             total = T.add(total, T.mul_scalar(gen, state.weights.lambda_mca))
     task_val = _check_finite(task.item(), "task")
     icd_val = _check_finite(icd.item(), "icd")

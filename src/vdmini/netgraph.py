@@ -429,18 +429,19 @@ def init_params(graph: BlockGraph, init_seed: int) -> dict:
 # executable model
 # ---------------------------------------------------------------------------
 
-def sinusoidal_embedding(value: float, dim: int) -> Tensor:
+def sinusoidal_embedding(value, dim: int) -> Tensor:
+    """One (sin, cos) row per noise level in `value`: a float gives one row."""
     half = dim // 2
     freqs = np.exp(np.linspace(0.0, math.log(1000.0), half))
-    ang = value * freqs
-    return Tensor(np.concatenate([np.sin(ang), np.cos(ang)])[None, :])
+    ang = np.reshape(value, (-1, 1)) * freqs
+    return Tensor(np.concatenate([np.sin(ang), np.cos(ang)], axis=1))
 
 
 @dataclass(frozen=True)
 class Embedding:
     """What every block reads besides its input: the noise embedding, one
-    (1, emb_dim) row that all videos share, and the number of videos whose
-    frames are stacked on axis 0."""
+    (1, emb_dim) row that all videos share or one row per video, and the
+    number of videos whose frames are stacked on axis 0."""
     value: Tensor
     videos: int = 1
 
@@ -497,7 +498,7 @@ class Model:
         h = T.silu(self._gn(x, f"{bid}.gn1"))
         h = conv(h, self._p(f"{bid}.conv1.w"), self._p(f"{bid}.conv1.b"))
         shift = T.linear(emb.value, self._p(f"{bid}.emb.w"), self._p(f"{bid}.emb.b"))
-        h = T.bias_add(h, T.reshape(shift, (shift.shape[-1],)), axis=1)
+        h = T.bias_add(h, shift)
         h = T.silu(self._gn(h, f"{bid}.gn2"))
         h = conv(h, self._p(f"{bid}.conv2.w"), self._p(f"{bid}.conv2.b"))
         if b.in_channels != b.out_channels:
@@ -529,20 +530,21 @@ class Model:
             return self._res_block(x, b, emb)
         return self._attn_block(x, b, emb.videos)
 
-    def forward(self, x: Tensor, c_noise: float, cond: Optional[Tensor] = None,
+    def forward(self, x: Tensor, c_noise, cond: Optional[Tensor] = None,
                 collect_features: bool = False, timings: Optional[dict] = None,
                 states: Optional[dict] = None, videos: int = 1, ablated: Sequence = ()):
         """Denoiser inner network: (F, C, H, W) latent -> same shape.
 
-        Axis 0 may hold `videos` equal runs of frames, all at noise level
-        c_noise; they never mix, so each video's output is what it gets
-        alone. `cond` then stacks one condition per video, of 1 or F frames
+        Axis 0 may hold `videos` equal runs of frames; they never mix, so
+        each video's output is what it gets alone. `c_noise` is one noise
+        level that they share (one embedding row) or one per video (a row
+        each), as `cond` stacks one condition per video, of 1 or F frames
         each, and each is spread over its own video's frames.
 
         With `ablated` (BlockSpecs as `ablate` replaces them, a shortcut
-        conv's parameters in `params`), the videos split into one run per
-        entry, and run i is the output with block ablated[i] replaced (no
-        gradients: the runs are split on raw arrays).
+        conv's parameters in `params`), c_noise is one level, the videos
+        split into one run per entry, and run i is the output with block
+        ablated[i] replaced (no gradients: the runs are split on raw arrays).
 
         Returns the output tensor, or (output, stage-boundary features)
         when collect_features is set. A `states` dict is filled with the
@@ -552,10 +554,11 @@ class Model:
         nf = x.shape[0]
         if x.data.ndim != 4 or x.shape[1] != g.latent_channels:
             raise ShapeError(f"forward: latent shape {x.shape} vs {g.latent_channels} channels")
-        runs = max(1, len(ablated))
-        if videos < 1 or nf % videos or videos % runs:
-            raise ShapeError(f"forward: {nf} frames do not split into {videos} videos "
-                             f"of {runs} models")
+        runs, levels = max(1, len(ablated)), np.size(c_noise)
+        if (videos < 1 or nf % videos or videos % runs or levels not in (1, videos)
+                or levels > 1 and ablated):
+            raise ShapeError(f"forward: {nf} frames and {levels} noise levels do not split "
+                             f"into {videos} videos of {runs} models")
         frame = (g.cond_channels,) + x.shape[2:]
         if cond is None:
             cdata = np.zeros((nf,) + frame)

@@ -51,7 +51,8 @@ class Tensor:
         return Tensor(self.data)
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a one-element tensor, such as one video's logit."""
+        return self.data.item()
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -147,23 +148,31 @@ def add_scalar(x: Tensor, c: float) -> Tensor:
     return _record("add_scalar", x.data + c, [x], lambda g: (g,))
 
 
-def mul_scalar(x: Tensor, c: float) -> Tensor:
+def mul_scalar(x: Tensor, c) -> Tensor:
+    """x * c for a float c; for a sequence c, axis 0 of x holds len(c) equal
+    runs of frames (videos), and c[i] scales run i."""
+    if np.ndim(c):
+        if not x.data.ndim or x.shape[0] % len(c):
+            raise ShapeError(f"mul_scalar: {x.shape} does not split into {len(c)} videos")
+        c = np.repeat(c, x.shape[0] // len(c)).reshape((-1,) + (1,) * (x.data.ndim - 1))
     return _record("mul_scalar", x.data * c, [x], lambda g: (g * c,))
 
 
-def bias_add(x: Tensor, b: Tensor, axis: int = 1) -> Tensor:
-    """Broadcast a rank-1 bias along `axis` of x (the only broadcast allowed)."""
-    if b.data.ndim != 1 or x.shape[axis] != b.shape[0]:
-        raise ShapeError(f"bias_add: x {x.shape} axis {axis} vs bias {b.shape}")
-    shape = [1] * x.data.ndim
-    shape[axis] = b.shape[0]
-    bb = b.data.reshape(shape)
-    reduce_axes = tuple(i for i in range(x.data.ndim) if i != axis % x.data.ndim)
+def bias_add(x: Tensor, b: Tensor) -> Tensor:
+    """Broadcast a bias along the channel axis 1 of x (the only broadcast
+    allowed): a (C,) bias, or a (V, C) bias with a row per video, where axis
+    0 of x holds V equal runs of frames."""
+    rows = b.shape[0] if b.data.ndim == 2 else 1
+    if b.data.ndim not in (1, 2) or x.shape[1:2] != b.shape[-1:] or x.shape[0] % rows:
+        raise ShapeError(f"bias_add: x {x.shape} vs bias {b.shape}")
+    runs = (rows, x.shape[0] // rows) + x.shape[1:]  # x as (V, frames, C, ...)
+    bb = b.data.reshape((rows, 1, -1) + (1,) * (x.data.ndim - 2))
+    reduce_axes = (1,) + tuple(range(3, x.data.ndim + 1))
 
     def vjp(g):
-        return g, g.sum(axis=reduce_axes)
+        return g, g.reshape(runs).sum(axis=reduce_axes).reshape(b.shape)
 
-    return _record("bias_add", x.data + bb, [x, b], vjp)
+    return _record("bias_add", (x.data.reshape(runs) + bb).reshape(x.shape), [x, b], vjp)
 
 
 def _sigmoid(xd: Array) -> Array:
@@ -206,14 +215,6 @@ def relu(x: Tensor) -> Tensor:
 # shape ops
 # ---------------------------------------------------------------------------
 
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    if int(np.prod(shape)) != x.size:
-        raise ShapeError(f"reshape: {x.shape} -> {shape}")
-    old = x.shape
-    return _record("reshape", x.data.reshape(shape), [x], lambda g: (g.reshape(old),))
-
-
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
@@ -244,10 +245,16 @@ def sum_all(x: Tensor) -> Tensor:
     return _record("sum", x.data.sum(), [x], lambda g: (np.broadcast_to(g, n_shape).copy(),))
 
 
-def mean_all(x: Tensor) -> Tensor:
-    n = x.size
-    shape = x.shape
-    return _record("mean", x.data.mean(), [x], lambda g: (np.broadcast_to(g / n, shape).copy(),))
+def mean_all(x: Tensor, videos: Optional[int] = None) -> Tensor:
+    """The mean of all of x, a scalar. With `videos`, axis 0 holds that many
+    equal runs of frames, and the result is each run's mean, shape (videos,)."""
+    if videos is not None and (videos < 1 or not x.data.ndim or x.shape[0] % videos):
+        raise ShapeError(f"mean: {x.shape} does not split into {videos} videos")
+    rows = videos or 1
+    n, shape = x.size // rows, x.shape
+    out = x.data.reshape(rows, n).mean(axis=1)
+    return _record("mean", out if videos else out[0], [x],
+                   lambda g: (np.repeat(np.reshape(g, rows) / n, n).reshape(shape),))
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -598,7 +605,6 @@ _OPS = {
     "relu": relu,
     "silu": silu,
     "softplus": softplus,
-    "reshape": reshape,
     "transpose": transpose,
     "concat": concat,
     "sum": sum_all,

@@ -30,6 +30,14 @@ def test_round_trip_is_bitwise(tmp_path):
         assert loaded[name].requires_grad
 
 
+def test_round_trip_keeps_a_0d_tensor_0d(tmp_path):
+    path = tmp_path / "model.vdmk"
+    save_checkpoint({"s": Tensor(np.array(0.5)), "v": Tensor(np.array([0.25]))}, path)
+    loaded = load_checkpoint(path)
+    assert loaded["s"].shape == () and loaded["s"].item() == 0.5
+    assert loaded["v"].shape == (1,) and loaded["v"].item() == 0.25
+
+
 def test_single_byte_corruption_is_detected(tmp_path):
     path = tmp_path / "model.vdmk"
     save_checkpoint(_params(), path)

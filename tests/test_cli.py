@@ -143,6 +143,8 @@ def test_config_values_are_type_checked_against_the_defaults(tmp_path):
     ("data", "height", 0),
     ("data", "width", 12),
     ("data", "speeds", []),
+    ("data", "n_train", 0),
+    ("data", "n_eval", 0),
     ("schedule", "n_levels", 0),
     ("schedule", "sigma_min", 90.0),
     ("schedule", "sigma_min", 0.0),

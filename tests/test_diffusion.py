@@ -35,20 +35,32 @@ class ConstNet:
 
 
 class PerfectDenoiser:
-    """Chooses f so that c0 x_t + c1 f == x_star exactly."""
+    """Chooses f so that c0 x_t + c1 f == x_star exactly, for one video."""
 
     def __init__(self, x_star, sigma_data=SD):
         self.x_star = np.asarray(x_star, dtype=np.float64)
         self.sigma_data = sigma_data
 
     def forward(self, x, c_noise, cond=None, videos=1):
-        sigma = math.exp(4.0 * c_noise)
+        # one noise level, as a float or a one-entry sequence
+        sigma = math.exp(4.0 * float(np.ravel(c_noise)[0]))
         c0, c1, c2, _ = df.precondition_coeffs(sigma, df.Preconditioner(sigma_data=self.sigma_data))
         x_t = x.data / c2
         return Tensor((self.x_star - c0 * x_t) / c1)
 
     def detached(self):
         return self
+
+
+class CountedNet(ZeroNet):
+    """f == 0, recording (input shape, noise levels, videos) of each call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def forward(self, x, c_noise, cond=None, videos=1):
+        self.calls.append((x.shape, np.size(c_noise), videos))
+        return super().forward(x, c_noise, cond, videos)
 
 
 def test_coeffs_at_sigma_equal_sigma_data():
@@ -207,6 +219,52 @@ def test_denoising_loss_hand_value_for_zero_net():
     expected = lam * np.sum((c0 * x_t - x0.data) ** 2)
     assert loss.item() == pytest.approx(expected, rel=1e-12)
     assert loss.item() >= 0.0
+
+
+def test_denoising_loss_hand_value_for_zero_net_two_videos():
+    batch = [Tensor(np.ones((2, 1, 2, 2))), Tensor(np.full((2, 1, 2, 2), -0.5))]
+    schedule = df.NoiseSchedule()
+    loss = df.denoising_loss(ZeroNet(), batch, schedule, np.random.default_rng(12))
+    # each video draws its sigma, then its noise, and is weighted by its own lambda
+    rng2 = np.random.default_rng(12)
+    sigmas, terms = [], []
+    for x0 in batch:
+        sigma = df.sample_sigma(schedule, rng2)
+        x_t = x0.data + sigma * rng2.standard_normal(x0.shape)
+        c0, _, _, _ = df.precondition_coeffs(sigma, df.Preconditioner(sigma_data=SD))
+        lam = (sigma**2 + SD**2) / (sigma * SD) ** 2
+        sigmas.append(sigma)
+        terms.append(lam * np.sum((c0 * x_t - x0.data) ** 2))
+    assert sigmas[0] != sigmas[1]
+    assert loss.item() == pytest.approx(np.mean(terms), rel=1e-12)
+
+
+def test_denoising_loss_calls_the_network_once_per_batch():
+    net = CountedNet()
+    batch = [Tensor(np.full((2, 1, 4, 4), v)) for v in (0.1, 0.2, 0.3)]
+    conds = [Tensor(np.zeros((1, 1, 4, 4))) for _ in batch]
+    df.denoising_loss(net, batch, df.NoiseSchedule(), np.random.default_rng(0), conds)
+    assert net.calls == [((6, 1, 4, 4), 3, 3)]
+    with pytest.raises(ShapeError, match="stack"):
+        df.denoising_loss(net, batch + [Tensor(np.zeros((3, 1, 4, 4)))], df.NoiseSchedule(),
+                          np.random.default_rng(0))
+
+
+def test_denoising_loss_of_a_batch_is_the_mean_of_its_videos_alone():
+    # noise on every weight, so that every block (and the noise embedding)
+    # shapes the output; one generator replays the same draws both ways
+    graph = ng.make_unet_graph(ng.ORIGIN_LAYER_COUNTS, (4, 6, 8), emb_dim=8)
+    rng = np.random.default_rng(3)
+    model = ng.Model(graph, {n: Tensor(p.data + 0.3 * rng.standard_normal(p.shape))
+                             for n, p in ng.build(graph, 1).params.items()})
+    batch = [Tensor(rng.standard_normal((2, 1, 16, 16))) for _ in range(3)]
+    conds = [Tensor(rng.standard_normal((1, 1, 16, 16))) for _ in batch]
+    schedule = df.NoiseSchedule(n_levels=4)
+    whole = df.denoising_loss(model, batch, schedule, np.random.default_rng(21), conds)
+    replay = np.random.default_rng(21)
+    alone = [df.denoising_loss(model, [x], schedule, replay, [c]).item()
+             for x, c in zip(batch, conds)]
+    assert whole.item() == pytest.approx(np.mean(alone), rel=1e-9)
 
 
 def test_consistency_loss_zero_for_shared_perfect_denoiser():

@@ -138,11 +138,14 @@ def test_gen_loss_values():
 
 def test_disc_loss_values():
     def loss(fake, real):
-        return icmd.mca_disc_loss(Tensor(fake), Tensor(real)).item()
+        return icmd.mca_disc_loss(Tensor([fake, real])).item()
     assert loss(-1.0, 1.0) == 0.0
     assert loss(0.0, 0.0) == pytest.approx(2.0)
     assert loss(2.0, -2.0) == pytest.approx(6.0)
     assert loss(-5.0, 7.0) == 0.0
+    # two pairs, fakes first: the mean of the pairs' losses
+    assert icmd.mca_disc_loss(Tensor([0.0, 2.0, 0.0, -2.0])).item() == pytest.approx(4.0)
+    assert icmd.mca_gen_loss(Tensor([0.0, 30.0])).item() == pytest.approx(math.log(2.0) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +196,18 @@ def test_discriminator_conditions_on_sigma():
     disc = _trained_disc()
     x = Tensor(np.random.default_rng(3).standard_normal((2, 1, 16, 16)))
     assert disc.forward(x, 0.1).item() != disc.forward(x, 10.0).item()
+
+
+def test_discriminator_scores_stacked_videos_apart():
+    disc = _trained_disc()
+    videos = [sd.gen_dataset(1, seed, frames=4, speeds=(3,)).tensors()[0] for seed in (1, 2, 3)]
+    sigmas = [0.1, 10.0, 1.0]
+    logits = disc.forward(Tensor(np.concatenate([v.data for v in videos])), sigmas)
+    assert logits.shape == (3,)
+    alone = [disc.forward(v, s).item() for v, s in zip(videos, sigmas)]
+    np.testing.assert_allclose(logits.data, alone, rtol=1e-12, atol=1e-15)
+    with pytest.raises(ShapeError):
+        disc.forward(Tensor(np.zeros((4, 1, 16, 16))), sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -290,32 +305,39 @@ def test_distill_step_empty_batch():
         icmd.distill_step(state, [], np.random.default_rng(0))
 
 
-def _two_forward_step(state, batch, rng):
-    """The distill step in its earlier order: an untaped student forward for
-    the critic's fakes, the critic update, then a second, taped student
-    forward for the student update."""
+def _per_video_step(state, batch, rng):
+    """The distill step one video at a time, in its earlier order: an
+    untaped student forward per video for the critic's fakes, the critic
+    update over each pair's logits, then a second, taped student forward
+    per video, with the task loss weighted video by video."""
     p = icmd.Preconditioner("EDM", state.schedule.sigma_data)
     sigmas = [df.sample_sigma(state.schedule, rng) for _ in batch]
     epss = [rng.standard_normal(x0.shape) for x0 in batch]
-    inst = [icmd.sample_instance_noise(state.noise, rng) for _ in batch]
+    inst = [icmd.sample_instance_noise(state.noise, rng)[1] for _ in batch]
     inst_eps = [rng.standard_normal(x0.shape) for x0 in batch]
     x_ts = [Tensor(x0.data + s * e) for x0, s, e in zip(batch, sigmas, epss)]
     fakes = [df.denoise(state.student, x_t, s, None, p).data for x_t, s in zip(x_ts, sigmas)]
     with Tape() as tape:
         loss_d = None
-        for x0, fake, (_, s_i), e_i in zip(batch, fakes, inst, inst_eps):
-            term = icmd.mca_disc_loss(state.disc.forward(Tensor(fake + s_i * e_i), s_i),
-                                      state.disc.forward(Tensor(x0.data + s_i * e_i), s_i))
+        for x0, fake, s_i, e_i in zip(batch, fakes, inst, inst_eps):
+            term = icmd.mca_disc_loss(T.concat([
+                state.disc.forward(Tensor(fake + s_i * e_i), s_i),
+                state.disc.forward(Tensor(x0.data + s_i * e_i), s_i)]))
             loss_d = term if loss_d is None else T.add(loss_d, term)
         loss_d = T.mul_scalar(loss_d, 1.0 / len(batch))
     state.disc.params = state.opt_disc.step(
         state.disc.params, named_grads(state.disc.params, backward(tape, loss_d)))
-    feats = [icmd._teacher_features(state.teacher, x_t, s, None, p)
-             for x_t, s in zip(x_ts, sigmas)]
     with Tape() as tape:
         task = icd = gen = None
-        for x0, s, x_t, f_t, (_, s_i), e_i in zip(batch, sigmas, x_ts, feats, inst, inst_eps):
-            d_s, t_term, i_term = icmd._student_terms(state, x0, None, s, x_t, f_t, p)
+        for x0, s, x_t, s_i, e_i in zip(batch, sigmas, x_ts, inst, inst_eps):
+            c0, c1, c2, c3 = df.precondition_coeffs(s, p)
+            feats_t = icmd._teacher_features(state.teacher, T.mul_scalar(x_t, c2), [c3], None)
+            f_s, feats_s = state.student.forward(T.mul_scalar(x_t, c2), c3, None,
+                                                 collect_features=True)
+            d_s = T.add(T.mul_scalar(x_t, c0), T.mul_scalar(f_s, c1))
+            weight = (s ** 2 + p.sigma_data ** 2) / (s * p.sigma_data) ** 2
+            t_term = T.mul_scalar(T.mse(d_s, x0), weight * x0.size)
+            i_term = icmd.icd_loss(feats_t, feats_s)
             g_term = icmd.mca_gen_loss(state.disc.forward(T.add(d_s, Tensor(s_i * e_i)), s_i))
             task = t_term if task is None else T.add(task, t_term)
             icd = i_term if icd is None else T.add(icd, i_term)
@@ -330,28 +352,37 @@ def _two_forward_step(state, batch, rng):
             "mca_disc": loss_d.item()}
 
 
-def test_distill_step_runs_the_student_once_per_sample_and_matches_two_forwards():
+def test_distill_step_runs_each_network_once_per_step_and_matches_per_video_forwards(
+        monkeypatch):
     state, ref = _state(), _state()
     calls = []
-    forward = state.student.forward
 
-    def counted(*args, **kwargs):
-        calls.append(T.Tape.current() is not None)
-        return forward(*args, **kwargs)
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, T.Tape.current() is not None))
+            return fn(*args, **kwargs)
+        return wrapped
 
-    state.student.forward = counted
+    state.student.forward = counted("student", state.student.forward)
+    state.disc.forward = counted("critic", state.disc.forward)
+    monkeypatch.setattr(icmd, "_teacher_features",
+                        counted("teacher", icmd._teacher_features))
     for step in range(2):
         batch = _batch(n=3)
         calls.clear()
         out = icmd.distill_step(state, batch, np.random.default_rng(step))
-        assert calls == [True] * len(batch)
-        want = _two_forward_step(ref, batch, np.random.default_rng(step))
-        assert {k: out[k] for k in want} == want
+        # the critic's update on its own tape, then the generator term on the student's
+        assert calls == [("teacher", False), ("student", True), ("critic", True),
+                         ("critic", True)]
+        want = _per_video_step(ref, batch, np.random.default_rng(step))
+        for key, value in want.items():
+            assert out[key] == pytest.approx(value, rel=1e-9), key
         for model_params, ref_params in ((state.student.params, ref.student.params),
                                          (state.disc.params, ref.disc.params)):
             assert model_params.keys() == ref_params.keys()
             for name in model_params:
-                assert np.array_equal(model_params[name].data, ref_params[name].data), name
+                np.testing.assert_allclose(model_params[name].data, ref_params[name].data,
+                                           rtol=1e-9, atol=1e-12, err_msg=name)
 
 
 def test_a_distill_step_runs_every_op_kind_but_sum(monkeypatch):

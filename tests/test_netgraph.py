@@ -144,8 +144,17 @@ def test_forward_keeps_stacked_videos_apart():
     out = model.forward(stacked, 0.4, videos=2)
     assert np.array_equal(out.data, np.concatenate([model.forward(Tensor(x), 0.4).data
                                                     for x in xs]))
+    # one noise level per video: one embedding row each, whose (V, e) GEMMs
+    # round apart from a (1, e) one's in the last bits
+    levels = [0.4, -1.3]
+    out = model.forward(stacked, levels, videos=2)
+    alone = np.concatenate([model.forward(Tensor(x), c).data for x, c in zip(xs, levels)])
+    np.testing.assert_allclose(out.data, alone, rtol=1e-12, atol=1e-12)
+    assert not np.allclose(out.data, model.forward(stacked, 0.4, videos=2).data)
     with pytest.raises(ShapeError, match="videos"):
         model.forward(stacked, 0.4, videos=3)
+    with pytest.raises(ShapeError, match="noise levels"):
+        model.forward(stacked, [0.4, 0.4, 0.4], videos=2)
     with pytest.raises(ShapeError, match="condition"):
         model.forward(stacked, 0.4, Tensor(np.zeros((6, 1, 16, 16))), videos=2)
 

@@ -641,4 +641,4 @@ def test_stacked_videos_equal_per_video_calls(name, op, rest, videos):
 
     with pytest.raises(ShapeError, match="videos"):
         op(Tensor(x[1:]), *(Tensor(a) for a in rest), videos=videos)
-    assert len(T.op_kinds()) == 20
+    assert len(T.op_kinds()) == 19
