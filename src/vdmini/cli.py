@@ -142,6 +142,9 @@ _VALUE_RULES = (
     ("data.frames", lambda v: v >= 2, "at least 2"),
     ("model.emb_dim", lambda v: v >= 2 and v % 2 == 0, "an even integer of at least 2"),
     ("schedule.n_levels", lambda v: v >= 1, "at least 1"),
+    # the sampler's first Euler step scales sigma_max**2 by the noise: near
+    # 1e154 it overflows to Inf and every sample is NaN
+    ("schedule.sigma_max", lambda v: v <= 1e100, "at most 1e100"),
     ("schedule.rho", lambda v: v > 0, "above 0"),
     ("schedule.sigma_data", lambda v: v > 0, "above 0"),
     ("profile.latency_reps", _reps, "0 or at least 3"),

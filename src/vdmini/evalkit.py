@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import MetricError, ShapeError
+from .errors import MetricError, NonFiniteError, ShapeError
 from .netgraph import Model
 from .tensor import Tensor
 
@@ -63,11 +63,18 @@ class FeatureExtractor:
 
 
 def extract_features(videos: list, extractor: FeatureExtractor) -> np.ndarray:
-    """(n, D) feature matrix; row i depends only on video i."""
+    """(n, D) feature matrix; row i depends only on video i.
+
+    A video holding NaN or Inf, such as a sample from a sampler that
+    overflowed, is a NonFiniteError naming the first one, raised before any
+    video is embedded."""
     shape = videos[0].shape
-    for v in videos[1:]:
+    for i, v in enumerate(videos):
         if v.shape != shape:
             raise ShapeError(f"extract_features: shapes {shape} vs {v.shape}")
+        if not np.isfinite(v.data).all():
+            raise NonFiniteError(f"extract_features: video {i} of {len(videos)} "
+                                 f"holds NaN or Inf")
     return np.stack([extractor.embed(v) for v in videos])
 
 

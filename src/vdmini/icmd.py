@@ -226,17 +226,26 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
     """One alternating update: critic first, then the student.
 
     Each video gets its own noise level, and each network runs once per
-    step on the stacked batch: the teacher for its features, then the
-    student on a tape. The critic trains on the detached outputs of that
+    step on the stacked batch: the student on a tape and, on a worker
+    thread beside it, the teacher for its features. The teacher reads
+    nothing the student computes in the step and records on no tape (tapes
+    are per thread), so its features are bit for bit those of a forward
+    run first. The critic trains on the detached outputs of the student's
     forward; the critic step leaves the student untouched, so these are the
-    fakes a separate forward would give. The generator term, scored by the
-    updated critic, then joins the same tape, and one backward updates the
-    student.
+    fakes a separate forward would give. The step then waits for the
+    teacher: the feature term and the generator term, scored by the updated
+    critic, join the student's tape, and one backward updates the student.
+    An error on either thread is raised once both have stopped; by then the
+    critic may have taken its step, but the student has not.
 
     Returns the loss breakdown {task, icd, mca_gen, mca_disc, total} where
     total = task + lambda_icd * icd + lambda_mca * (mca_gen + mca_disc).
     Adversarial terms are zero while step < mca_warmup_steps.
     """
+    # imported here: concurrent.futures loads logging, which every other
+    # stage would otherwise pay for at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     if not batch:
         raise VdminiError("distill_step: empty batch")
     check_teacher_frozen(state)
@@ -252,24 +261,26 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
 
     c0, c1, c2, c3 = diffusion.precondition_coeffs(sigmas, p)
     x_in = T.mul_scalar(x_t, c2)
-    teach_feats = _teacher_features(state.teacher, x_in, c3, cond)
-    tape = Tape()
-    with tape:
-        f_s, feats_s = state.student.forward(x_in, c3, cond, collect_features=True,
-                                             videos=len(batch))
-        d_s = T.add(T.mul_scalar(x_t, c0), T.mul_scalar(f_s, c1))
-        task = diffusion.weighted_error(d_s, x0, sigmas, p.sigma_data)
-        icd = icd_loss(teach_feats, feats_s)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        teacher = pool.submit(_teacher_features, state.teacher, x_in, c3, cond)
+        tape = Tape()
+        with tape:
+            f_s, feats_s = state.student.forward(x_in, c3, cond, collect_features=True,
+                                                 videos=len(batch))
+            d_s = T.add(T.mul_scalar(x_t, c0), T.mul_scalar(f_s, c1))
+            task = diffusion.weighted_error(d_s, x0, sigmas, p.sigma_data)
 
-    mca_disc_val = 0.0
-    if mca_on:  # one hinge step of the critic on the V fakes, then the V reals
-        fakes_reals = Tensor(np.concatenate([d_s.data + noise, x0.data + noise]))
-        with Tape() as critic_tape:
-            loss_d = mca_disc_loss(state.disc.forward(fakes_reals, inst + inst))
-        mca_disc_val = _check_finite(loss_d.item(), "mca_disc")
-        grads = named_grads(state.disc.params, backward(critic_tape, loss_d))
-        state.disc.params = state.opt_disc.step(state.disc.params, grads)
+        mca_disc_val = 0.0
+        if mca_on:  # one hinge step of the critic on the V fakes, then the V reals
+            fakes_reals = Tensor(np.concatenate([d_s.data + noise, x0.data + noise]))
+            with Tape() as critic_tape:
+                loss_d = mca_disc_loss(state.disc.forward(fakes_reals, inst + inst))
+            mca_disc_val = _check_finite(loss_d.item(), "mca_disc")
+            grads = named_grads(state.disc.params, backward(critic_tape, loss_d))
+            state.disc.params = state.opt_disc.step(state.disc.params, grads)
+        teach_feats = teacher.result()
     with tape:
+        icd = icd_loss(teach_feats, feats_s)
         total = T.add(task, T.mul_scalar(icd, state.weights.lambda_icd))
         gen = None
         if mca_on:

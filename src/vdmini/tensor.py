@@ -1,20 +1,21 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Tensors wrap read-only numpy arrays. Ops executed while a Tape is active
-record nodes in append order; `backward` replays them in strict reverse
-order. Everything runs in float64 and all reductions use numpy's fixed
-left-to-right summation, so results are bit-reproducible for a given
-thread count.
+on their thread record nodes in append order; `backward` replays them in
+strict reverse order. Everything runs in float64 and all reductions use
+numpy's fixed left-to-right summation, so results are bit-reproducible for
+a given BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, NonScalarRootError, ShapeError
+from .errors import NonScalarRootError, ShapeError
 
 Array = np.ndarray
 
@@ -69,25 +70,36 @@ class Node:
         self.vjp = vjp
 
 
-class Tape:
-    """Append-only record of executed ops, usable as a context manager."""
+class _ActiveTapes(threading.local):
+    def __init__(self):
+        self.stack: list["Tape"] = []
 
-    _active: list["Tape"] = []
+
+class Tape:
+    """Append-only record of executed ops, usable as a context manager.
+
+    The stack of active tapes is per thread: a tape entered on one thread
+    records only the ops that thread runs, so an untaped forward on another
+    thread may share parameter Tensors with the taped one and record
+    nothing."""
+
+    _active = _ActiveTapes()
 
     def __init__(self):
         self.nodes: list[tuple[Node, Tensor]] = []
 
     def __enter__(self):
-        Tape._active.append(self)
+        Tape._active.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        Tape._active.pop()
+        Tape._active.stack.pop()
         return False
 
     @classmethod
     def current(cls) -> Optional["Tape"]:
-        return cls._active[-1] if cls._active else None
+        stack = cls._active.stack
+        return stack[-1] if stack else None
 
 
 def _tracked(*tensors: Tensor) -> bool:
@@ -622,41 +634,3 @@ _OPS = {
 
 def op_kinds() -> tuple:
     return tuple(sorted(_OPS))
-
-
-class GradCheckReport:
-    """Per-element comparison of analytic vs central-difference gradients."""
-
-    def __init__(self, analytic: Array, numeric: Array):
-        self.analytic = analytic
-        self.numeric = numeric
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
-        self.rel_err = np.abs(analytic - numeric) / denom
-        self.max_rel_err = float(self.rel_err.max()) if self.rel_err.size else 0.0
-
-    def __repr__(self):
-        return f"GradCheckReport(max_rel_err={self.max_rel_err:.3e})"
-
-
-def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> GradCheckReport:
-    """Compare analytic gradient of scalar-valued f against central differences."""
-    if not (0.0 < eps <= 1e-2):
-        raise ValueError(f"eps must be in (0, 1e-2], got {eps}")
-    leaf = Tensor(x.data, requires_grad=True)
-    with Tape() as tape:
-        y = f(leaf)
-    grads = backward(tape, y)
-    analytic = grads[leaf].data if leaf in grads else np.zeros_like(x.data)
-
-    flat = x.data.ravel().copy()
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        bump = flat.copy()
-        bump[i] = flat[i] + eps
-        hi = f(Tensor(bump.reshape(x.shape))).item()
-        bump[i] = flat[i] - eps
-        lo = f(Tensor(bump.reshape(x.shape))).item()
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise NonFiniteError(f"f non-finite near element {i} during finite differences")
-        numeric[i] = (hi - lo) / (2.0 * eps)
-    return GradCheckReport(analytic, numeric.reshape(x.shape))

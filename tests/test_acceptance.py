@@ -25,7 +25,9 @@ from vdmini import pruner as pr
 from vdmini import synthdata as sd
 from vdmini import tensor as T
 from vdmini.errors import VdminiError
-from vdmini.tensor import Tensor, finite_difference_check
+from vdmini.tensor import Tensor
+
+from gradcheck import finite_difference_check
 
 GOLDEN_PLAN = Path(__file__).parent / "golden" / "plan.json"
 SMALL_WIDTHS = (4, 6, 8)

@@ -147,6 +147,7 @@ def test_config_values_are_type_checked_against_the_defaults(tmp_path):
     ("data", "n_eval", 0),
     ("schedule", "n_levels", 0),
     ("schedule", "sigma_min", 90.0),
+    ("schedule", "sigma_max", 1e154),
     ("schedule", "sigma_min", 0.0),
     ("schedule", "rho", 0.0),
     ("schedule", "sigma_data", -1.0),

@@ -6,7 +6,7 @@ import pytest
 from vdmini import evalkit as ek
 from vdmini import netgraph as ng
 from vdmini import synthdata as sd
-from vdmini.errors import MetricError, ShapeError
+from vdmini.errors import MetricError, NonFiniteError, ShapeError
 from vdmini.tensor import Tensor
 
 
@@ -92,6 +92,17 @@ def test_fvd_three_way_motion_regimes():
     same_regime = ek.fvd(slow[:48], slow[48:], ex)
     cross_regime = ek.fvd(slow[:48], fast, ex)
     assert same_regime < cross_regime
+
+
+def test_fvd_names_the_first_non_finite_video():
+    videos = _videos()
+    generated = list(videos)
+    for i, bad in ((2, np.nan), (4, np.inf)):
+        data = videos[i].data.copy()
+        data[0, 0, 0, 0] = bad
+        generated[i] = Tensor(data)
+    with pytest.raises(NonFiniteError, match="video 2 of 6"):
+        ek.fvd(generated, videos, ek.FeatureExtractor())
 
 
 def test_fvd_invariant_to_video_order():

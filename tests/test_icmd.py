@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -356,10 +358,11 @@ def test_distill_step_runs_each_network_once_per_step_and_matches_per_video_forw
         monkeypatch):
     state, ref = _state(), _state()
     calls = []
+    main = threading.get_ident()
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
-            calls.append((name, T.Tape.current() is not None))
+            calls.append((name, T.Tape.current() is not None, threading.get_ident() == main))
             return fn(*args, **kwargs)
         return wrapped
 
@@ -371,9 +374,12 @@ def test_distill_step_runs_each_network_once_per_step_and_matches_per_video_forw
         batch = _batch(n=3)
         calls.clear()
         out = icmd.distill_step(state, batch, np.random.default_rng(step))
-        # the critic's update on its own tape, then the generator term on the student's
-        assert calls == [("teacher", False), ("student", True), ("critic", True),
-                         ("critic", True)]
+        # the teacher once, untaped, on a worker thread; on the main thread the
+        # student, the critic's update on its own tape, then the generator term
+        # on the student's
+        assert [c for c in calls if c[0] == "teacher"] == [("teacher", False, False)]
+        assert [c for c in calls if c[0] != "teacher"] == [
+            ("student", True, True), ("critic", True, True), ("critic", True, True)]
         want = _per_video_step(ref, batch, np.random.default_rng(step))
         for key, value in want.items():
             assert out[key] == pytest.approx(value, rel=1e-9), key
@@ -383,6 +389,48 @@ def test_distill_step_runs_each_network_once_per_step_and_matches_per_video_forw
             for name in model_params:
                 np.testing.assert_allclose(model_params[name].data, ref_params[name].data,
                                            rtol=1e-9, atol=1e-12, err_msg=name)
+
+
+def _run_steps(n_steps):
+    state, batch = _state(), _batch()
+    outs = [icmd.distill_step(state, batch, np.random.default_rng(step))
+            for step in range(n_steps)]
+    return outs, state
+
+
+def test_a_teacher_that_finishes_last_changes_no_bit_of_the_steps(monkeypatch):
+    ref_outs, ref = _run_steps(3)
+    teacher_features = icmd._teacher_features
+
+    def slow(*args):
+        time.sleep(0.05)  # outlasts the student's forward and the critic update
+        return teacher_features(*args)
+
+    monkeypatch.setattr(icmd, "_teacher_features", slow)
+    outs, state = _run_steps(3)
+    assert all(out["mca_disc"] > 0.0 for out in outs)  # the critic trains each step
+    assert outs == ref_outs
+    for model_params, ref_params in ((state.student.params, ref.student.params),
+                                     (state.disc.params, ref.disc.params)):
+        assert model_params.keys() == ref_params.keys()
+        for name in model_params:
+            assert np.array_equal(model_params[name].data, ref_params[name].data), name
+
+
+def test_a_teacher_error_is_raised_once_both_threads_have_stopped(monkeypatch):
+    def broken(*args):
+        raise ShapeError("teacher input")
+
+    monkeypatch.setattr(icmd, "_teacher_features", broken)
+    state = _state()
+    student_params = dict(state.student.params)
+    threads = threading.active_count()
+    with pytest.raises(ShapeError, match="teacher input"):
+        icmd.distill_step(state, _batch(), np.random.default_rng(0))
+    assert threading.active_count() == threads
+    assert state.step == 0
+    assert state.student.params.keys() == student_params.keys()
+    assert all(state.student.params[n] is p for n, p in student_params.items())
 
 
 def test_a_distill_step_runs_every_op_kind_but_sum(monkeypatch):

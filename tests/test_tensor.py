@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -8,7 +10,9 @@ import pytest
 import vdmini.tensor as T
 from vdmini.errors import NonScalarRootError, ShapeError
 from vdmini.optim import Adam, named_grads
-from vdmini.tensor import Tape, Tensor, backward, finite_difference_check
+from vdmini.tensor import Tape, Tensor, backward
+
+from gradcheck import finite_difference_check
 
 
 def test_conv2d_all_ones_hand_value():
@@ -120,6 +124,40 @@ def test_ops_do_not_record_without_tape():
     x = Tensor(np.ones(3), requires_grad=True)
     y = T.silu(x)
     assert y.node is None
+
+
+def test_a_tape_records_only_the_ops_of_its_own_thread():
+    # more threads than cores, switching between them as often as possible
+    x = Tensor(np.ones(3), requires_grad=True)
+    n_threads, n_ops = 4, 200
+    seen = {}
+
+    def work(i):
+        seen[i, "current"] = Tape.current()
+        with Tape() as own:
+            for _ in range(n_ops):
+                T.silu(x)
+        seen[i, "nodes"] = len(own.nodes)
+        seen[i, "after"] = T.silu(x).node
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with Tape() as tape:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+            assert Tape.current() is tape
+    finally:
+        sys.setswitchinterval(interval)
+    assert tape.nodes == []
+    for i in range(n_threads):
+        assert seen[i, "current"] is None
+        assert seen[i, "nodes"] == n_ops
+        assert seen[i, "after"] is None
 
 
 def test_eps_domain_is_validated():
