@@ -13,6 +13,11 @@ class NonScalarRootError(VdminiError):
     """backward() called on a non-scalar root."""
 
 
+class TapeError(VdminiError):
+    """backward() called with a root its tape did not record, or on a tape
+    an earlier backward() consumed."""
+
+
 class NonFiniteError(VdminiError):
     """A value that must be finite was NaN or Inf."""
 

@@ -1,21 +1,26 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Tensors wrap read-only numpy arrays. Ops executed while a Tape is active
-on their thread record nodes in append order; `backward` replays them in
-strict reverse order. Everything runs in float64 and all reductions use
-numpy's fixed left-to-right summation, so results are bit-reproducible for
-a given BLAS thread count.
+on their thread record nodes in append order. `backward` consumes the tape:
+the calling thread walks it in strict reverse order, computing the chain of
+input gradients and popping each node once its vjp has run, while one
+worker thread computes every gradient contribution to a leaf (the parameter
+gradients) and sums them in the order the walk produced them. Everything
+runs in float64 and all reductions use numpy's fixed left-to-right
+summation, so results are bit-reproducible for a given BLAS thread count,
+whichever thread computes them.
 """
 
 from __future__ import annotations
 
 import math
+import queue
 import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonScalarRootError, ShapeError
+from .errors import NonScalarRootError, ShapeError, TapeError
 
 Array = np.ndarray
 
@@ -60,7 +65,12 @@ class Tensor:
 
 
 class Node:
-    """One tape entry: op kind, input tensors, and a vjp closure."""
+    """One tape entry: op kind, input tensors, and a vjp closure.
+
+    The vjp maps the output's gradient to one entry per input: an array,
+    None, or, for a parameter gradient, a zero-argument callable that
+    computes the array with NumPy alone, so that `backward` can run it on
+    its worker thread."""
 
     __slots__ = ("op", "inputs", "vjp")
 
@@ -76,7 +86,9 @@ class _ActiveTapes(threading.local):
 
 
 class Tape:
-    """Append-only record of executed ops, usable as a context manager.
+    """Record of executed ops, in the order they ran, usable as a context
+    manager. `backward` consumes it: it empties `nodes` as it walks them,
+    and a second `backward` on the same tape is an error.
 
     The stack of active tapes is per thread: a tape entered on one thread
     records only the ops that thread runs, so an untaped forward on another
@@ -87,6 +99,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[tuple[Node, Tensor]] = []
+        self.consumed = False
 
     def __enter__(self):
         Tape._active.stack.append(self)
@@ -117,33 +130,79 @@ def _record(op: str, out_data: Array, inputs: Sequence[Tensor], vjp) -> Tensor:
 
 
 def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
-    """Grads of `root` w.r.t. every requires_grad leaf reached by the tape."""
+    """Grads of `root` w.r.t. every requires_grad leaf reached by the tape.
+
+    The calling thread pops the nodes off the tape in reverse order, runs
+    each vjp, and sums the gradients of non-leaf tensors. It hands every
+    contribution to a leaf, array or deferred callable, to one worker
+    thread, which computes and sums them per leaf in the order they were
+    handed over: the same order and the same expressions as a serial walk,
+    so every returned gradient has the same bits. A node popped off the
+    tape that nothing else holds is freed there and then; the nodes the
+    root reaches stay until the caller drops the root. The worker has
+    stopped when this returns; an error on either thread is raised after
+    both have stopped.
+
+    The root must be a node of this tape, or a requires_grad leaf (whose
+    gradient is one). Any other root, or a tape an earlier `backward`
+    consumed, raises TapeError, rather than returning no gradients."""
     if root.shape != ():
         raise NonScalarRootError(f"backward root must be scalar, got shape {root.shape}")
-    grads: dict[int, Array] = {id(root): np.ones((), dtype=np.float64)}
-    keep: dict[int, Tensor] = {id(root): root}
-    for node, out in reversed(tape.nodes):
-        g = grads.pop(id(out), None)
-        keep.pop(id(out), None)
-        if g is None:
-            continue
-        in_grads = node.vjp(g)
-        for t, gi in zip(node.inputs, in_grads):
-            if gi is None:
+    if tape.consumed:
+        raise TapeError("backward: this tape was already consumed by an earlier backward")
+    nodes = tape.nodes
+    if root.node is None:
+        if not root.requires_grad:
+            raise TapeError("backward: the root is a constant, recorded on no tape")
+        tape.consumed = True
+        nodes.clear()
+        return {root: Tensor(np.ones(()))}
+    if not any(out is root for _, out in reversed(nodes)):
+        raise TapeError("backward: the root was not recorded on this tape")
+    tape.consumed = True
+    grads: dict[Tensor, Array] = {root: np.ones((), dtype=np.float64)}
+    sums: dict[Tensor, Array] = {}
+    errors: list[BaseException] = []
+    todo: queue.SimpleQueue = queue.SimpleQueue()
+    worker = threading.Thread(target=_sum_leaf_grads, args=(todo, sums, errors),
+                              name="vdmini-backward")
+    worker.start()
+    try:
+        while nodes and not errors:
+            node, out = nodes.pop()
+            g = grads.pop(out, None)
+            if g is None:
                 continue
-            if not (t.requires_grad or t.node is not None):
-                continue
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + gi
-            else:
-                grads[key] = gi
-                keep[key] = t
-    result: dict[Tensor, Tensor] = {}
-    for key, t in keep.items():
-        if t.requires_grad:
-            result[t] = Tensor(grads[key])
-    return result
+            for t, gi in zip(node.inputs, node.vjp(g)):
+                if gi is None:
+                    continue
+                if t.node is None:
+                    if t.requires_grad:
+                        todo.put((t, gi))
+                    continue
+                if callable(gi):
+                    gi = gi()
+                grads[t] = grads[t] + gi if t in grads else gi
+    finally:
+        todo.put(None)
+        worker.join()
+    if errors:
+        raise errors[0]
+    return {t: Tensor(g) for t, g in sums.items()}
+
+
+def _sum_leaf_grads(todo: queue.SimpleQueue, sums: dict, errors: list) -> None:
+    """`backward`'s worker: compute each (leaf, gradient or callable) it is
+    handed and add it to that leaf's sum, until it is handed None. It stops
+    at the first error and leaves it in `errors` for the caller to raise."""
+    try:
+        while (item := todo.get()) is not None:
+            leaf, g = item
+            if callable(g):
+                g = g()
+            sums[leaf] = sums[leaf] + g if leaf in sums else g
+    except BaseException as e:  # raised by `backward` once the walk has stopped
+        errors.append(e)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +241,7 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     reduce_axes = (1,) + tuple(range(3, x.data.ndim + 1))
 
     def vjp(g):
-        return g, g.reshape(runs).sum(axis=reduce_axes).reshape(b.shape)
+        return g, lambda: g.reshape(runs).sum(axis=reduce_axes).reshape(b.shape)
 
     return _record("bias_add", (x.data.reshape(runs) + bb).reshape(x.shape), [x, b], vjp)
 
@@ -298,11 +357,10 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         out += b.data
 
     def vjp(g):
-        gx = g @ w.data
-        gw = np.tensordot(g, x.data, axes=(range(g.ndim - 1), range(x.data.ndim - 1)))
-        grads = [gx, gw]
+        grads = [g @ w.data,
+                 lambda: np.tensordot(g, x.data, axes=(range(g.ndim - 1), range(x.data.ndim - 1)))]
         if b is not None:
-            grads.append(g.sum(axis=tuple(range(g.ndim - 1))))
+            grads.append(lambda: g.sum(axis=tuple(range(g.ndim - 1))))
         return tuple(grads)
 
     inputs = [x, w] if b is None else [x, w, b]
@@ -357,16 +415,18 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
         cols = np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3)).reshape(o * kh * kw, n * h * wd)
         wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
         gx = (wflip @ cols).reshape(c, n, h, wd).transpose(1, 0, 2, 3)
-        xc = x.data.transpose(1, 0, 2, 3).reshape(c, n * h * wd)
-        gw = (xc @ cols.T).reshape(c, o, kh, kw).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+
+        def gw():
+            xc = x.data.transpose(1, 0, 2, 3).reshape(c, n * h * wd)
+            return (xc @ cols.T).reshape(c, o, kh, kw).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+
         grads = [gx, gw]
         if b is not None:
-            grads.append(g2.reshape(o, n * ho * wo).sum(axis=1))
+            grads.append(lambda: g2.reshape(o, n * ho * wo).sum(axis=1))
         return tuple(grads)
 
     def vjp(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(o, n * ho * wo)
-        gw = (g2 @ im2col().T).reshape(w.shape)
         # tap-major rows: each gcols[i, j] is one contiguous (C, N, Ho, Wo) block
         gcols = (w.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, o) @ g2).reshape(kh, kw, c, n, ho, wo)
         gxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
@@ -374,10 +434,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
         for i in range(kh):
             for j in range(kw):
                 gxp_c[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[i, j]
-        gx = gxp[:, :, pad : pad + h, pad : pad + wd]
-        grads = [gx, gw]
+        grads = [gxp[:, :, pad : pad + h, pad : pad + wd], lambda: (g2 @ im2col().T).reshape(w.shape)]
         if b is not None:
-            grads.append(g2.sum(axis=1))
+            grads.append(lambda: g2.sum(axis=1))
         return tuple(grads)
 
     inputs = [x, w] if b is None else [x, w, b]
@@ -423,15 +482,13 @@ def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0
 
     def vjp(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(o, videos * fo * h * wd)
-        gw = (g2 @ im2col().T).reshape(w.shape)
         gcols = (w2.T @ g2).reshape(c, k, videos, fo, h, wd).transpose(2, 3, 0, 1, 4, 5)
         gxp = np.zeros((videos, f + 2 * pad, c, h, wd))
         for i in range(k):
             gxp[:, i : i + fo] += gcols[:, :, :, i]
-        gx = gxp[:, pad : pad + f].reshape(nf, c, h, wd)
-        grads = [gx, gw]
+        grads = [gxp[:, pad : pad + f].reshape(nf, c, h, wd), lambda: (g2 @ im2col().T).reshape(w.shape)]
         if b is not None:
-            grads.append(g2.sum(axis=1))
+            grads.append(lambda: g2.sum(axis=1))
         return tuple(grads)
 
     inputs = [x, w] if b is None else [x, w, b]
@@ -469,8 +526,6 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int = 1, eps: flo
         d = x.data.reshape(n, groups, -1) - mu
         d *= inv
         affine_axes = (0,) + tuple(range(2, x.data.ndim))
-        ggamma = (g * d.reshape(x.shape)).sum(axis=affine_axes)
-        gbeta = g.sum(axis=affine_axes)
         # an owned C-order buffer, whatever the layout of g; it becomes gx
         dxhat = np.multiply(g, gamma.data.reshape(gshape), out=np.empty(x.shape)).reshape(n, groups, -1)
         t1 = dxhat.mean(axis=2, keepdims=True)
@@ -480,7 +535,8 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int = 1, eps: flo
         dxhat -= t1
         dxhat -= np.multiply(d, t2, out=tmp)
         dxhat *= inv
-        return dxhat.reshape(x.shape), ggamma, gbeta
+        return (dxhat.reshape(x.shape), lambda: (g * d.reshape(x.shape)).sum(axis=affine_axes),
+                lambda: g.sum(axis=affine_axes))
 
     return _record("group_norm", out, [x, gamma, beta], vjp)
 
@@ -551,7 +607,6 @@ def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens)
 
     def vjp(g):
         g2 = to_tokens(g).reshape(bsz * nt, c)
-        gwo = g2.T @ av
         gav = (g2 @ wo).reshape(bsz, nt, c)
         d = (gav * o).sum(axis=-1, keepdims=True)
         gav /= rs
@@ -573,8 +628,8 @@ def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens)
         gx = gq @ wq
         gx += gk @ wk
         gx += gv @ wv
-        return (from_tokens(gx.reshape(bsz, nt, c)),
-                gq.T @ flat, gk.T @ flat, gv.T @ flat, gwo)
+        return (from_tokens(gx.reshape(bsz, nt, c)), lambda: gq.T @ flat, lambda: gk.T @ flat,
+                lambda: gv.T @ flat, lambda: g2.T @ av)
 
     out = from_tokens((av @ wo.T).reshape(bsz, nt, c))
     return _record(op, out, [x, *ws], vjp)

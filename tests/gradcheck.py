@@ -1,4 +1,5 @@
-"""Central-difference gradient checking for the autodiff tests.
+"""Central-difference gradient checking for the autodiff tests, and the
+serial backward that `tensor.backward` must match bit for bit.
 
 Imported by name (`from gradcheck import ...`), not as a conftest fixture:
 the benchmark's tests have a `conftest` module of their own.
@@ -49,3 +50,41 @@ def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float
             raise NonFiniteError(f"f non-finite near element {i} during finite differences")
         numeric[i] = (hi - lo) / (2.0 * eps)
     return GradCheckReport(analytic, numeric.reshape(x.shape))
+
+
+def reference_backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
+    """`tensor.backward` as one serial loop on the calling thread: it walks
+    the tape in reverse, computes each deferred parameter gradient where the
+    walk meets it, sums every tensor's contributions in walk order, and
+    leaves the tape as it found it."""
+    grads = {id(root): np.ones((), dtype=np.float64)}
+    keep = {id(root): root}
+    for node, out in reversed(tape.nodes):
+        g = grads.pop(id(out), None)
+        keep.pop(id(out), None)
+        if g is None:
+            continue
+        for t, gi in zip(node.inputs, node.vjp(g)):
+            if gi is None or not (t.requires_grad or t.node is not None):
+                continue
+            if callable(gi):
+                gi = gi()
+            key = id(t)
+            if key in grads:
+                grads[key] = grads[key] + gi
+            else:
+                grads[key] = gi
+                keep[key] = t
+    return {t: Tensor(grads[key]) for key, t in keep.items() if t.requires_grad}
+
+
+def backward_matching_reference(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
+    """`backward(tape, root)`, after asserting that it returns the leaves
+    `reference_backward` returns, in the same order, with the same bits."""
+    want = reference_backward(tape, root)
+    got = backward(tape, root)
+    assert list(got) == list(want)
+    for leaf, g in want.items():
+        # tobytes as well: array_equal takes -0.0 for 0.0
+        assert np.array_equal(got[leaf].data, g.data) and got[leaf].data.tobytes() == g.data.tobytes()
+    return got

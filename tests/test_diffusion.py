@@ -8,6 +8,8 @@ from vdmini import netgraph as ng
 from vdmini.errors import ShapeError, VdminiError
 from vdmini.tensor import Tape, Tensor, backward
 
+from gradcheck import backward_matching_reference
+
 SD = 0.5
 
 
@@ -308,3 +310,15 @@ def test_denoising_loss_backward_reaches_model_params():
     grads = backward(tape, loss)
     named = [n for n, p in model.params.items() if p in grads]
     assert len(named) > 100
+
+
+def test_denoising_loss_backward_matches_the_serial_reference_bitwise():
+    # criterion 11's FAST_PIPELINE shapes: widths 4/6/8, 2-frame videos, batch 2
+    model = ng.build(ng.make_unet_graph(ng.ORIGIN_LAYER_COUNTS, (4, 6, 8), emb_dim=8), 3)
+    rng = np.random.default_rng(28)
+    batch = [Tensor(rng.standard_normal((2, 1, 16, 16))) for _ in range(2)]
+    conds = [Tensor(v.data[:1]) for v in batch]
+    with Tape() as tape:
+        loss = df.denoising_loss(model, batch, df.NoiseSchedule(), rng, conds)
+    grads = backward_matching_reference(tape, loss)
+    assert all(p in grads for p in model.params.values())

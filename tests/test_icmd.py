@@ -16,6 +16,8 @@ from vdmini.errors import NonFiniteError, ShapeError, VdminiError
 from vdmini.optim import named_grads
 from vdmini.tensor import Tape, Tensor, backward
 
+from gradcheck import backward_matching_reference
+
 SMALL_WIDTHS = (4, 6, 8)
 
 
@@ -415,6 +417,23 @@ def test_a_teacher_that_finishes_last_changes_no_bit_of_the_steps(monkeypatch):
         assert model_params.keys() == ref_params.keys()
         for name in model_params:
             assert np.array_equal(model_params[name].data, ref_params[name].data), name
+
+
+def test_distill_steps_backward_matches_the_serial_reference_bitwise(monkeypatch):
+    state, batch = _state(), _batch()
+    reached = []  # per backward: (every student parameter, every critic parameter)
+
+    def checked(tape, root):
+        grads = backward_matching_reference(tape, root)
+        reached.append(tuple(all(p in grads for p in params.values())
+                             for params in (state.student.params, state.disc.params)))
+        return grads
+
+    monkeypatch.setattr(icmd, "backward", checked)
+    outs = [icmd.distill_step(state, batch, np.random.default_rng(step)) for step in range(2)]
+    assert all(out["mca_disc"] > 0.0 for out in outs)  # MCA is on in both steps
+    # each step: the critic's own update, then the student's, which reaches the critic too
+    assert reached == [(False, True), (True, True)] * 2
 
 
 def test_a_teacher_error_is_raised_once_both_threads_have_stopped(monkeypatch):

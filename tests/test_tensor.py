@@ -3,16 +3,17 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import vdmini.tensor as T
-from vdmini.errors import NonScalarRootError, ShapeError
+from vdmini.errors import NonScalarRootError, ShapeError, TapeError
 from vdmini.optim import Adam, named_grads
 from vdmini.tensor import Tape, Tensor, backward
 
-from gradcheck import finite_difference_check
+from gradcheck import backward_matching_reference, finite_difference_check, reference_backward
 
 
 def test_conv2d_all_ones_hand_value():
@@ -61,6 +62,129 @@ def test_backward_rejects_non_scalar_root():
         y = T.mul_scalar(x, 2.0)
     with pytest.raises(NonScalarRootError):
         backward(tape, y)
+
+
+def test_backward_rejects_a_root_its_tape_did_not_record():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        y = T.sum_all(x)
+    with Tape() as other:
+        T.sum_all(T.silu(x))
+    with pytest.raises(TapeError, match="not recorded on this tape"):
+        backward(other, y)
+    assert len(other.nodes) == 2  # a refused call leaves the tape as it was
+    with pytest.raises(TapeError, match="constant"):
+        backward(tape, T.sum_all(x))  # no tape active: recorded nowhere
+    assert np.array_equal(backward(tape, y)[x].data, np.ones(3))
+
+
+def test_a_second_backward_on_a_consumed_tape_raises():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        y = T.sum_all(T.silu(x))
+    assert x in backward(tape, y)
+    with pytest.raises(TapeError, match="consumed"):
+        backward(tape, y)
+
+
+def _shared_weight_loss(x, w, b):
+    h = x
+    for _ in range(5):  # w and b get five contributions each, x two
+        h = T.silu(T.linear(h, w, b))
+    return T.mean_all(T.add(h, x))
+
+
+def test_a_weight_fed_by_several_nodes_sums_its_grads_in_walk_order():
+    rng = np.random.default_rng(25)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 4)) / 2.0, requires_grad=True)
+    b = Tensor(rng.standard_normal(4), requires_grad=True)
+    with Tape() as tape:
+        y = _shared_weight_loss(x, w, b)
+    grads = backward_matching_reference(tape, y)
+    assert list(grads) == [x, w, b]
+
+
+def test_concurrent_backwards_keep_the_bits_of_the_serial_reference():
+    # more threads than cores, switching between them as often as possible;
+    # each thread's backward runs a worker of its own beside it
+    rng = np.random.default_rng(29)
+    w = Tensor(rng.standard_normal((4, 4)) / 2.0, requires_grad=True)
+    b = Tensor(rng.standard_normal(4), requires_grad=True)
+    xs = [Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(4)]
+    want = []
+    for x in xs:
+        with Tape() as tape:
+            y = _shared_weight_loss(x, w, b)
+        want.append([_bits(g.data) for g in reference_backward(tape, y).values()])
+    mismatches, runs = [], []
+
+    def work(i):
+        for _ in range(20):
+            with Tape() as tape:
+                y = _shared_weight_loss(xs[i], w, b)
+            if [_bits(g.data) for g in backward(tape, y).values()] != want[i]:
+                mismatches.append(i)
+            runs.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(len(xs))]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert len(runs) == 20 * len(xs) and mismatches == []
+
+
+def test_a_requires_grad_leaf_root_has_gradient_one():
+    x = Tensor(np.array(0.5), requires_grad=True)
+    with Tape() as tape:
+        T.silu(x)
+    grads = backward_matching_reference(tape, x)
+    assert list(grads) == [x] and grads[x].data.tobytes() == np.float64(1.0).tobytes()
+    assert tape.nodes == []
+
+
+def test_backward_empties_the_tape_and_frees_what_only_it_held():
+    x = Tensor(np.random.default_rng(26).standard_normal((4, 5)), requires_grad=True)
+    with Tape() as tape:
+        h = T.silu(x)  # a branch the root does not use
+        y = T.mean_all(T.silu(x))
+    held = weakref.ref(h.data)
+    del h
+    grads = backward(tape, y)
+    assert tape.nodes == []
+    assert held() is None
+    assert grads[x].shape == x.shape
+
+
+def test_a_parameter_gradient_error_is_raised_once_both_threads_have_stopped(monkeypatch):
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    rng = np.random.default_rng(27)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+    with Tape() as tape:
+        y = T.mean_all(T.linear(T.linear(x, w), w))
+    calls = []
+
+    def failing():
+        calls.append(1)
+        raise ShapeError("parameter gradient")
+
+    node = tape.nodes[0][0]  # the first linear
+    vjp = node.vjp
+    node.vjp = lambda g: (vjp(g)[0], failing)
+    threads = threading.active_count()
+    with pytest.raises(ShapeError, match="parameter gradient"):
+        backward(tape, y)
+    assert threading.active_count() == threads
+    assert calls == [1] and unhandled == []
 
 
 def test_finite_difference_quadratic_is_tight():
@@ -444,6 +568,12 @@ def _bits(a):
     return np.shape(a), np.asarray(a, dtype=np.float64).tobytes()
 
 
+def _vjp(node, g):
+    """node.vjp(g) with every deferred parameter gradient computed, as
+    `backward` computes it (on its worker thread)."""
+    return [gi() if callable(gi) else gi for gi in node.vjp(g)]
+
+
 def _kernel_cases():
     rng = np.random.default_rng(17)
     r = lambda *s: rng.standard_normal(s)
@@ -511,9 +641,9 @@ def test_kernels_match_parent_expressions_bitwise(name, op, ref, inputs, kw):
     assert _bits(out.data) == _bits(want)
     # a vjp that wrote into g, or into what it keeps, would differ on the second call
     for g in _g_layouts(out.shape):
-        first = [_bits(a) for a in node.vjp(g)]
+        first = [_bits(a) for a in _vjp(node, g)]
         assert [_bits(a) for a in want_vjp(g)] == first
-        assert [_bits(a) for a in node.vjp(g)] == first
+        assert [_bits(a) for a in _vjp(node, g)] == first
 
 
 @pytest.mark.parametrize("name,op,ref,inputs,kw", _REWRITTEN_CASES, ids=[c[0] for c in _REWRITTEN_CASES])
@@ -524,7 +654,7 @@ def test_rewritten_kernels_match_the_expressions_they_replaced(name, op, ref, in
     want, want_vjp = _PARENT_REFS[name.split()[0]](*inputs, **kw)
     np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     for g in _g_layouts(out.shape):
-        for got, want in zip(node.vjp(g), want_vjp(g), strict=True):
+        for got, want in zip(_vjp(node, g), want_vjp(g), strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
@@ -536,7 +666,8 @@ def test_attention_chunks_do_not_change_a_bit(op, monkeypatch):
     def run():
         with Tape() as tape:
             out = op(Tensor(x, requires_grad=True), *(Tensor(w, requires_grad=True) for w in ws))
-        return [_bits(out.data)] + [_bits(a) for g in _g_layouts(out.shape) for a in tape.nodes[0][0].vjp(g)]
+        node = tape.nodes[0][0]
+        return [_bits(out.data)] + [_bits(a) for g in _g_layouts(out.shape) for a in _vjp(node, g)]
 
     whole = run()  # every batch item fits in one default-sized chunk
     batch, tokens = (5, 6) if op is T.attention_spatial else (6, 5)
@@ -559,7 +690,7 @@ def test_untaped_attention_keeps_one_chunk_of_scores(op, shape, monkeypatch, tra
     def forward_and_vjp():
         with Tape() as tape:
             out = op(*leaves)
-        return out, tape.nodes[0][0].vjp(g)
+        return out, _vjp(tape.nodes[0][0], g)
 
     (taped, _), taped_peak = traced_peak(forward_and_vjp)
     inputs = [Tensor(x)] + [Tensor(w) for w in ws]
@@ -595,7 +726,7 @@ def test_sigmoid_family_does_not_warn_on_overflow():
         for op, ref in ((T.silu, _silu_ref), (T.softplus, _softplus_ref)):
             with Tape() as tape:
                 out = op(Tensor(x, requires_grad=True))
-            got = tape.nodes[0][0].vjp(g)
+            got = _vjp(tape.nodes[0][0], g)
             want, want_vjp = ref(x)
             assert _bits(out.data) == _bits(want)
             assert [_bits(a) for a in got] == [_bits(a) for a in want_vjp(g)]
@@ -658,13 +789,13 @@ def test_stacked_videos_equal_per_video_calls(name, op, rest, videos):
         out = op(Tensor(x, requires_grad=True), *(Tensor(a) for a in rest), videos=videos)
     assert len(tape.nodes) == 1 and tape.nodes[0][0].op == name.split()[0]
     g = rng.standard_normal(out.shape)
-    gx = tape.nodes[0][0].vjp(g)[0]
+    gx = _vjp(tape.nodes[0][0], g)[0]
     alone_out, alone_gx = [], []
     for part, gpart in zip(parts, np.split(g, videos)):
         with Tape() as tape:
             o = op(Tensor(part, requires_grad=True), *(Tensor(a) for a in rest), videos=1)
         alone_out.append(o.data)
-        alone_gx.append(tape.nodes[0][0].vjp(gpart)[0])
+        alone_gx.append(_vjp(tape.nodes[0][0], gpart)[0])
     assert _bits(out.data) == _bits(np.concatenate(alone_out))
     assert _bits(gx) == _bits(np.concatenate(alone_gx))
 
