@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -25,7 +26,7 @@ from .errors import (CheckpointError, ConfigError, MetricError,
                      MissingArtifactError, NonFiniteError, PlanError, VdminiError)
 from .netgraph import Model
 from .optim import Adam, named_grads
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, Tensor, backward, join_parts, run_parts
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -323,6 +324,38 @@ def cmd_gen_data(cfg: dict, out: Path, chash: str, force: bool) -> None:
     print(f"gen-data: wrote {train_path} and {eval_path}")
 
 
+def train_step(model: Model, opt: Adam, batch: list, conds: Optional[list],
+               schedule: diffusion.NoiseSchedule, rng: np.random.Generator) -> float:
+    """One teacher update on `batch` (with its conditions `conds`, or None):
+    the denoising loss, one backward and one Adam step. Returns the loss.
+
+    Every video's sigma and noise are drawn from `rng` first, as
+    `diffusion.denoising_loss` draws them. The batch then runs as
+    `diffusion.video_parts`, each part's forward on its own thread and tape;
+    the root weights each part's loss by its share of the batch, so it is
+    the batch mean."""
+    p = diffusion.Preconditioner(sigma_data=schedule.sigma_data)
+    sigmas, noised = diffusion.draw_noise(batch, schedule, rng)
+    parts = diffusion.video_parts(model, batch)
+    tapes = [Tape() for _ in parts]
+
+    def forward(tape: Tape, s: slice) -> Tensor:
+        with tape:
+            return diffusion.denoising_error(model, batch[s], noised[s], sigmas[s],
+                                             conds[s] if conds else None, p)
+
+    losses = run_parts([partial(forward, t, s) for t, s in zip(tapes, parts)])
+    tape, loss = join_parts(tapes, losses, [len(batch[s]) / len(batch) for s in parts])
+    value = loss.item()
+    if not np.isfinite(value):
+        raise NonFiniteError(f"train-teacher: non-finite loss {value}")
+    # one backward per step, through this module's global, after every part's
+    # forward has joined: perfbench's `train` workload patches `cli.backward`
+    # and times each step from one call to the next
+    model.params = opt.step(model.params, named_grads(model.params, backward(tape, loss)))
+    return value
+
+
 def cmd_train_teacher(cfg: dict, out: Path, chash: str, force: bool) -> None:
     train_path, _ = _dataset_paths(out)
     ds = _load_split(train_path, chash, force, "training dataset")
@@ -339,21 +372,9 @@ def cmd_train_teacher(cfg: dict, out: Path, chash: str, force: bool) -> None:
     for step in range(t["steps"]):
         idx = rng.choice(len(videos), size=min(t["batch"], len(videos)),
                          replace=False)
-        batch = [videos[i] for i in idx]
-        bconds = [conds[i] for i in idx]
-        with Tape() as tape:
-            loss = diffusion.denoising_loss(model, batch, schedule, rng, bconds)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise NonFiniteError(f"train-teacher: non-finite loss at step {step}")
-        # backward is called here by its module name, not through a shared
-        # step helper: perfbench's `train` workload patches `cli.backward`
-        # and times each step from one call to the next
-        grads = named_grads(model.params, backward(tape, loss))
-        model.params = opt.step(model.params, grads)
+        value = train_step(model, opt, [videos[i] for i in idx], [conds[i] for i in idx],
+                           schedule, rng)
         rows.append([str(step), fmt6(value)])
-        # free this step's tape before the next forward builds its own
-        del loss, tape, grads
     _save_model(model, out / "teacher.vdmk", chash)
     write_json_artifact(out / "teacher_graph.json", {
         "graph": json.loads(netgraph.graph_to_json(graph)),

@@ -183,6 +183,26 @@ def weighted_error(d: Tensor, x0: Tensor, sigmas: list, sigma_data: float) -> Te
     return T.mul_scalar(err, x0.size // len(sigmas))
 
 
+def draw_noise(batch: list, schedule: NoiseSchedule, rng: np.random.Generator) -> tuple:
+    """(sigmas, noised): each video's training noise level, then its noised
+    copy, drawn video by video, as `denoising_loss` draws them."""
+    sigmas, noised = [], []
+    for x0 in batch:
+        sigmas.append(sample_sigma(schedule, rng))
+        noised.append(add_noise(x0, sigmas[-1], rng))
+    return sigmas, noised
+
+
+def denoising_error(model: Model, batch: list, noised: list, sigmas: list,
+                    conds: Optional[list], p: Preconditioner) -> Tensor:
+    """EDM-weighted error of denoising each video of `batch` from `noised`
+    at its level in `sigmas`, averaged over the batch: one network call for
+    them all."""
+    d = denoise(model, stack_videos(noised), sigmas, stack_videos(conds) if conds else None,
+                p, videos=len(batch))
+    return weighted_error(d, stack_videos(batch), sigmas, p.sigma_data)
+
+
 def denoising_loss(model: Model, batch: list, schedule: NoiseSchedule,
                    rng: np.random.Generator, conds: Optional[list] = None,
                    p: Optional[Preconditioner] = None) -> Tensor:
@@ -190,14 +210,31 @@ def denoising_loss(model: Model, batch: list, schedule: NoiseSchedule,
     per video, and one network call for them all."""
     if not batch:
         raise VdminiError("denoising_loss: empty batch")
-    p = p or Preconditioner(sigma_data=schedule.sigma_data)
-    sigmas, noised = [], []
-    for x0 in batch:  # each video's sigma, then its noise
-        sigmas.append(sample_sigma(schedule, rng))
-        noised.append(add_noise(x0, sigmas[-1], rng))
-    d = denoise(model, stack_videos(noised), sigmas, stack_videos(conds) if conds else None,
-                p, videos=len(batch))
-    return weighted_error(d, stack_videos(batch), sigmas, schedule.sigma_data)
+    sigmas, noised = draw_noise(batch, schedule, rng)
+    return denoising_error(model, batch, noised, sigmas, conds,
+                           p or Preconditioner(sigma_data=schedule.sigma_data))
+
+
+# One video's stem activation (widths[0] x F x H x W float64s) from which a
+# training step runs its batch as two parts, each on a thread of its own.
+# Below it the parts' Python dispatch, serialised by the GIL, outweighs what
+# the second core gains (crossover measured between 128 and 256 KiB).
+_PART_BYTES = 192 << 10
+
+
+def video_parts(model: Model, batch: list) -> list:
+    """The slices of `batch` that a training or distill step runs as parts,
+    each forward on a thread and tape of its own: two halves (the first the
+    larger) when the batch holds at least two videos and one video's stem
+    activation in `model` takes at least _PART_BYTES, else the whole batch.
+    The split depends only on the shapes, so a config's bits never depend on
+    timing or on the host."""
+    f, _, h, w = batch[0].shape
+    stem = 8 * model.params["stem.conv.w"].shape[0] * f * h * w
+    if len(batch) < 2 or stem < _PART_BYTES:
+        return [slice(0, len(batch))]
+    half = (len(batch) + 1) // 2
+    return [slice(0, half), slice(half, len(batch))]
 
 
 def _cfg_denoise(teacher: Model, x: Tensor, sigma: float, cond: Optional[Tensor],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -18,7 +19,7 @@ from .diffusion import NoiseSchedule, Preconditioner
 from .errors import NonFiniteError, ShapeError, VdminiError
 from .netgraph import Model
 from .optim import Adam, named_grads
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, Tensor, backward, join_parts, run_parts
 
 STUDENT_LR = 1e-4
 DISC_LR = 1e-5
@@ -225,27 +226,24 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
                  conds: Optional[list] = None) -> dict:
     """One alternating update: critic first, then the student.
 
-    Each video gets its own noise level, and each network runs once per
-    step on the stacked batch: the student on a tape and, on a worker
-    thread beside it, the teacher for its features. The teacher reads
-    nothing the student computes in the step and records on no tape (tapes
-    are per thread), so its features are bit for bit those of a forward
-    run first. The critic trains on the detached outputs of the student's
-    forward; the critic step leaves the student untouched, so these are the
-    fakes a separate forward would give. The step then waits for the
-    teacher: the feature term and the generator term, scored by the updated
-    critic, join the student's tape, and one backward updates the student.
-    An error on either thread is raised once both have stopped; by then the
-    critic may have taken its step, but the student has not.
+    Each video gets its own noise level, all drawn first, and the batch runs
+    as `diffusion.video_parts`. Each part, on a thread of its own (part 0 on
+    the calling thread), computes the teacher's features outside any tape,
+    then runs the student's forward on the part's own tape. After the join,
+    the critic takes one hinge step on the detached outputs of every part's
+    forward and the real videos; the critic step leaves the student
+    untouched, so these are the fakes a separate forward would give. Each
+    part's feature term and generator term, scored by the updated critic,
+    join that part's tape; the root weights each part's total by its share
+    of the batch, and one backward updates the student. An error on a
+    part's thread is raised once every part has stopped, before the critic
+    steps.
 
     Returns the loss breakdown {task, icd, mca_gen, mca_disc, total} where
-    total = task + lambda_icd * icd + lambda_mca * (mca_gen + mca_disc).
-    Adversarial terms are zero while step < mca_warmup_steps.
+    total = task + lambda_icd * icd + lambda_mca * (mca_gen + mca_disc), each
+    term the batch mean. Adversarial terms are zero while step <
+    mca_warmup_steps.
     """
-    # imported here: concurrent.futures loads logging, which every other
-    # stage would otherwise pay for at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
     if not batch:
         raise VdminiError("distill_step: empty batch")
     check_teacher_frozen(state)
@@ -253,42 +251,58 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
     mca_on = state.step >= state.weights.mca_warmup_steps
     # each video's sigma, then each one's noise, then the critic's noise
     sigmas = [diffusion.sample_sigma(state.schedule, rng) for _ in batch]
-    x_t = diffusion.stack_videos([diffusion.add_noise(x, s, rng) for x, s in zip(batch, sigmas)])
+    x_t = [diffusion.add_noise(x, s, rng) for x, s in zip(batch, sigmas)]
     inst = [sample_instance_noise(state.noise, rng)[1] for _ in batch]
-    noise = np.concatenate([s * rng.standard_normal(x0.shape) for x0, s in zip(batch, inst)])
-    x0 = diffusion.stack_videos(batch)
-    cond = diffusion.stack_videos(conds) if conds else None
+    noise = [s * rng.standard_normal(x0.shape) for x0, s in zip(batch, inst)]
+    parts = diffusion.video_parts(state.student, batch)
+    tapes = [Tape() for _ in parts]
 
-    c0, c1, c2, c3 = diffusion.precondition_coeffs(sigmas, p)
-    x_in = T.mul_scalar(x_t, c2)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        teacher = pool.submit(_teacher_features, state.teacher, x_in, c3, cond)
-        tape = Tape()
+    def forward(tape: Tape, s: slice) -> tuple:
+        c0, c1, c2, c3 = diffusion.precondition_coeffs(sigmas[s], p)
+        xs = diffusion.stack_videos(x_t[s])
+        x_in = T.mul_scalar(xs, c2)
+        cond = diffusion.stack_videos(conds[s]) if conds else None
+        feats_t = _teacher_features(state.teacher, x_in, c3, cond)
         with tape:
             f_s, feats_s = state.student.forward(x_in, c3, cond, collect_features=True,
-                                                 videos=len(batch))
-            d_s = T.add(T.mul_scalar(x_t, c0), T.mul_scalar(f_s, c1))
-            task = diffusion.weighted_error(d_s, x0, sigmas, p.sigma_data)
+                                                 videos=len(x_t[s]))
+            d_s = T.add(T.mul_scalar(xs, c0), T.mul_scalar(f_s, c1))
+            task = diffusion.weighted_error(d_s, diffusion.stack_videos(batch[s]), sigmas[s],
+                                            p.sigma_data)
+        return feats_t, feats_s, d_s, task
 
-        mca_disc_val = 0.0
-        if mca_on:  # one hinge step of the critic on the V fakes, then the V reals
-            fakes_reals = Tensor(np.concatenate([d_s.data + noise, x0.data + noise]))
-            with Tape() as critic_tape:
-                loss_d = mca_disc_loss(state.disc.forward(fakes_reals, inst + inst))
-            mca_disc_val = _check_finite(loss_d.item(), "mca_disc")
-            grads = named_grads(state.disc.params, backward(critic_tape, loss_d))
-            state.disc.params = state.opt_disc.step(state.disc.params, grads)
-        teach_feats = teacher.result()
-    with tape:
-        icd = icd_loss(teach_feats, feats_s)
-        total = T.add(task, T.mul_scalar(icd, state.weights.lambda_icd))
-        gen = None
-        if mca_on:
-            gen = mca_gen_loss(state.disc.forward(T.add(d_s, Tensor(noise)), inst))
-            total = T.add(total, T.mul_scalar(gen, state.weights.lambda_mca))
-    task_val = _check_finite(task.item(), "task")
-    icd_val = _check_finite(icd.item(), "icd")
-    gen_val = _check_finite(gen.item(), "mca_gen") if gen is not None else 0.0
+    outs = run_parts([partial(forward, t, s) for t, s in zip(tapes, parts)])
+    mca_disc_val = 0.0
+    if mca_on:  # one hinge step of the critic on the V fakes, then the V reals
+        noises = np.concatenate(noise)
+        fakes = np.concatenate([d_s.data for _, _, d_s, _ in outs])
+        reals = diffusion.stack_videos(batch).data
+        with Tape() as critic_tape:
+            loss_d = mca_disc_loss(state.disc.forward(
+                Tensor(np.concatenate([fakes + noises, reals + noises])), inst + inst))
+        mca_disc_val = _check_finite(loss_d.item(), "mca_disc")
+        grads = named_grads(state.disc.params, backward(critic_tape, loss_d))
+        state.disc.params = state.opt_disc.step(state.disc.params, grads)
+    tasks, icds, gens, totals = [], [], [], []  # per part
+    for tape, s, (feats_t, feats_s, d_s, task) in zip(tapes, parts, outs):
+        with tape:
+            icd = icd_loss(feats_t, feats_s)
+            total = T.add(task, T.mul_scalar(icd, state.weights.lambda_icd))
+            if mca_on:
+                gens.append(mca_gen_loss(state.disc.forward(
+                    T.add(d_s, Tensor(np.concatenate(noise[s]))), inst[s])))
+                total = T.add(total, T.mul_scalar(gens[-1], state.weights.lambda_mca))
+        tasks.append(task)
+        icds.append(icd)
+        totals.append(total)
+    shares = [len(batch[s]) / len(batch) for s in parts]
+
+    def batch_mean(terms: list, name: str) -> float:
+        return _check_finite(sum(w * t.item() for w, t in zip(shares, terms)), name)
+
+    task_val, icd_val = batch_mean(tasks, "task"), batch_mean(icds, "icd")
+    gen_val = batch_mean(gens, "mca_gen") if mca_on else 0.0
+    tape, total = join_parts(tapes, totals, shares)
     grads = named_grads(state.student.params, backward(tape, total))
     state.student.params = state.opt_student.step(state.student.params, grads)
     state.step += 1

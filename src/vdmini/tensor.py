@@ -1,21 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Tensors wrap read-only numpy arrays. Ops executed while a Tape is active
-on their thread record nodes in append order. `backward` consumes the tape:
-the calling thread walks it in strict reverse order, computing the chain of
-input gradients and popping each node once its vjp has run, while one
-worker thread computes every gradient contribution to a leaf (the parameter
-gradients) and sums them in the order the walk produced them. Everything
-runs in float64 and all reductions use numpy's fixed left-to-right
-summation, so results are bit-reproducible for a given BLAS thread count,
-whichever thread computes them.
+on their thread record nodes in append order. `backward` consumes the tape
+with one serial walk in strict reverse order, popping each node once its
+vjp has run; a tape whose parts were recorded on other threads has each
+part walked on a thread of its own. Everything runs in float64 and all
+reductions use numpy's fixed left-to-right summation, so results are
+bit-reproducible for a given BLAS thread count, whichever thread computes
+them.
 """
 
 from __future__ import annotations
 
 import math
-import queue
 import threading
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -65,12 +64,8 @@ class Tensor:
 
 
 class Node:
-    """One tape entry: op kind, input tensors, and a vjp closure.
-
-    The vjp maps the output's gradient to one entry per input: an array,
-    None, or, for a parameter gradient, a zero-argument callable that
-    computes the array with NumPy alone, so that `backward` can run it on
-    its worker thread."""
+    """One tape entry: op kind, input tensors, and a vjp closure that maps
+    the output's gradient to one array or None per input."""
 
     __slots__ = ("op", "inputs", "vjp")
 
@@ -93,12 +88,18 @@ class Tape:
     The stack of active tapes is per thread: a tape entered on one thread
     records only the ops that thread runs, so an untaped forward on another
     thread may share parameter Tensors with the taped one and record
-    nothing."""
+    nothing.
+
+    A tape may hold `parts`: tapes recorded apart, typically each on its
+    own thread, such as one per slice of a batch. The tape's own `nodes`
+    may read the parts' outputs (the join of the parts' losses), but no
+    part may read another's. `nodes` lists the tape's own nodes only."""
 
     _active = _ActiveTapes()
 
-    def __init__(self):
+    def __init__(self, parts: Sequence["Tape"] = ()):
         self.nodes: list[tuple[Node, Tensor]] = []
+        self.parts = tuple(parts)
         self.consumed = False
 
     def __enter__(self):
@@ -113,6 +114,10 @@ class Tape:
     def current(cls) -> Optional["Tape"]:
         stack = cls._active.stack
         return stack[-1] if stack else None
+
+    def with_parts(self) -> list["Tape"]:
+        """This tape, then each part with its own parts, in part order."""
+        return [self] + [t for part in self.parts for t in part.with_parts()]
 
 
 def _tracked(*tensors: Tensor) -> bool:
@@ -129,80 +134,116 @@ def _record(op: str, out_data: Array, inputs: Sequence[Tensor], vjp) -> Tensor:
     return Tensor(out_data)
 
 
+def run_parts(fns: Sequence[Callable[[], object]]) -> list:
+    """[fn() for fn in fns], all at once: fns[0] on the calling thread and
+    each other on a thread of its own. Every thread has stopped when this
+    returns or raises; the first error, in part order, is raised then."""
+    results: list = [None] * len(fns)
+    errors: list = [None] * len(fns)
+
+    def run(i):
+        try:
+            results[i] = fns[i]()
+        except BaseException as e:  # raised below, once every thread has stopped
+            errors[i] = e
+
+    threads = []
+    try:
+        for i in range(1, len(fns)):
+            thread = threading.Thread(target=run, args=(i,), name=f"vdmini-part-{i}")
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for e in errors:
+        if e is not None:
+            raise e
+    return results
+
+
+def join_parts(tapes: Sequence[Tape], roots: Sequence[Tensor],
+               weights: Sequence[float]) -> tuple:
+    """(tape, root) of the sum over i of weights[i] * roots[i], where each
+    root is recorded on tapes[i]: one tape and its root as they are (its
+    weight is 1), or else a new tape with the tapes as its parts, holding
+    the weighted sum."""
+    if len(tapes) == 1:
+        return tapes[0], roots[0]
+    tape = Tape(tapes)
+    with tape:
+        total = None
+        for root, w in zip(roots, weights):
+            term = mul_scalar(root, w)
+            total = term if total is None else add(total, term)
+    return tape, total
+
+
 def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
     """Grads of `root` w.r.t. every requires_grad leaf reached by the tape.
 
-    The calling thread pops the nodes off the tape in reverse order, runs
-    each vjp, and sums the gradients of non-leaf tensors. It hands every
-    contribution to a leaf, array or deferred callable, to one worker
-    thread, which computes and sums them per leaf in the order they were
-    handed over: the same order and the same expressions as a serial walk,
-    so every returned gradient has the same bits. A node popped off the
-    tape that nothing else holds is freed there and then; the nodes the
-    root reaches stay until the caller drops the root. The worker has
-    stopped when this returns; an error on either thread is raised after
-    both have stopped.
+    The calling thread pops the tape's own nodes off in reverse order, runs
+    each vjp, and sums every tensor's gradient contributions in walk order.
+    Then it walks the parts side by side in the same way, each on a thread
+    of its own (part 0 on the calling thread, `run_parts`), from the
+    gradients of its outputs. A leaf's gradient is its sum over the tape's
+    own nodes, then each part's sum added in part order: fixed by the
+    tape's layout, not by timing. A node popped off the tape that nothing
+    else holds is freed there and then; the nodes the root reaches stay
+    until the caller drops the root. No thread outlives the call, and an
+    error on any part's thread is raised once every thread has stopped.
 
-    The root must be a node of this tape, or a requires_grad leaf (whose
-    gradient is one). Any other root, or a tape an earlier `backward`
-    consumed, raises TapeError, rather than returning no gradients."""
+    The root must be a node of this tape or of one of its parts, or a
+    requires_grad leaf (whose gradient is one). Any other root, or a tape
+    or part an earlier `backward` consumed, raises TapeError, rather than
+    returning no gradients."""
     if root.shape != ():
         raise NonScalarRootError(f"backward root must be scalar, got shape {root.shape}")
-    if tape.consumed:
+    tapes = tape.with_parts()
+    if any(t.consumed for t in tapes):
         raise TapeError("backward: this tape was already consumed by an earlier backward")
-    nodes = tape.nodes
     if root.node is None:
         if not root.requires_grad:
             raise TapeError("backward: the root is a constant, recorded on no tape")
-        tape.consumed = True
-        nodes.clear()
+        for t in tapes:
+            t.consumed = True
+            t.nodes.clear()
         return {root: Tensor(np.ones(()))}
-    if not any(out is root for _, out in reversed(nodes)):
+    if not any(out is root for t in tapes for _, out in reversed(t.nodes)):
         raise TapeError("backward: the root was not recorded on this tape")
-    tape.consumed = True
-    grads: dict[Tensor, Array] = {root: np.ones((), dtype=np.float64)}
-    sums: dict[Tensor, Array] = {}
-    errors: list[BaseException] = []
-    todo: queue.SimpleQueue = queue.SimpleQueue()
-    worker = threading.Thread(target=_sum_leaf_grads, args=(todo, sums, errors),
-                              name="vdmini-backward")
-    worker.start()
-    try:
-        while nodes and not errors:
-            node, out = nodes.pop()
-            g = grads.pop(out, None)
-            if g is None:
-                continue
-            for t, gi in zip(node.inputs, node.vjp(g)):
-                if gi is None:
-                    continue
-                if t.node is None:
-                    if t.requires_grad:
-                        todo.put((t, gi))
-                    continue
-                if callable(gi):
-                    gi = gi()
-                grads[t] = grads[t] + gi if t in grads else gi
-    finally:
-        todo.put(None)
-        worker.join()
-    if errors:
-        raise errors[0]
+    for t in tapes:
+        t.consumed = True
+    sums = _walk(tape, {root: np.ones((), dtype=np.float64)})
     return {t: Tensor(g) for t, g in sums.items()}
 
 
-def _sum_leaf_grads(todo: queue.SimpleQueue, sums: dict, errors: list) -> None:
-    """`backward`'s worker: compute each (leaf, gradient or callable) it is
-    handed and add it to that leaf's sum, until it is handed None. It stops
-    at the first error and leaves it in `errors` for the caller to raise."""
-    try:
-        while (item := todo.get()) is not None:
-            leaf, g = item
-            if callable(g):
-                g = g()
-            sums[leaf] = sums[leaf] + g if leaf in sums else g
-    except BaseException as e:  # raised by `backward` once the walk has stopped
-        errors.append(e)
+def _walk(tape: Tape, grads: dict) -> dict:
+    """`backward`'s walk of one tape: pop its nodes in reverse order, adding
+    each vjp's contributions into `grads` (non-leaf tensors) or the leaf
+    sums, then walk the parts side by side, each from the gradients in
+    `grads` of its own outputs. Returns each leaf's sum: the tape's own
+    contributions in walk order, then each part's sum in part order."""
+    nodes = tape.nodes
+    sums: dict = {}
+    while nodes:
+        node, out = nodes.pop()
+        g = grads.pop(out, None)
+        if g is None:
+            continue
+        for t, gi in zip(node.inputs, node.vjp(g)):
+            if gi is None or not (t.requires_grad or t.node is not None):
+                continue
+            into = grads if t.node is not None else sums
+            into[t] = into[t] + gi if t in into else gi
+    if tape.parts:
+        starts = [{out: grads.pop(out) for _, out in part.nodes if out in grads}
+                  for part in tape.parts]
+        for part_sums in run_parts([partial(_walk, part, start)
+                                    for part, start in zip(tape.parts, starts)]):
+            for t, g in part_sums.items():
+                sums[t] = sums[t] + g if t in sums else g
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +282,7 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     reduce_axes = (1,) + tuple(range(3, x.data.ndim + 1))
 
     def vjp(g):
-        return g, lambda: g.reshape(runs).sum(axis=reduce_axes).reshape(b.shape)
+        return g, g.reshape(runs).sum(axis=reduce_axes).reshape(b.shape)
 
     return _record("bias_add", (x.data.reshape(runs) + bb).reshape(x.shape), [x, b], vjp)
 
@@ -357,10 +398,9 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         out += b.data
 
     def vjp(g):
-        grads = [g @ w.data,
-                 lambda: np.tensordot(g, x.data, axes=(range(g.ndim - 1), range(x.data.ndim - 1)))]
+        grads = [g @ w.data, np.tensordot(g, x.data, axes=(range(g.ndim - 1), range(x.data.ndim - 1)))]
         if b is not None:
-            grads.append(lambda: g.sum(axis=tuple(range(g.ndim - 1))))
+            grads.append(g.sum(axis=tuple(range(g.ndim - 1))))
         return tuple(grads)
 
     inputs = [x, w] if b is None else [x, w, b]
@@ -415,14 +455,11 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
         cols = np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3)).reshape(o * kh * kw, n * h * wd)
         wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
         gx = (wflip @ cols).reshape(c, n, h, wd).transpose(1, 0, 2, 3)
-
-        def gw():
-            xc = x.data.transpose(1, 0, 2, 3).reshape(c, n * h * wd)
-            return (xc @ cols.T).reshape(c, o, kh, kw).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-
+        xc = x.data.transpose(1, 0, 2, 3).reshape(c, n * h * wd)
+        gw = (xc @ cols.T).reshape(c, o, kh, kw).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
         grads = [gx, gw]
         if b is not None:
-            grads.append(lambda: g2.reshape(o, n * ho * wo).sum(axis=1))
+            grads.append(g2.reshape(o, n * ho * wo).sum(axis=1))
         return tuple(grads)
 
     def vjp(g):
@@ -434,9 +471,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
         for i in range(kh):
             for j in range(kw):
                 gxp_c[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[i, j]
-        grads = [gxp[:, :, pad : pad + h, pad : pad + wd], lambda: (g2 @ im2col().T).reshape(w.shape)]
+        grads = [gxp[:, :, pad : pad + h, pad : pad + wd], (g2 @ im2col().T).reshape(w.shape)]
         if b is not None:
-            grads.append(lambda: g2.sum(axis=1))
+            grads.append(g2.sum(axis=1))
         return tuple(grads)
 
     inputs = [x, w] if b is None else [x, w, b]
@@ -486,9 +523,9 @@ def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0
         gxp = np.zeros((videos, f + 2 * pad, c, h, wd))
         for i in range(k):
             gxp[:, i : i + fo] += gcols[:, :, :, i]
-        grads = [gxp[:, pad : pad + f].reshape(nf, c, h, wd), lambda: (g2 @ im2col().T).reshape(w.shape)]
+        grads = [gxp[:, pad : pad + f].reshape(nf, c, h, wd), (g2 @ im2col().T).reshape(w.shape)]
         if b is not None:
-            grads.append(lambda: g2.sum(axis=1))
+            grads.append(g2.sum(axis=1))
         return tuple(grads)
 
     inputs = [x, w] if b is None else [x, w, b]
@@ -535,8 +572,8 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int = 1, eps: flo
         dxhat -= t1
         dxhat -= np.multiply(d, t2, out=tmp)
         dxhat *= inv
-        return (dxhat.reshape(x.shape), lambda: (g * d.reshape(x.shape)).sum(axis=affine_axes),
-                lambda: g.sum(axis=affine_axes))
+        return (dxhat.reshape(x.shape), (g * d.reshape(x.shape)).sum(axis=affine_axes),
+                g.sum(axis=affine_axes))
 
     return _record("group_norm", out, [x, gamma, beta], vjp)
 
@@ -628,8 +665,7 @@ def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens)
         gx = gq @ wq
         gx += gk @ wk
         gx += gv @ wv
-        return (from_tokens(gx.reshape(bsz, nt, c)), lambda: gq.T @ flat, lambda: gk.T @ flat,
-                lambda: gv.T @ flat, lambda: g2.T @ av)
+        return from_tokens(gx.reshape(bsz, nt, c)), gq.T @ flat, gk.T @ flat, gv.T @ flat, g2.T @ av
 
     out = from_tokens((av @ wo.T).reshape(bsz, nt, c))
     return _record(op, out, [x, *ws], vjp)

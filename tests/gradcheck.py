@@ -1,5 +1,6 @@
 """Central-difference gradient checking for the autodiff tests, and the
-serial backward that `tensor.backward` must match bit for bit.
+serial backward, part by part, that `tensor.backward` must match bit for
+bit.
 
 Imported by name (`from gradcheck import ...`), not as a conftest fixture:
 the benchmark's tests have a `conftest` module of their own.
@@ -52,30 +53,44 @@ def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float
     return GradCheckReport(analytic, numeric.reshape(x.shape))
 
 
-def reference_backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
-    """`tensor.backward` as one serial loop on the calling thread: it walks
-    the tape in reverse, computes each deferred parameter gradient where the
-    walk meets it, sums every tensor's contributions in walk order, and
-    leaves the tape as it found it."""
-    grads = {id(root): np.ones((), dtype=np.float64)}
-    keep = {id(root): root}
+def _reference_walk(tape: Tape, grads: dict) -> dict:
+    """Walk `tape`'s nodes in reverse, then each of its parts alone, in part
+    order, from the gradients of the part's own outputs; `grads` maps
+    id(non-leaf tensor) to its gradient so far. Returns {id(leaf): (leaf,
+    sum)}: the tape's own contributions summed in walk order, then each
+    part's sum added in part order. The tapes are left as they were."""
+    sums: dict = {}
+
+    def add(key, t, g):
+        sums[key] = (t, sums[key][1] + g) if key in sums else (t, g)
+
     for node, out in reversed(tape.nodes):
         g = grads.pop(id(out), None)
-        keep.pop(id(out), None)
         if g is None:
             continue
         for t, gi in zip(node.inputs, node.vjp(g)):
-            if gi is None or not (t.requires_grad or t.node is not None):
+            if gi is None:
                 continue
-            if callable(gi):
-                gi = gi()
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + gi
-            else:
-                grads[key] = gi
-                keep[key] = t
-    return {t: Tensor(grads[key]) for key, t in keep.items() if t.requires_grad}
+            if t.node is not None:
+                grads[id(t)] = grads[id(t)] + gi if id(t) in grads else gi
+            elif t.requires_grad:
+                add(id(t), t, gi)
+    for part in tape.parts:
+        start = {id(out): grads.pop(id(out)) for _, out in part.nodes if id(out) in grads}
+        for key, (t, g) in _reference_walk(part, start).items():
+            add(key, t, g)
+    return sums
+
+
+def reference_backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
+    """`tensor.backward` as serial loops on the calling thread: the tape's
+    own nodes in reverse, then each part alone, in part order (for a tape
+    without parts, the one serial walk), every tensor's contributions summed
+    in walk order. The tape is left as it was found."""
+    if root.node is None:
+        return {root: Tensor(np.ones(()))}
+    sums = _reference_walk(tape, {id(root): np.ones((), dtype=np.float64)})
+    return {t: Tensor(g) for t, g in sums.values()}
 
 
 def backward_matching_reference(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:

@@ -291,8 +291,7 @@ SCHEDULE = df.NoiseSchedule()
 
 
 def _train_teacher(steps=TEACHER_STEPS):
-    from vdmini.optim import Adam, named_grads
-    from vdmini.tensor import Tape, backward
+    from vdmini.optim import Adam
 
     graph = ng.toy_teacher_graph()
     model = ng.build(graph, 0)
@@ -302,9 +301,7 @@ def _train_teacher(steps=TEACHER_STEPS):
     for _ in range(steps):
         batch = [train[rng.integers(len(train))] for _ in range(2)]
         bc = [sd.first_frame_condition(v) for v in batch]
-        with Tape() as tape:
-            loss = df.denoising_loss(model, batch, SCHEDULE, rng, conds=bc)
-        model.params = opt.step(model.params, named_grads(model.params, backward(tape, loss)))
+        cli.train_step(model, opt, batch, bc, SCHEDULE, rng)
     return model
 
 

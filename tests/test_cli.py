@@ -6,9 +6,16 @@ import sys
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vdmini import cli
+from vdmini import diffusion as df
+from vdmini import netgraph as ng
+from vdmini import synthdata as sd
+from vdmini import tensor as T
+from vdmini.optim import Adam, named_grads
+from vdmini.tensor import Tape, Tensor, backward
 
 GOLDEN = Path(__file__).parent / "golden" / "plan.json"
 
@@ -392,3 +399,86 @@ def test_module_entry_point_runs_without_warnings():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "usage: vdmini" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the training step: parts by video
+# ---------------------------------------------------------------------------
+
+def _teacher_and_batch(n, frames, widths=None):
+    """The teacher (the default widths unless `widths`), its residual
+    branches opened, and n videos of `frames` frames with their conditions."""
+    model = ng.build(ng.make_unet_graph(ng.ORIGIN_LAYER_COUNTS, widths, emb_dim=8)
+                     if widths else ng.toy_teacher_graph(), 0)
+    prng = np.random.default_rng(8)
+    model.params = {name: Tensor(p.data + 0.05 * prng.standard_normal(p.shape),
+                                 requires_grad=True) for name, p in model.params.items()}
+    videos = sd.gen_dataset(n, 7, frames=frames).tensors()
+    return model, videos, [sd.first_frame_condition(v) for v in videos]
+
+
+def _assert_close_arrays(got: dict, want: dict, rel: float):
+    assert got.keys() == want.keys()
+    for name, g in want.items():
+        scale = float(np.abs(g.data).max())
+        assert float(np.abs(got[name].data - g.data).max()) <= rel * scale, name
+
+
+def test_a_two_part_train_step_keeps_the_draws_loss_and_gradients_of_the_stacked_step(
+        monkeypatch):
+    model, batch, conds = _teacher_and_batch(2, 8)
+    assert len(df.video_parts(model, batch)) == 2
+    schedule, params = df.NoiseSchedule(), dict(model.params)
+    with Tape() as tape:  # the whole batch in one network call, on one tape
+        want = df.denoising_loss(model, batch, schedule, np.random.default_rng(5), conds)
+    want_grads = named_grads(params, backward(tape, want))
+    seen = []
+
+    def kept(tape, root):
+        seen.append(backward(tape, root))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "backward", kept)
+    rng = np.random.default_rng(5)
+    value = cli.train_step(model, Adam(lr=1e-4), batch, conds, schedule, rng)
+    replay = np.random.default_rng(5)
+    for x in batch:  # each video's sigma, then its noise
+        df.sample_sigma(schedule, replay)
+        replay.standard_normal(x.shape)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    assert len(seen) == 1  # one backward per step
+    assert value == pytest.approx(want.item(), rel=1e-12)
+    _assert_close_arrays(named_grads(params, seen[0]), want_grads, 1e-12)
+    assert all(model.params[n] is not p for n, p in params.items())  # Adam stepped
+
+
+@pytest.mark.parametrize("n,frames,widths", [(1, 8, None), (2, 2, (4, 6, 8))],
+                         ids=["batch 1", "FAST_PIPELINE shapes"])
+def test_a_one_part_train_step_starts_no_thread(monkeypatch, n, frames, widths):
+    model, batch, conds = _teacher_and_batch(n, frames, widths)
+    assert df.video_parts(model, batch) == [slice(0, n)]
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-part step started a thread")
+
+    monkeypatch.setattr(T.threading, "Thread", no_thread)
+    value = cli.train_step(model, Adam(lr=1e-4), batch, conds, df.NoiseSchedule(),
+                           np.random.default_rng(0))
+    assert np.isfinite(value)
+
+
+def test_train_teacher_on_two_parts_is_byte_deterministic(tmp_path, monkeypatch):
+    parts = []
+    run_parts = cli.run_parts
+    monkeypatch.setattr(cli, "run_parts", lambda fns: parts.append(len(fns)) or run_parts(fns))
+    cfg = _cfg_file(tmp_path, {"data": {"n_train": 4, "n_eval": 2, "frames": 8},
+                               "model": {"widths": [16, 32, 64], "emb_dim": 32},
+                               "train_teacher": {"steps": 2, "batch": 2}})
+    written = []
+    for run in ("a", "b"):
+        out = str(tmp_path / run)
+        for stage in ("gen-data", "train-teacher"):
+            assert _run([stage, "--config", cfg, "--out", out]) == cli.EXIT_OK
+        written.append((tmp_path / run / "teacher.vdmk").read_bytes())
+    assert parts == [2] * 4
+    assert written[0] == written[1]

@@ -356,15 +356,17 @@ def _per_video_step(state, batch, rng):
             "mca_disc": loss_d.item()}
 
 
-def test_distill_step_runs_each_network_once_per_step_and_matches_per_video_forwards(
-        monkeypatch):
+@pytest.mark.parametrize("n_parts", [1, 2])
+def test_distill_step_runs_each_network_once_per_part_and_matches_per_video_forwards(
+        monkeypatch, n_parts):
+    if n_parts == 2:  # the tiny shapes run as two parts
+        monkeypatch.setattr(df, "_PART_BYTES", 0)
     state, ref = _state(), _state()
     calls = []
-    main = threading.get_ident()
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
-            calls.append((name, T.Tape.current() is not None, threading.get_ident() == main))
+            calls.append((name, T.Tape.current() is not None, threading.get_ident()))
             return fn(*args, **kwargs)
         return wrapped
 
@@ -372,16 +374,34 @@ def test_distill_step_runs_each_network_once_per_step_and_matches_per_video_forw
     state.disc.forward = counted("critic", state.disc.forward)
     monkeypatch.setattr(icmd, "_teacher_features",
                         counted("teacher", icmd._teacher_features))
+    check_teacher_frozen = icmd.check_teacher_frozen
+
+    def frozen(st):
+        calls.append(("frozen", rng.bit_generator.state))
+        check_teacher_frozen(st)
+
+    monkeypatch.setattr(icmd, "check_teacher_frozen", frozen)
+    main, threads = threading.get_ident(), threading.active_count()
     for step in range(2):
         batch = _batch(n=3)
         calls.clear()
-        out = icmd.distill_step(state, batch, np.random.default_rng(step))
-        # the teacher once, untaped, on a worker thread; on the main thread the
-        # student, the critic's update on its own tape, then the generator term
-        # on the student's
-        assert [c for c in calls if c[0] == "teacher"] == [("teacher", False, False)]
-        assert [c for c in calls if c[0] != "teacher"] == [
-            ("student", True, True), ("critic", True, True), ("critic", True, True)]
+        rng = np.random.default_rng(step)
+        fresh = rng.bit_generator.state
+        out = icmd.distill_step(state, batch, rng)
+        assert threading.active_count() == threads  # no part thread outlives the step
+        # the teacher check comes before any draw
+        assert calls[0] == ("frozen", fresh)
+        # per part, on its own thread (part 0 on the main thread): the
+        # teacher untaped, then the student on the part's tape; then on the
+        # main thread the critic's update on its own tape, and one generator
+        # term per part, on that part's tape
+        forwards = [c for c in calls[1:] if c[0] != "critic"]
+        per_thread = {}
+        for name, taped, ident in forwards:
+            per_thread.setdefault(ident, []).append((name, taped))
+        assert len(per_thread) == n_parts and main in per_thread
+        assert all(seq == [("teacher", False), ("student", True)] for seq in per_thread.values())
+        assert [c for c in calls if c[0] == "critic"] == [("critic", True, main)] * (1 + n_parts)
         want = _per_video_step(ref, batch, np.random.default_rng(step))
         for key, value in want.items():
             assert out[key] == pytest.approx(value, rel=1e-9), key
@@ -400,12 +420,18 @@ def _run_steps(n_steps):
     return outs, state
 
 
+def _on_a_part_thread() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
 def test_a_teacher_that_finishes_last_changes_no_bit_of_the_steps(monkeypatch):
+    monkeypatch.setattr(df, "_PART_BYTES", 0)  # two parts at the tiny shapes
     ref_outs, ref = _run_steps(3)
     teacher_features = icmd._teacher_features
 
     def slow(*args):
-        time.sleep(0.05)  # outlasts the student's forward and the critic update
+        if _on_a_part_thread():
+            time.sleep(0.05)  # outlasts part 0's teacher and student forwards
         return teacher_features(*args)
 
     monkeypatch.setattr(icmd, "_teacher_features", slow)
@@ -431,25 +457,89 @@ def test_distill_steps_backward_matches_the_serial_reference_bitwise(monkeypatch
 
     monkeypatch.setattr(icmd, "backward", checked)
     outs = [icmd.distill_step(state, batch, np.random.default_rng(step)) for step in range(2)]
-    assert all(out["mca_disc"] > 0.0 for out in outs)  # MCA is on in both steps
+    monkeypatch.setattr(df, "_PART_BYTES", 0)  # then two parts, walked side by side
+    outs += [icmd.distill_step(state, batch, np.random.default_rng(step)) for step in range(2)]
+    assert all(out["mca_disc"] > 0.0 for out in outs)  # MCA is on in every step
     # each step: the critic's own update, then the student's, which reaches the critic too
-    assert reached == [(False, True), (True, True)] * 2
+    assert reached == [(False, True), (True, True)] * 4
 
 
 def test_a_teacher_error_is_raised_once_both_threads_have_stopped(monkeypatch):
+    monkeypatch.setattr(df, "_PART_BYTES", 0)  # two parts at the tiny shapes
+    teacher_features = icmd._teacher_features
+
     def broken(*args):
-        raise ShapeError("teacher input")
+        if _on_a_part_thread():
+            raise ShapeError("teacher input")
+        return teacher_features(*args)
 
     monkeypatch.setattr(icmd, "_teacher_features", broken)
     state = _state()
-    student_params = dict(state.student.params)
+    student_params, disc_params = dict(state.student.params), dict(state.disc.params)
     threads = threading.active_count()
     with pytest.raises(ShapeError, match="teacher input"):
         icmd.distill_step(state, _batch(), np.random.default_rng(0))
     assert threading.active_count() == threads
     assert state.step == 0
-    assert state.student.params.keys() == student_params.keys()
-    assert all(state.student.params[n] is p for n, p in student_params.items())
+    # neither the critic nor the student has stepped
+    for params, before in ((state.student.params, student_params),
+                           (state.disc.params, disc_params)):
+        assert params.keys() == before.keys()
+        assert all(params[n] is p for n, p in before.items())
+
+
+def test_a_two_part_distill_step_keeps_the_draws_losses_and_gradients_of_the_stacked_step(
+        monkeypatch):
+    graph = ng.toy_teacher_graph()  # the default widths, with 8-frame videos
+    teacher = ng.build(graph, 1)
+    prng = np.random.default_rng(9)  # residual branches start at zero: open them
+    teacher.params = {n: Tensor(p.data + 0.05 * prng.standard_normal(p.shape), requires_grad=True)
+                      for n, p in teacher.params.items()}
+    batch = _batch(n=2, frames=8)
+    conds = [sd.first_frame_condition(v) for v in batch]
+    seen = []  # per backward: the grads, by parameter name
+
+    def state():
+        student = pr.apply_plan(teacher, pr.plan_vdmini(graph))
+        st = icmd.DistillState(student=student, teacher=teacher,
+                               disc=icmd.Discriminator(seed=2), schedule=NoiseSchedule())
+
+        def kept(tape, root):
+            params = st.disc.params if len(seen) % 2 == 0 else st.student.params
+            seen.append(named_grads(params, backward(tape, root)))
+            return {}  # leave both models as they were: only the first step counts
+
+        return st, kept
+
+    stacked, kept = state()
+    assert len(df.video_parts(stacked.student, batch)) == 2
+    monkeypatch.setattr(icmd, "backward", kept)
+    monkeypatch.setattr(df, "_PART_BYTES", 1 << 62)  # the whole batch as one part
+    want = icmd.distill_step(stacked, batch, np.random.default_rng(6), conds)
+    monkeypatch.undo()
+    parted, kept = state()
+    monkeypatch.setattr(icmd, "backward", kept)
+    rng = np.random.default_rng(6)
+    got = icmd.distill_step(parted, batch, rng, conds)
+    replay = np.random.default_rng(6)
+    for _ in batch:  # each video's sigma, then each one's noise, then the critic's
+        df.sample_sigma(parted.schedule, replay)
+    for x in batch:
+        replay.standard_normal(x.shape)
+    for _ in batch:
+        icmd.sample_instance_noise(parted.noise, replay)
+    for x in batch:
+        replay.standard_normal(x.shape)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    assert got["mca_disc"] > 0.0 and got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12), key
+    assert len(seen) == 4  # the critic's backward, then the student's, per step
+    for got_grads, want_grads in ((seen[2], seen[0]), (seen[3], seen[1])):
+        assert got_grads.keys() == want_grads.keys()
+        for name, g in want_grads.items():
+            scale = float(np.abs(g.data).max())
+            assert float(np.abs(got_grads[name].data - g.data).max()) <= 1e-12 * scale, name
 
 
 def test_a_distill_step_runs_every_op_kind_but_sum(monkeypatch):

@@ -1,9 +1,11 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -105,28 +107,62 @@ def test_a_weight_fed_by_several_nodes_sums_its_grads_in_walk_order():
     assert list(grads) == [x, w, b]
 
 
-def test_concurrent_backwards_keep_the_bits_of_the_serial_reference():
-    # more threads than cores, switching between them as often as possible;
-    # each thread's backward runs a worker of its own beside it
-    rng = np.random.default_rng(29)
+def _two_part_tape(xs, w, b):
+    """A tape whose parts each record `_shared_weight_loss` of one x on a
+    thread of their own (part 0 on the calling thread), joined as the mean
+    of the parts' losses, and that mean."""
+    tapes = [Tape() for _ in xs]
+
+    def part(tape, x):
+        with tape:
+            return _shared_weight_loss(x, w, b)
+
+    losses = T.run_parts([partial(part, t, x) for t, x in zip(tapes, xs)])
+    return T.join_parts(tapes, losses, [1.0 / len(xs)] * len(xs))
+
+
+def _part_inputs(seed, n_parts=2):
+    rng = np.random.default_rng(seed)
     w = Tensor(rng.standard_normal((4, 4)) / 2.0, requires_grad=True)
     b = Tensor(rng.standard_normal(4), requires_grad=True)
-    xs = [Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(4)]
+    xs = [Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(n_parts)]
+    return xs, w, b
+
+
+def test_a_two_part_backward_keeps_the_bits_of_the_serial_reference_over_repeated_runs():
+    xs, w, b = _part_inputs(30)
+    tape, y = _two_part_tape(xs, w, b)
+    assert [len(part.nodes) for part in tape.parts] == [12, 12] and len(tape.nodes) == 3
+    want = [_bits(g.data) for g in backward_matching_reference(tape, y).values()]
+    threads = threading.active_count()
+    for _ in range(20):
+        tape, y = _two_part_tape(xs, w, b)
+        grads = backward(tape, y)
+        assert list(grads) == [xs[0], w, b, xs[1]]
+        assert [_bits(g.data) for g in grads.values()] == want
+        assert tape.nodes == [] and all(part.nodes == [] for part in tape.parts)
+    assert threading.active_count() == threads
+
+
+def test_concurrent_backwards_keep_the_bits_of_the_serial_reference():
+    # more threads than cores, switching between them as often as possible;
+    # each thread's backward walks a part of its tape on a thread of its own
+    _, w, b = _part_inputs(29)
+    xs = [_part_inputs(31 + i)[0] for i in range(4)]  # a pair of inputs per thread
     want = []
-    for x in xs:
-        with Tape() as tape:
-            y = _shared_weight_loss(x, w, b)
+    for pair in xs:
+        tape, y = _two_part_tape(pair, w, b)
         want.append([_bits(g.data) for g in reference_backward(tape, y).values()])
     mismatches, runs = [], []
 
     def work(i):
         for _ in range(20):
-            with Tape() as tape:
-                y = _shared_weight_loss(xs[i], w, b)
+            tape, y = _two_part_tape(xs[i], w, b)
             if [_bits(g.data) for g in backward(tape, y).values()] != want[i]:
                 mismatches.append(i)
             runs.append(i)
 
+    threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -139,6 +175,73 @@ def test_concurrent_backwards_keep_the_bits_of_the_serial_reference():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
     assert len(runs) == 20 * len(xs) and mismatches == []
+    assert threading.active_count() == threads
+
+
+def test_the_part_walk_sums_each_leaf_in_part_order():
+    # w reaches the root through the tape's own nodes as well as through
+    # both parts: its own contribution comes first, then each part's sum
+    xs, w, b = _part_inputs(32)
+    tape, y = _two_part_tape(xs, w, b)
+    with tape:
+        y = T.add(y, T.mean_all(T.linear(xs[1], w)))
+    grads = backward_matching_reference(tape, y)
+    assert list(grads) == [xs[1], w, xs[0], b]
+
+
+def test_backward_refuses_a_part_tape_it_cannot_walk():
+    xs, w, b = _part_inputs(33)
+    tape, y = _two_part_tape(xs, w, b)
+    with Tape() as other:
+        T.sum_all(T.silu(xs[0]))
+    with pytest.raises(TapeError, match="not recorded on this tape"):
+        backward(Tape([other]), y)
+    with pytest.raises(TapeError, match="constant"):
+        backward(tape, T.sum_all(xs[0]))  # no tape active: recorded nowhere
+    part_root = tape.parts[1].nodes[-1][1]  # a root recorded on a part
+    assert list(backward_matching_reference(tape, part_root)) == [xs[1], w, b]
+    with pytest.raises(TapeError, match="consumed"):
+        backward(Tape([Tape(), tape.parts[0]]), y)
+
+
+def test_an_error_on_a_part_thread_is_raised_once_both_threads_have_stopped(monkeypatch):
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    xs, w, b = _part_inputs(27)
+    tape, y = _two_part_tape(xs, w, b)
+    calls = []
+
+    def failing(g):
+        calls.append(threading.current_thread() is threading.main_thread())
+        raise ShapeError("part gradient")
+
+    def counted(vjp):
+        def wrapped(g):
+            calls.append("part 0")
+            return vjp(g)
+        return wrapped
+
+    tape.parts[1].nodes[0][0].vjp = failing  # the last node part 1 walks
+    first = tape.parts[0].nodes[0][0]
+    first.vjp = counted(first.vjp)  # and part 0's
+    threads = threading.active_count()
+    with pytest.raises(ShapeError, match="part gradient"):
+        backward(tape, y)
+    assert threading.active_count() == threads
+    assert sorted(calls, key=str) == [False, "part 0"] and unhandled == []
+    # and in `run_parts` alone: part 0's error, once part 1 has finished
+    ran = []
+
+    def fails():
+        raise ShapeError("part 0")
+
+    def slow():
+        time.sleep(0.05)
+        ran.append(1)
+
+    with pytest.raises(ShapeError, match="part 0"):
+        T.run_parts([fails, slow])
+    assert ran == [1] and threading.active_count() == threads and unhandled == []
 
 
 def test_a_requires_grad_leaf_root_has_gradient_one():
@@ -161,30 +264,6 @@ def test_backward_empties_the_tape_and_frees_what_only_it_held():
     assert tape.nodes == []
     assert held() is None
     assert grads[x].shape == x.shape
-
-
-def test_a_parameter_gradient_error_is_raised_once_both_threads_have_stopped(monkeypatch):
-    unhandled = []
-    monkeypatch.setattr(threading, "excepthook", unhandled.append)
-    rng = np.random.default_rng(27)
-    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    with Tape() as tape:
-        y = T.mean_all(T.linear(T.linear(x, w), w))
-    calls = []
-
-    def failing():
-        calls.append(1)
-        raise ShapeError("parameter gradient")
-
-    node = tape.nodes[0][0]  # the first linear
-    vjp = node.vjp
-    node.vjp = lambda g: (vjp(g)[0], failing)
-    threads = threading.active_count()
-    with pytest.raises(ShapeError, match="parameter gradient"):
-        backward(tape, y)
-    assert threading.active_count() == threads
-    assert calls == [1] and unhandled == []
 
 
 def test_finite_difference_quadratic_is_tight():
@@ -568,12 +647,6 @@ def _bits(a):
     return np.shape(a), np.asarray(a, dtype=np.float64).tobytes()
 
 
-def _vjp(node, g):
-    """node.vjp(g) with every deferred parameter gradient computed, as
-    `backward` computes it (on its worker thread)."""
-    return [gi() if callable(gi) else gi for gi in node.vjp(g)]
-
-
 def _kernel_cases():
     rng = np.random.default_rng(17)
     r = lambda *s: rng.standard_normal(s)
@@ -641,9 +714,9 @@ def test_kernels_match_parent_expressions_bitwise(name, op, ref, inputs, kw):
     assert _bits(out.data) == _bits(want)
     # a vjp that wrote into g, or into what it keeps, would differ on the second call
     for g in _g_layouts(out.shape):
-        first = [_bits(a) for a in _vjp(node, g)]
+        first = [_bits(a) for a in node.vjp(g)]
         assert [_bits(a) for a in want_vjp(g)] == first
-        assert [_bits(a) for a in _vjp(node, g)] == first
+        assert [_bits(a) for a in node.vjp(g)] == first
 
 
 @pytest.mark.parametrize("name,op,ref,inputs,kw", _REWRITTEN_CASES, ids=[c[0] for c in _REWRITTEN_CASES])
@@ -654,7 +727,7 @@ def test_rewritten_kernels_match_the_expressions_they_replaced(name, op, ref, in
     want, want_vjp = _PARENT_REFS[name.split()[0]](*inputs, **kw)
     np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     for g in _g_layouts(out.shape):
-        for got, want in zip(_vjp(node, g), want_vjp(g), strict=True):
+        for got, want in zip(node.vjp(g), want_vjp(g), strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
@@ -667,7 +740,7 @@ def test_attention_chunks_do_not_change_a_bit(op, monkeypatch):
         with Tape() as tape:
             out = op(Tensor(x, requires_grad=True), *(Tensor(w, requires_grad=True) for w in ws))
         node = tape.nodes[0][0]
-        return [_bits(out.data)] + [_bits(a) for g in _g_layouts(out.shape) for a in _vjp(node, g)]
+        return [_bits(out.data)] + [_bits(a) for g in _g_layouts(out.shape) for a in node.vjp(g)]
 
     whole = run()  # every batch item fits in one default-sized chunk
     batch, tokens = (5, 6) if op is T.attention_spatial else (6, 5)
@@ -690,7 +763,7 @@ def test_untaped_attention_keeps_one_chunk_of_scores(op, shape, monkeypatch, tra
     def forward_and_vjp():
         with Tape() as tape:
             out = op(*leaves)
-        return out, _vjp(tape.nodes[0][0], g)
+        return out, tape.nodes[0][0].vjp(g)
 
     (taped, _), taped_peak = traced_peak(forward_and_vjp)
     inputs = [Tensor(x)] + [Tensor(w) for w in ws]
@@ -726,7 +799,7 @@ def test_sigmoid_family_does_not_warn_on_overflow():
         for op, ref in ((T.silu, _silu_ref), (T.softplus, _softplus_ref)):
             with Tape() as tape:
                 out = op(Tensor(x, requires_grad=True))
-            got = _vjp(tape.nodes[0][0], g)
+            got = tape.nodes[0][0].vjp(g)
             want, want_vjp = ref(x)
             assert _bits(out.data) == _bits(want)
             assert [_bits(a) for a in got] == [_bits(a) for a in want_vjp(g)]
@@ -789,13 +862,13 @@ def test_stacked_videos_equal_per_video_calls(name, op, rest, videos):
         out = op(Tensor(x, requires_grad=True), *(Tensor(a) for a in rest), videos=videos)
     assert len(tape.nodes) == 1 and tape.nodes[0][0].op == name.split()[0]
     g = rng.standard_normal(out.shape)
-    gx = _vjp(tape.nodes[0][0], g)[0]
+    gx = tape.nodes[0][0].vjp(g)[0]
     alone_out, alone_gx = [], []
     for part, gpart in zip(parts, np.split(g, videos)):
         with Tape() as tape:
             o = op(Tensor(part, requires_grad=True), *(Tensor(a) for a in rest), videos=1)
         alone_out.append(o.data)
-        alone_gx.append(_vjp(tape.nodes[0][0], gpart)[0])
+        alone_gx.append(tape.nodes[0][0].vjp(gpart)[0])
     assert _bits(out.data) == _bits(np.concatenate(alone_out))
     assert _bits(gx) == _bits(np.concatenate(alone_gx))
 
