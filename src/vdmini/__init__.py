@@ -3,7 +3,7 @@
 Modules:
   tensor     float64 reverse-mode autodiff engine
   netgraph   configurable video U-Net graphs, validation, ablation
-  diffusion  EDM/CM preconditioning, sampling, training losses
+  diffusion  EDM preconditioning, sampling, the denoising loss
   pruner     block-importance profiling, the block-removal plan
   icmd       feature distillation + multi-frame adversarial fine-tuning
   evalkit    FVD proxy, motion proxy, latency profiling

@@ -334,7 +334,8 @@ def train_step(model: Model, opt: Adam, batch: list, conds: Optional[list],
     `diffusion.video_parts`, each part's forward on its own thread and tape;
     the root weights each part's loss by its share of the batch, so it is
     the batch mean."""
-    p = diffusion.Preconditioner(sigma_data=schedule.sigma_data)
+    if not batch:
+        raise VdminiError("train_step: empty batch")
     sigmas, noised = diffusion.draw_noise(batch, schedule, rng)
     parts = diffusion.video_parts(model, batch)
     tapes = [Tape() for _ in parts]
@@ -342,13 +343,14 @@ def train_step(model: Model, opt: Adam, batch: list, conds: Optional[list],
     def forward(tape: Tape, s: slice) -> Tensor:
         with tape:
             return diffusion.denoising_error(model, batch[s], noised[s], sigmas[s],
-                                             conds[s] if conds else None, p)
+                                             conds[s] if conds else None,
+                                             schedule.sigma_data)
 
     losses = run_parts([partial(forward, t, s) for t, s in zip(tapes, parts)])
     tape, loss = join_parts(tapes, losses, [len(batch[s]) / len(batch) for s in parts])
     value = loss.item()
     if not np.isfinite(value):
-        raise NonFiniteError(f"train-teacher: non-finite loss {value}")
+        raise NonFiniteError(f"non-finite loss {value}")
     # one backward per step, through this module's global, after every part's
     # forward has joined: perfbench's `train` workload patches `cli.backward`
     # and times each step from one call to the next
@@ -372,8 +374,11 @@ def cmd_train_teacher(cfg: dict, out: Path, chash: str, force: bool) -> None:
     for step in range(t["steps"]):
         idx = rng.choice(len(videos), size=min(t["batch"], len(videos)),
                          replace=False)
-        value = train_step(model, opt, [videos[i] for i in idx], [conds[i] for i in idx],
-                           schedule, rng)
+        try:
+            value = train_step(model, opt, [videos[i] for i in idx],
+                               [conds[i] for i in idx], schedule, rng)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"train-teacher: {exc} at step {step}") from None
         rows.append([str(step), fmt6(value)])
     _save_model(model, out / "teacher.vdmk", chash)
     write_json_artifact(out / "teacher_graph.json", {

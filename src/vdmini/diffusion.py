@@ -13,9 +13,6 @@ from .errors import ShapeError, VdminiError
 from .netgraph import Model
 from .tensor import Tensor
 
-# log-sigma floor standing in for c3 at sigma exactly 0
-_LOG_SIGMA_FLOOR = 1e-20
-
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -36,66 +33,38 @@ class NoiseSchedule:
         return s
 
 
-@dataclass(frozen=True)
-class Preconditioner:
-    mode: str = "EDM"  # "EDM" or "CM"
-    sigma_data: float = 0.5
-
-
-@dataclass(frozen=True)
-class ConsistencyConfig:
-    cfg_weight: float = 1.0  # omega
-    skip_interval: int = 1  # k
-    ema_decay: float = 0.95
-
-    def __post_init__(self):
-        if self.skip_interval < 1:
-            raise VdminiError(f"skip interval must be >= 1, got {self.skip_interval}")
-        if not (0.0 <= self.ema_decay < 1.0):
-            raise VdminiError(f"EMA decay must be in [0,1), got {self.ema_decay}")
-
-
-def precondition_coeffs(sigma, p: Preconditioner) -> tuple:
-    """(c0, c1, c2, c3) of the preconditioned denoiser at noise level sigma;
-    for a sequence of levels, one array of each, an entry per level.
-
-    Karras forms; the CM boundary c0(0)=1, c1(0)=0 holds exactly because
-    the forms evaluate to exactly (1, 0) at sigma=0 in float64.
-    """
+def precondition_coeffs(sigma, sigma_data: float) -> tuple:
+    """(c0, c1, c2, c3) of the EDM-preconditioned denoiser (Karras forms) at
+    noise level sigma > 0; for a sequence of levels, one array of each, an
+    entry per level."""
     if np.ndim(sigma):
-        return tuple(np.array(c) for c in zip(*(precondition_coeffs(s, p) for s in sigma)))
-    if sigma < 0:
-        raise VdminiError(f"sigma must be >= 0, got {sigma}")
-    if p.mode not in ("EDM", "CM"):
-        raise VdminiError(f"unknown preconditioner mode {p.mode!r}")
-    sd = p.sigma_data
+        return tuple(np.array(c) for c in zip(*(precondition_coeffs(s, sigma_data)
+                                                for s in sigma)))
+    if not sigma > 0:
+        raise VdminiError(f"sigma must be > 0, got {sigma}")
+    sd = sigma_data
     denom = sigma * sigma + sd * sd
     c0 = sd * sd / denom
     c1 = sigma * sd / math.sqrt(denom)
     c2 = 1.0 / math.sqrt(denom)
-    c3 = math.log(max(sigma, _LOG_SIGMA_FLOOR)) / 4.0
+    c3 = math.log(sigma) / 4.0
     return c0, c1, c2, c3
 
 
 def add_noise(x0: Tensor, sigma: float, rng: np.random.Generator) -> Tensor:
-    """x0 + sigma * eps with eps standard normal; sigma=0 returns x0 as-is."""
-    if sigma < 0:
-        raise VdminiError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return x0
+    """x0 + sigma * eps with eps standard normal, at sigma > 0."""
+    if not sigma > 0:
+        raise VdminiError(f"sigma must be > 0, got {sigma}")
     eps = rng.standard_normal(x0.shape)
     return Tensor(x0.data + sigma * eps)
 
 
 def denoise(model: Model, x_t: Tensor, sigma, cond: Optional[Tensor],
-            p: Preconditioner, videos: int = 1) -> Tensor:
-    """D(x_t; sigma) = c0 x_t + c1 f(c2 x_t, c3); x_t may stack `videos`
-    videos on axis 0, as `Model.forward` takes them, and sigma is one level
-    for all of them or a sequence of one per video."""
-    c0, c1, c2, c3 = precondition_coeffs(sigma, p)
-    if not np.any(c1):
-        # boundary: no network contribution, return the (scaled) input bitwise
-        return x_t if np.all(c0 == 1.0) else T.mul_scalar(x_t, c0)
+            sigma_data: float, videos: int = 1) -> Tensor:
+    """D(x_t; sigma) = c0 x_t + c1 f(c2 x_t, c3) at sigma > 0; x_t may stack
+    `videos` videos on axis 0, as `Model.forward` takes them, and sigma is
+    one level for all of them or a sequence of one per video."""
+    c0, c1, c2, c3 = precondition_coeffs(sigma, sigma_data)
     inner = model.forward(T.mul_scalar(x_t, c2), c3, cond, videos=videos)
     if inner.shape != x_t.shape:
         raise ShapeError(f"denoise: network output {inner.shape} vs input {x_t.shape}")
@@ -103,7 +72,7 @@ def denoise(model: Model, x_t: Tensor, sigma, cond: Optional[Tensor],
 
 
 def sample(model: Model, schedule: NoiseSchedule, steps: int, cond: Optional[Tensor],
-           rng, shape: tuple, p: Optional[Preconditioner] = None) -> Tensor:
+           rng, shape: tuple) -> Tensor:
     """Euler sampler along the schedule; steps=1 is one-step generation.
 
     `rng` is a generator, or a list of them, one per video: each draws its
@@ -112,12 +81,11 @@ def sample(model: Model, schedule: NoiseSchedule, steps: int, cond: Optional[Ten
     network call for all the videos."""
     if steps < 1:
         raise VdminiError(f"steps must be >= 1, got {steps}")
-    p = p or Preconditioner(sigma_data=schedule.sigma_data)
     rngs = rng if isinstance(rng, list) else [rng]
     x = Tensor(np.concatenate([schedule.sigma_max * r.standard_normal(shape) for r in rngs]))
     sigmas = list(schedule.sigmas(steps)) + [0.0]
     for s_cur, s_next in zip(sigmas[:-1], sigmas[1:]):
-        d = denoise(model, x, s_cur, cond, p, videos=len(rngs)).detach()
+        d = denoise(model, x, s_cur, cond, schedule.sigma_data, videos=len(rngs)).detach()
         # Euler step on dx/dsigma = (x - D) / sigma
         x = Tensor(x.data + (s_next - s_cur) * (x.data - d.data) / s_cur)
     return x
@@ -194,25 +162,23 @@ def draw_noise(batch: list, schedule: NoiseSchedule, rng: np.random.Generator) -
 
 
 def denoising_error(model: Model, batch: list, noised: list, sigmas: list,
-                    conds: Optional[list], p: Preconditioner) -> Tensor:
+                    conds: Optional[list], sigma_data: float) -> Tensor:
     """EDM-weighted error of denoising each video of `batch` from `noised`
     at its level in `sigmas`, averaged over the batch: one network call for
     them all."""
     d = denoise(model, stack_videos(noised), sigmas, stack_videos(conds) if conds else None,
-                p, videos=len(batch))
-    return weighted_error(d, stack_videos(batch), sigmas, p.sigma_data)
+                sigma_data, videos=len(batch))
+    return weighted_error(d, stack_videos(batch), sigmas, sigma_data)
 
 
 def denoising_loss(model: Model, batch: list, schedule: NoiseSchedule,
-                   rng: np.random.Generator, conds: Optional[list] = None,
-                   p: Optional[Preconditioner] = None) -> Tensor:
+                   rng: np.random.Generator, conds: Optional[list] = None) -> Tensor:
     """EDM-weighted denoising error, averaged over the batch: a noise level
     per video, and one network call for them all."""
     if not batch:
         raise VdminiError("denoising_loss: empty batch")
     sigmas, noised = draw_noise(batch, schedule, rng)
-    return denoising_error(model, batch, noised, sigmas, conds,
-                           p or Preconditioner(sigma_data=schedule.sigma_data))
+    return denoising_error(model, batch, noised, sigmas, conds, schedule.sigma_data)
 
 
 # One video's stem activation (widths[0] x F x H x W float64s) from which a
@@ -236,53 +202,3 @@ def video_parts(model: Model, batch: list) -> list:
     half = (len(batch) + 1) // 2
     return [slice(0, half), slice(half, len(batch))]
 
-
-def _cfg_denoise(teacher: Model, x: Tensor, sigma: float, cond: Optional[Tensor],
-                 omega: float, p: Preconditioner) -> Tensor:
-    """Classifier-free-guided denoiser: D_u + omega (D_c - D_u)."""
-    d_cond = denoise(teacher, x, sigma, cond, p)
-    if omega == 1.0:
-        return d_cond
-    d_uncond = denoise(teacher, x, sigma, None, p)
-    return Tensor(d_uncond.data + omega * (d_cond.data - d_uncond.data))
-
-
-def consistency_loss(student: Model, ema_target: Model, teacher: Model,
-                     cfg: ConsistencyConfig, batch: list, schedule: NoiseSchedule,
-                     rng: np.random.Generator, conds: Optional[list] = None) -> Tensor:
-    """Consistency distillation: match student at t_{n+k} to the EMA target
-    at t_n, where t_n is reached by Euler-solving the frozen teacher with CFG.
-    Gradients flow only into the student."""
-    k = cfg.skip_interval
-    sigmas = schedule.sigmas()
-    if k >= len(sigmas):
-        raise VdminiError(f"skip interval {k} out of schedule range {len(sigmas)}")
-    p_cm = Preconditioner("CM", schedule.sigma_data)
-    p_edm = Preconditioner("EDM", schedule.sigma_data)
-    total = None
-    for i, x0 in enumerate(batch):
-        cond = conds[i] if conds else None
-        # sigma index n+k is the noisier end; solve toward n
-        n = int(rng.integers(0, len(sigmas) - k))
-        s_hi = float(sigmas[n])
-        s_lo = float(sigmas[n + k])
-        x_hi = add_noise(x0, s_hi, rng)
-        x_lo = x_hi.data
-        sub = sigmas[n : n + k + 1]
-        for s_cur, s_next in zip(sub[:-1], sub[1:]):
-            d = _cfg_denoise(teacher, Tensor(x_lo), s_cur, cond, cfg.cfg_weight, p_edm)
-            x_lo = x_lo + (s_next - s_cur) * (x_lo - d.data) / s_cur
-        out_student = denoise(student, x_hi, s_hi, cond, p_cm)
-        out_target = denoise(ema_target.detached(), Tensor(x_lo), s_lo, cond, p_cm).detach()
-        term = T.mse(out_student, out_target)
-        total = term if total is None else T.add(total, term)
-    return T.mul_scalar(total, 1.0 / len(batch))
-
-
-def ema_update(target_params: dict, source_params: dict, decay: float) -> dict:
-    """target <- decay * target + (1-decay) * source, detached."""
-    out = {}
-    for name, tp in target_params.items():
-        sp = source_params[name]
-        out[name] = Tensor(decay * tp.data + (1.0 - decay) * sp.data, requires_grad=True)
-    return out

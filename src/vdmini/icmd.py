@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import diffusion, tensor as T
-from .diffusion import NoiseSchedule, Preconditioner
+from .diffusion import NoiseSchedule
 from .errors import NonFiniteError, ShapeError, VdminiError
 from .netgraph import Model
 from .optim import Adam, named_grads
@@ -209,9 +209,9 @@ def check_teacher_frozen(state: DistillState, full: bool = False) -> None:
         raise VdminiError("teacher parameters changed during distillation")
 
 
-def _check_finite(value: float, term: str) -> float:
+def _check_finite(value: float, term: str, step: int) -> float:
     if not math.isfinite(value):
-        raise NonFiniteError(f"non-finite loss term {term}: {value}")
+        raise NonFiniteError(f"non-finite loss term {term} at step {step}: {value}")
     return value
 
 
@@ -247,7 +247,7 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
     if not batch:
         raise VdminiError("distill_step: empty batch")
     check_teacher_frozen(state)
-    p = Preconditioner("EDM", state.schedule.sigma_data)
+    sigma_data = state.schedule.sigma_data
     mca_on = state.step >= state.weights.mca_warmup_steps
     # each video's sigma, then each one's noise, then the critic's noise
     sigmas = [diffusion.sample_sigma(state.schedule, rng) for _ in batch]
@@ -258,7 +258,7 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
     tapes = [Tape() for _ in parts]
 
     def forward(tape: Tape, s: slice) -> tuple:
-        c0, c1, c2, c3 = diffusion.precondition_coeffs(sigmas[s], p)
+        c0, c1, c2, c3 = diffusion.precondition_coeffs(sigmas[s], sigma_data)
         xs = diffusion.stack_videos(x_t[s])
         x_in = T.mul_scalar(xs, c2)
         cond = diffusion.stack_videos(conds[s]) if conds else None
@@ -268,7 +268,7 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
                                                  videos=len(x_t[s]))
             d_s = T.add(T.mul_scalar(xs, c0), T.mul_scalar(f_s, c1))
             task = diffusion.weighted_error(d_s, diffusion.stack_videos(batch[s]), sigmas[s],
-                                            p.sigma_data)
+                                            sigma_data)
         return feats_t, feats_s, d_s, task
 
     outs = run_parts([partial(forward, t, s) for t, s in zip(tapes, parts)])
@@ -280,7 +280,7 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
         with Tape() as critic_tape:
             loss_d = mca_disc_loss(state.disc.forward(
                 Tensor(np.concatenate([fakes + noises, reals + noises])), inst + inst))
-        mca_disc_val = _check_finite(loss_d.item(), "mca_disc")
+        mca_disc_val = _check_finite(loss_d.item(), "mca_disc", state.step)
         grads = named_grads(state.disc.params, backward(critic_tape, loss_d))
         state.disc.params = state.opt_disc.step(state.disc.params, grads)
     tasks, icds, gens, totals = [], [], [], []  # per part
@@ -298,7 +298,8 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
     shares = [len(batch[s]) / len(batch) for s in parts]
 
     def batch_mean(terms: list, name: str) -> float:
-        return _check_finite(sum(w * t.item() for w, t in zip(shares, terms)), name)
+        return _check_finite(sum(w * t.item() for w, t in zip(shares, terms)), name,
+                             state.step)
 
     task_val, icd_val = batch_mean(tasks, "task"), batch_mean(icds, "icd")
     gen_val = batch_mean(gens, "mca_gen") if mca_on else 0.0

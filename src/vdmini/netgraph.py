@@ -480,9 +480,6 @@ class Model:
             h.update(np.ascontiguousarray(self.params[name].data, dtype="<f8").tobytes())
         return h.hexdigest()
 
-    def detached(self) -> "Model":
-        return Model(self.graph, {k: v.detach() for k, v in self.params.items()})
-
     def _p(self, name: str) -> Tensor:
         return self.params[name]
 

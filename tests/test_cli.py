@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -11,9 +12,11 @@ import pytest
 
 from vdmini import cli
 from vdmini import diffusion as df
+from vdmini import icmd
 from vdmini import netgraph as ng
 from vdmini import synthdata as sd
 from vdmini import tensor as T
+from vdmini.errors import VdminiError
 from vdmini.optim import Adam, named_grads
 from vdmini.tensor import Tape, Tensor, backward
 
@@ -348,6 +351,38 @@ def test_distill_with_a_teacher_written_in_place_is_exit_2_and_saves_no_student(
     assert not (out / "student.vdmk").exists()
 
 
+def _nan_from_second_call(fn):
+    """fn, with its result (a Tensor on the caller's tape) made NaN from
+    its second call on: one part per step at FAST's shapes, so from step 1."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        out = fn(*args, **kwargs)
+        return out if len(calls) == 1 else T.mul_scalar(out, math.nan)
+    return wrapped
+
+
+@pytest.mark.parametrize("stage,owner,attr,message,artifact", [
+    ("train-teacher", df, "denoising_error",
+     "train-teacher: non-finite loss nan at step 1", "teacher.vdmk"),
+    ("distill", icmd, "icd_loss", "non-finite loss term icd at step 1: nan", "student.vdmk"),
+], ids=["train-teacher", "distill"])
+def test_a_non_finite_loss_is_exit_4_with_one_json_line_naming_the_step(
+        tmp_path, capsys, monkeypatch, stage, owner, attr, message, artifact):
+    cfg = _cfg_file(tmp_path)
+    out = tmp_path / "run"
+    stages = ("gen-data", "train-teacher", "plan", "distill")
+    for prior in stages[:stages.index(stage)]:
+        assert _run([prior, "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    monkeypatch.setattr(owner, attr, _nan_from_second_call(getattr(owner, attr)))
+    capsys.readouterr()
+    assert _run([stage, "--config", cfg, "--out", str(out)]) == cli.EXIT_NUMERIC
+    assert _one_error_record(capsys) == {"error": "numeric", "message": message,
+                                         "code": cli.EXIT_NUMERIC}
+    assert not (out / artifact).exists()
+
+
 @pytest.mark.parametrize("raw,dims,message", [
     (b"w", (1 << 62, 4), "payload for 'w' out of bounds"),  # 2**64 elements: 0 in int64
     (b"\xff\xfe", (1,), "tensor name is not UTF-8"),
@@ -465,6 +500,13 @@ def test_a_one_part_train_step_starts_no_thread(monkeypatch, n, frames, widths):
     value = cli.train_step(model, Adam(lr=1e-4), batch, conds, df.NoiseSchedule(),
                            np.random.default_rng(0))
     assert np.isfinite(value)
+
+
+def test_train_step_rejects_an_empty_batch():
+    model, _, _ = _teacher_and_batch(1, 2, (4, 6, 8))
+    with pytest.raises(VdminiError, match="train_step: empty batch"):
+        cli.train_step(model, Adam(lr=1e-4), [], None, df.NoiseSchedule(),
+                       np.random.default_rng(0))
 
 
 def test_train_teacher_on_two_parts_is_byte_deterministic(tmp_path, monkeypatch):

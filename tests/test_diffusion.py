@@ -19,9 +19,6 @@ class ZeroNet:
     def forward(self, x, c_noise, cond=None, videos=1):
         return Tensor(np.zeros(x.shape))
 
-    def detached(self):
-        return self
-
 
 class ConstNet:
     """Inner network f == value everywhere."""
@@ -31,9 +28,6 @@ class ConstNet:
 
     def forward(self, x, c_noise, cond=None, videos=1):
         return Tensor(np.full(x.shape, self.value))
-
-    def detached(self):
-        return self
 
 
 class PerfectDenoiser:
@@ -46,12 +40,9 @@ class PerfectDenoiser:
     def forward(self, x, c_noise, cond=None, videos=1):
         # one noise level, as a float or a one-entry sequence
         sigma = math.exp(4.0 * float(np.ravel(c_noise)[0]))
-        c0, c1, c2, _ = df.precondition_coeffs(sigma, df.Preconditioner(sigma_data=self.sigma_data))
+        c0, c1, c2, _ = df.precondition_coeffs(sigma, self.sigma_data)
         x_t = x.data / c2
         return Tensor((self.x_star - c0 * x_t) / c1)
-
-    def detached(self):
-        return self
 
 
 class CountedNet(ZeroNet):
@@ -66,36 +57,35 @@ class CountedNet(ZeroNet):
 
 
 def test_coeffs_at_sigma_equal_sigma_data():
-    c0, c1, c2, c3 = df.precondition_coeffs(SD, df.Preconditioner("EDM", SD))
+    c0, c1, c2, c3 = df.precondition_coeffs(SD, SD)
     assert c0 == pytest.approx(0.5, abs=1e-12)
     assert c1 == pytest.approx(0.353553, abs=1e-6)
     assert c2 == pytest.approx(1.414214, abs=1e-6)
     assert c3 == pytest.approx(math.log(SD) / 4, abs=1e-15)
 
 
-def test_cm_boundary_identities_are_exact():
-    c0, c1, _, _ = df.precondition_coeffs(0.0, df.Preconditioner("CM", SD))
-    assert c0 == 1.0
-    assert c1 == 0.0
-
-
 def test_coeff_large_sigma_limits():
-    c0, c1, _, _ = df.precondition_coeffs(1e9, df.Preconditioner("EDM", SD))
+    c0, c1, _, _ = df.precondition_coeffs(1e9, SD)
     assert c0 == pytest.approx(0.0, abs=1e-12)
     assert c1 == pytest.approx(SD, abs=1e-9)
 
 
-def test_coeff_rejects_negative_sigma_and_bad_mode():
-    with pytest.raises(VdminiError):
-        df.precondition_coeffs(-0.1, df.Preconditioner())
-    with pytest.raises(VdminiError):
-        df.precondition_coeffs(1.0, df.Preconditioner(mode="DDPM"))
+def test_coeffs_and_denoise_reject_sigma_not_above_zero():
+    x_t = Tensor(np.zeros((2, 1, 4, 4)))
+    for sigma in (0.0, -0.1, [1.0, 0.0], [-0.1, 1.0]):
+        with pytest.raises(VdminiError, match="sigma must be > 0"):
+            df.precondition_coeffs(sigma, SD)
+        with pytest.raises(VdminiError, match="sigma must be > 0"):
+            df.denoise(ZeroNet(), x_t, sigma, None, SD)
 
 
-def test_add_noise_sigma_zero_returns_input_bitwise():
-    x0 = Tensor(np.random.default_rng(0).standard_normal((2, 1, 4, 4)))
-    out = df.add_noise(x0, 0.0, np.random.default_rng(1))
-    assert out is x0
+def test_add_noise_rejects_sigma_not_above_zero():
+    x0 = Tensor(np.zeros((2, 1, 4, 4)))
+    for sigma in (0.0, -0.1):
+        rng = np.random.default_rng(1)
+        with pytest.raises(VdminiError, match="sigma must be > 0"):
+            df.add_noise(x0, sigma, rng)
+        assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
 
 
 def test_add_noise_monte_carlo_law():
@@ -114,21 +104,14 @@ def test_add_noise_is_affine_in_sigma():
 
 def test_denoise_with_zero_net_is_c0_x():
     x_t = Tensor(np.random.default_rng(2).standard_normal((2, 1, 4, 4)))
-    p = df.Preconditioner("EDM", SD)
-    c0, _, _, _ = df.precondition_coeffs(1.7, p)
-    out = df.denoise(ZeroNet(), x_t, 1.7, None, p)
+    c0, _, _, _ = df.precondition_coeffs(1.7, SD)
+    out = df.denoise(ZeroNet(), x_t, 1.7, None, SD)
     assert np.allclose(out.data, c0 * x_t.data, atol=1e-15)
-
-
-def test_denoise_cm_sigma_zero_is_bitwise_input():
-    x_t = Tensor(np.random.default_rng(4).standard_normal((2, 1, 4, 4)))
-    out = df.denoise(ZeroNet(), x_t, 0.0, None, df.Preconditioner("CM", SD))
-    assert out is x_t
 
 
 def test_denoise_const_net_composition():
     x_t = Tensor(np.random.default_rng(5).standard_normal((1, 1, 3, 3)))
-    out = df.denoise(ConstNet(1.0), x_t, SD, None, df.Preconditioner("EDM", SD))
+    out = df.denoise(ConstNet(1.0), x_t, SD, None, SD)
     expected = 0.5 * x_t.data + 0.3535533905932738
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -138,8 +121,7 @@ def test_one_step_sample_with_zero_net():
     shape = (2, 1, 4, 4)
     out = df.sample(ZeroNet(), schedule, 1, None, np.random.default_rng(0), shape)
     eps = np.random.default_rng(0).standard_normal(shape)
-    c0, _, _, _ = df.precondition_coeffs(schedule.sigma_max,
-                                         df.Preconditioner(sigma_data=SD))
+    c0, _, _, _ = df.precondition_coeffs(schedule.sigma_max, SD)
     assert np.allclose(out.data, c0 * schedule.sigma_max * eps, atol=1e-12)
 
 
@@ -216,7 +198,7 @@ def test_denoising_loss_hand_value_for_zero_net():
     rng2 = np.random.default_rng(12)
     sigma = df.sample_sigma(schedule, rng2)
     x_t = x0.data + sigma * rng2.standard_normal(x0.shape)
-    c0, _, _, _ = df.precondition_coeffs(sigma, df.Preconditioner(sigma_data=SD))
+    c0, _, _, _ = df.precondition_coeffs(sigma, SD)
     lam = (sigma**2 + SD**2) / (sigma * SD) ** 2
     expected = lam * np.sum((c0 * x_t - x0.data) ** 2)
     assert loss.item() == pytest.approx(expected, rel=1e-12)
@@ -233,7 +215,7 @@ def test_denoising_loss_hand_value_for_zero_net_two_videos():
     for x0 in batch:
         sigma = df.sample_sigma(schedule, rng2)
         x_t = x0.data + sigma * rng2.standard_normal(x0.shape)
-        c0, _, _, _ = df.precondition_coeffs(sigma, df.Preconditioner(sigma_data=SD))
+        c0, _, _, _ = df.precondition_coeffs(sigma, SD)
         lam = (sigma**2 + SD**2) / (sigma * SD) ** 2
         sigmas.append(sigma)
         terms.append(lam * np.sum((c0 * x_t - x0.data) ** 2))
@@ -267,37 +249,6 @@ def test_denoising_loss_of_a_batch_is_the_mean_of_its_videos_alone():
     alone = [df.denoising_loss(model, [x], schedule, replay, [c]).item()
              for x, c in zip(batch, conds)]
     assert whole.item() == pytest.approx(np.mean(alone), rel=1e-9)
-
-
-def test_consistency_loss_zero_for_shared_perfect_denoiser():
-    x0 = Tensor(np.random.default_rng(13).standard_normal((1, 1, 4, 4)))
-    model = PerfectDenoiser(x0.data)
-    cfg = df.ConsistencyConfig(cfg_weight=1.0, skip_interval=1)
-    loss = df.consistency_loss(model, model, model, cfg, [x0],
-                               df.NoiseSchedule(), np.random.default_rng(14))
-    assert loss.item() == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cfg_collapses_at_weight_one():
-    x = Tensor(np.random.default_rng(15).standard_normal((1, 1, 3, 3)))
-    p = df.Preconditioner(sigma_data=SD)
-    plain = df.denoise(ConstNet(0.7), x, 2.0, None, p)
-    guided = df._cfg_denoise(ConstNet(0.7), x, 2.0, None, 1.0, p)
-    assert np.array_equal(plain.data, guided.data)
-
-
-def test_consistency_config_validation():
-    with pytest.raises(VdminiError):
-        df.ConsistencyConfig(skip_interval=0)
-    with pytest.raises(VdminiError):
-        df.ConsistencyConfig(ema_decay=1.0)
-
-
-def test_ema_update_moves_toward_source():
-    t = {"w": Tensor(np.zeros(3))}
-    s = {"w": Tensor(np.ones(3))}
-    out = df.ema_update(t, s, 0.9)
-    assert np.allclose(out["w"].data, 0.1, atol=1e-15)
 
 
 def test_denoising_loss_backward_reaches_model_params():

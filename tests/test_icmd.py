@@ -314,13 +314,14 @@ def _per_video_step(state, batch, rng):
     untaped student forward per video for the critic's fakes, the critic
     update over each pair's logits, then a second, taped student forward
     per video, with the task loss weighted video by video."""
-    p = icmd.Preconditioner("EDM", state.schedule.sigma_data)
+    sigma_data = state.schedule.sigma_data
     sigmas = [df.sample_sigma(state.schedule, rng) for _ in batch]
     epss = [rng.standard_normal(x0.shape) for x0 in batch]
     inst = [icmd.sample_instance_noise(state.noise, rng)[1] for _ in batch]
     inst_eps = [rng.standard_normal(x0.shape) for x0 in batch]
     x_ts = [Tensor(x0.data + s * e) for x0, s, e in zip(batch, sigmas, epss)]
-    fakes = [df.denoise(state.student, x_t, s, None, p).data for x_t, s in zip(x_ts, sigmas)]
+    fakes = [df.denoise(state.student, x_t, s, None, sigma_data).data
+             for x_t, s in zip(x_ts, sigmas)]
     with Tape() as tape:
         loss_d = None
         for x0, fake, s_i, e_i in zip(batch, fakes, inst, inst_eps):
@@ -334,12 +335,12 @@ def _per_video_step(state, batch, rng):
     with Tape() as tape:
         task = icd = gen = None
         for x0, s, x_t, s_i, e_i in zip(batch, sigmas, x_ts, inst, inst_eps):
-            c0, c1, c2, c3 = df.precondition_coeffs(s, p)
+            c0, c1, c2, c3 = df.precondition_coeffs(s, sigma_data)
             feats_t = icmd._teacher_features(state.teacher, T.mul_scalar(x_t, c2), [c3], None)
             f_s, feats_s = state.student.forward(T.mul_scalar(x_t, c2), c3, None,
                                                  collect_features=True)
             d_s = T.add(T.mul_scalar(x_t, c0), T.mul_scalar(f_s, c1))
-            weight = (s ** 2 + p.sigma_data ** 2) / (s * p.sigma_data) ** 2
+            weight = (s ** 2 + sigma_data ** 2) / (s * sigma_data) ** 2
             t_term = T.mul_scalar(T.mse(d_s, x0), weight * x0.size)
             i_term = icmd.icd_loss(feats_t, feats_s)
             g_term = icmd.mca_gen_loss(state.disc.forward(T.add(d_s, Tensor(s_i * e_i)), s_i))
