@@ -99,15 +99,12 @@ def sample_set(model: Model, schedule: NoiseSchedule, conds: list, seed: int,
     Sample i draws its noise from a generator seeded with
     SeedSequence([seed, i]). The network never mixes two videos, and each
     Euler step gives them one noise level, one embedding row that they
-    share, so each sample is what sampling it alone gives: independent of
-    the others and of the set's size. That holds bit for bit wherever each
-    video's columns in the convolution GEMMs fill whole BLAS column blocks
-    (F*H*W/64 a multiple of 8 with OpenBLAS, as at the default and test
-    shapes); elsewhere a GEMM's tail columns may round differently, by
-    about 1e-14. The conditions must be all None or all of one shape. With
-    `runs` > 1 the chain stacks the set that many times, each run with the
-    same noise, and returns `runs * len(conds)` samples, run after run (one
-    model per run, as `Model.forward` with `ablated` runs them)."""
+    share, so each sample is what sampling it alone gives, bit for bit:
+    independent of the others and of the set's size. The conditions must be
+    all None or all of one shape. With `runs` > 1 the chain stacks the set
+    that many times, each run with the same noise, and returns
+    `runs * len(conds)` samples, run after run (one model per run, as
+    `Model.forward` with `ablated` runs them)."""
     if not conds:
         return []
     cond = stack_videos(conds * runs)

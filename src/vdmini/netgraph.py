@@ -510,13 +510,11 @@ class Model:
             x = T.add(x, T.attention_spatial(h, *ws))
         else:
             x = T.add(x, T.attention_temporal(h, *ws, videos=videos))
-        h = self._gn(x, f"{bid}.gn2")
-        f, c, hh, ww = h.shape
-        tokens = T.transpose(h, (0, 2, 3, 1))
-        m = T.linear(tokens, self._p(f"{bid}.lin1.w"), self._p(f"{bid}.lin1.b"))
+        # the MLP acts on the channel axis of (F, C, H, W), one GEMM per frame
+        m = T.linear(self._gn(x, f"{bid}.gn2"), self._p(f"{bid}.lin1.w"), self._p(f"{bid}.lin1.b"), axis=1)
         m = T.silu(m)
-        m = T.linear(m, self._p(f"{bid}.lin2.w"), self._p(f"{bid}.lin2.b"))
-        return T.add(x, T.transpose(m, (0, 3, 1, 2)))
+        m = T.linear(m, self._p(f"{bid}.lin2.w"), self._p(f"{bid}.lin2.b"), axis=1)
+        return T.add(x, m)
 
     def _block(self, x, b: BlockSpec, emb: Embedding):
         if b.replacement == IDENTITY:

@@ -124,9 +124,15 @@ def _tracked(*tensors: Tensor) -> bool:
     return any(t.requires_grad or t.node is not None for t in tensors)
 
 
-def _record(op: str, out_data: Array, inputs: Sequence[Tensor], vjp) -> Tensor:
+def _recording(inputs: Sequence[Tensor]) -> Optional[Tape]:
+    """The tape that an op on these inputs records on, if any."""
     tape = Tape.current()
-    if tape is not None and _tracked(*inputs):
+    return tape if tape is not None and _tracked(*inputs) else None
+
+
+def _record(op: str, out_data: Array, inputs: Sequence[Tensor], vjp) -> Tensor:
+    tape = _recording(inputs)
+    if tape is not None:
         node = Node(op, inputs, vjp)
         out = Tensor(out_data, node=node)
         tape.nodes.append((node, out))
@@ -298,10 +304,21 @@ def _sigmoid(xd: Array) -> Array:
 
 
 def silu(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
-    out = x.data * s
+    """x / (1 + exp(-x)). Off the tape the output is written over the one
+    buffer that holds 1 + exp(-x); on a tape that buffer is kept, in place
+    of the sigmoid, for the vjp. exp(-x) overflows to inf below x = -709,
+    where the output is exactly (-)0, so that overflow is not warned."""
+    xd = x.data
+    d = np.negative(xd, out=np.empty_like(xd))  # out=: a 0-d input stays an array
+    with np.errstate(over="ignore"):
+        np.exp(d, out=d)
+    d += 1.0
+    if _recording([x]) is None:
+        return Tensor(np.divide(xd, d, out=d))
+    out = xd / d
 
-    def vjp(g):  # g * (s + x * s * (1 - s)), with out == x * s
+    def vjp(g):  # g * (s + x * s * (1 - s)) with s = 1 / d, and out == x / d
+        s = np.divide(1.0, d)
         t = 1.0 - s
         t *= out
         t += s
@@ -326,12 +343,6 @@ def relu(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------
-
-def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _record("transpose", x.data.transpose(axes), [x], lambda g: (g.transpose(inv),))
-
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     base = tensors[0].shape
@@ -387,13 +398,20 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """x @ w.T + b with x (..., K) and w (O, K)."""
-    if x.shape[-1] != w.shape[1]:
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None, axis: int = -1) -> Tensor:
+    """x @ w.T + b with x (..., K) and w (O, K). With axis=1, K is instead
+    the channel axis of x (N, K, *spatial): the output (N, O, *spatial)
+    holds w @ x[n] + b for each n, one GEMM per item, with no transposes."""
+    if axis not in (-1, 1) or x.data.ndim < (2 if axis == 1 else 1):
+        raise ShapeError(f"linear: axis {axis} of x {x.shape}")
+    if x.shape[axis] != w.shape[1]:
         raise ShapeError(f"linear: x {x.shape} vs w {w.shape}")
-    out = x.data @ w.data.T
     if b is not None and b.shape != (w.shape[0],):
         raise ShapeError(f"linear: bias {b.shape} vs w {w.shape}")
+    inputs = [x, w] if b is None else [x, w, b]
+    if axis == 1:
+        return _linear_channels(x, w, b, inputs)
+    out = x.data @ w.data.T
     if b is not None:
         out += b.data
 
@@ -403,12 +421,32 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
             grads.append(g.sum(axis=tuple(range(g.ndim - 1))))
         return tuple(grads)
 
-    inputs = [x, w] if b is None else [x, w, b]
     return _record("linear", out, inputs, vjp)
 
 
+def _linear_channels(x: Tensor, w: Tensor, b: Optional[Tensor], inputs: list) -> Tensor:
+    """`linear` over the channel axis 1 of x."""
+    n, k = x.shape[:2]
+    o = w.shape[0]
+    x3 = x.data.reshape(n, k, -1)
+    out = np.matmul(w.data, x3)  # (N, O, S)
+    if b is not None:
+        out += b.data[:, None]
+
+    def vjp(g):
+        g3 = g.reshape(n, o, -1)
+        grads = [np.matmul(w.data.T, g3).reshape(x.shape),
+                 np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)]
+        if b is not None:
+            grads.append(g3.sum(axis=(0, 2)))
+        return tuple(grads)
+
+    return _record("linear", out.reshape((n, o) + x.shape[2:]), inputs, vjp)
+
+
 # ---------------------------------------------------------------------------
-# convolutions (im2col: one GEMM for the forward, one per input for the vjp)
+# convolutions (im2col: one GEMM per frame for the forward, one GEMM per
+# input for the vjp)
 # ---------------------------------------------------------------------------
 
 def _zero_pad(a: Array, pads: Sequence[tuple]) -> Array:
@@ -418,8 +456,27 @@ def _zero_pad(a: Array, pads: Sequence[tuple]) -> Array:
     return out
 
 
+def _windows(a: Array, axes: Sequence[int], taps: Sequence[int], at: int, stride: int = 1) -> Array:
+    """A view of the C-contiguous `a`, with no copy: each axis in `axes`
+    steps over the starts of its windows of taps[i] samples, every
+    `stride`-th one, and the tap axes, in `axes` order, are inserted at
+    position `at` of the view's shape."""
+    shape, strides = list(a.shape), list(a.strides)
+    for ax, k in zip(axes, taps):
+        shape[ax] = (a.shape[ax] - k) // stride + 1
+        strides[ax] *= stride
+    shape[at:at] = taps
+    strides[at:at] = [a.strides[ax] for ax in axes]
+    return np.ndarray(shape, a.dtype, a, 0, strides)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution over (N, C, H, W) with kernel (O, C, kh, kw)."""
+    """2-D convolution over (N, C, H, W) with kernel (O, C, kh, kw).
+
+    Each frame's columns form a (C*kh*kw, Ho*Wo) matrix (a 1x1 stride-1
+    conv uses x itself), and one broadcast GEMM writes the (N, O, Ho, Wo)
+    output directly, one (O, C*kh*kw) @ (C*kh*kw, Ho*Wo) product per frame:
+    a frame's output does not depend on the other frames in x."""
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: ranks {x.shape} vs {w.shape}")
     n, c, h, wd = x.shape
@@ -434,13 +491,11 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
         raise ShapeError(f"conv2d: kernel {w.shape} too large for input {x.shape} pad {pad}")
     pads = ((0, 0), (0, 0), (pad, pad), (pad, pad))
 
-    def im2col():  # rebuilt in `vjp`, so the tape holds neither the padded input nor this matrix
-        xp = _zero_pad(x.data, pads) if pad else x.data
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)  # (C, kh, kw, N, Ho, Wo)
-        return np.ascontiguousarray(win).reshape(c * kh * kw, n * ho * wo)
+    def windows():  # (N, C, kh, kw, Ho, Wo); rebuilt in the vjp, so the tape holds no padded input
+        return _windows(_zero_pad(x.data, pads) if pad else x.data, (2, 3), (kh, kw), 2, stride)
 
-    out = w.data.reshape(o, c * kh * kw) @ im2col()
+    w2 = w.data.reshape(o, c * kh * kw)
+    out = np.matmul(w2, windows().reshape(n, c * kh * kw, ho * wo))
     if b is not None:
         out += b.data[:, None]
 
@@ -450,9 +505,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
         # and gw, flipped back, is x correlated with it.
         g2 = g.transpose(1, 0, 2, 3)  # (O, N, Ho, Wo)
         ph, pw = kh - 1 - pad, kw - 1 - pad
-        gp = _zero_pad(g2, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else g2
-        win = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(2, 3))
-        cols = np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3)).reshape(o * kh * kw, n * h * wd)
+        gp = _zero_pad(g2, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else np.ascontiguousarray(g2)
+        win = _windows(gp, (2, 3), (kh, kw), 2)  # (O, N, kh, kw, H, W)
+        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(o * kh * kw, n * h * wd)
         wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
         gx = (wflip @ cols).reshape(c, n, h, wd).transpose(1, 0, 2, 3)
         xc = x.data.transpose(1, 0, 2, 3).reshape(c, n * h * wd)
@@ -471,16 +526,16 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1, pa
         for i in range(kh):
             for j in range(kw):
                 gxp_c[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[i, j]
-        grads = [gxp[:, :, pad : pad + h, pad : pad + wd], (g2 @ im2col().T).reshape(w.shape)]
+        cols = windows().transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, n * ho * wo)
+        grads = [gxp[:, :, pad : pad + h, pad : pad + wd], (g2 @ cols.T).reshape(w.shape)]
         if b is not None:
             grads.append(g2.sum(axis=1))
         return tuple(grads)
 
     inputs = [x, w] if b is None else [x, w, b]
-    out = out.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
     # the one-matrix vjp's columns have O*kh*kw rows against the other's C*kh*kw
     one_matrix = stride == 1 and pad < min(kh, kw) and o <= 2 * c
-    return _record("conv2d", out, inputs, vjp_stride1 if one_matrix else vjp)
+    return _record("conv2d", out.reshape(n, o, ho, wo), inputs, vjp_stride1 if one_matrix else vjp)
 
 
 def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0,
@@ -488,7 +543,10 @@ def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0
     """1-D convolution along the frame axis of (F, C, H, W), kernel (O, C, k).
 
     Axis 0 holds `videos` equal runs of frames, each convolved (and padded)
-    on its own; the output stacks their outputs the same way."""
+    on its own; the output stacks their outputs the same way. Each output
+    frame's columns form a (C*k, H*W) matrix, rows of H*W contiguous
+    pixels, and one broadcast GEMM writes the (F_out, O, H, W) output
+    directly, one (O, C*k) @ (C*k, H*W) product per output frame."""
     if x.data.ndim != 4 or w.data.ndim != 3:
         raise ShapeError(f"conv1d_frames: ranks {x.shape} vs {w.shape}")
     nf, c, h, wd = x.shape
@@ -505,15 +563,12 @@ def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0
         raise ShapeError(f"conv1d_frames: kernel {w.shape} too long for {x.shape} pad {pad}")
     pads = ((0, 0), (pad, pad), (0, 0), (0, 0), (0, 0))
 
-    def im2col():  # rebuilt in the vjp, as in conv2d
+    def windows():  # (V, Fo, C, k, H, W); rebuilt in the vjp, as in conv2d
         xv = x.data.reshape(videos, f, c, h, wd)
-        xp = _zero_pad(xv, pads) if pad else xv
-        win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)  # (V, Fo, C, H, W, k)
-        return np.ascontiguousarray(win.transpose(2, 5, 0, 1, 3, 4)).reshape(
-            c * k, videos * fo * h * wd)
+        return _windows(_zero_pad(xv, pads) if pad else xv, (1,), (k,), 3)
 
     w2 = w.data.reshape(o, c * k)
-    out = w2 @ im2col()
+    out = np.matmul(w2, windows().reshape(videos * fo, c * k, h * wd))
     if b is not None:
         out += b.data[:, None]
 
@@ -523,14 +578,14 @@ def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0
         gxp = np.zeros((videos, f + 2 * pad, c, h, wd))
         for i in range(k):
             gxp[:, i : i + fo] += gcols[:, :, :, i]
-        grads = [gxp[:, pad : pad + f].reshape(nf, c, h, wd), (g2 @ im2col().T).reshape(w.shape)]
+        cols = windows().transpose(2, 3, 0, 1, 4, 5).reshape(c * k, videos * fo * h * wd)
+        grads = [gxp[:, pad : pad + f].reshape(nf, c, h, wd), (g2 @ cols.T).reshape(w.shape)]
         if b is not None:
             grads.append(g2.sum(axis=1))
         return tuple(grads)
 
     inputs = [x, w] if b is None else [x, w, b]
-    out = out.reshape(o, videos * fo, h, wd).transpose(1, 0, 2, 3)
-    return _record("conv1d_frames", out, inputs, vjp)
+    return _record("conv1d_frames", out.reshape(videos * fo, o, h, wd), inputs, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +593,12 @@ def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0
 # ---------------------------------------------------------------------------
 
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int = 1, eps: float = 1e-5) -> Tensor:
-    """Group normalization over (N, C, *spatial)."""
+    """Group normalization over (N, C, *spatial): (x - mu) * s + beta, with
+    mu and var each group's mean and (biased) variance and s = gamma /
+    sqrt(var + eps) one scale per (item, channel). x is centred into the
+    output buffer, the only full-size array; the variance is a NumPy
+    einsum of it with itself (no BLAS dot, so its bits do not depend on
+    how the buffer is aligned)."""
     c = x.shape[1]
     if c % groups:
         raise ShapeError(f"group_norm: {c} channels not divisible by {groups} groups")
@@ -549,17 +609,15 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int = 1, eps: flo
     xg = x.data.reshape(n, groups, -1)
     m = xg.shape[2]
     mu = xg.mean(axis=2, keepdims=True)
-    d = xg - mu
-    var = np.multiply(d, d).sum(axis=2, keepdims=True) / m  # what xg.var computes
+    out = np.subtract(xg, mu, out=np.empty(xg.shape))
+    var = np.einsum("ngm,ngm->ng", out, out)[:, :, None] / m
     inv = 1.0 / np.sqrt(var + eps)
-    d *= inv
+    out3 = out.reshape(n, c, -1)
+    out3 *= (inv * gamma.data.reshape(groups, -1)).reshape(n, c, 1)
+    out3 += beta.data[:, None]
     gshape = (1, c) + (1,) * len(spatial)
-    # the output is written over xhat; the vjp rebuilds xhat from x, mu and inv
-    out = d.reshape(x.shape)
-    out *= gamma.data.reshape(gshape)
-    out += beta.data.reshape(gshape)
 
-    def vjp(g):
+    def vjp(g):  # rebuilds xhat from x, mu and inv
         d = x.data.reshape(n, groups, -1) - mu
         d *= inv
         affine_axes = (0,) + tuple(range(2, x.data.ndim))
@@ -575,7 +633,7 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int = 1, eps: flo
         return (dxhat.reshape(x.shape), (g * d.reshape(x.shape)).sum(axis=affine_axes),
                 g.sum(axis=affine_axes))
 
-    return _record("group_norm", out, [x, gamma, beta], vjp)
+    return _record("group_norm", out.reshape(x.shape), [x, gamma, beta], vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +766,6 @@ _OPS = {
     "relu": relu,
     "silu": silu,
     "softplus": softplus,
-    "transpose": transpose,
     "concat": concat,
     "sum": sum_all,
     "mean": mean_all,

@@ -42,14 +42,16 @@ def _op_cases(rng):
     """Scalar-valued closures for each differentiable op kind: the op's
     output against a constant of its shape, through `mse`. The ops with a
     per-video form (one factor, bias row or mean per video stacked on axis
-    0) have a second closure for it.
+    0) have a second closure for it, as `linear` has for its channel-axis
+    form.
 
     Every constant is drawn once up front so repeated evaluations inside the
     finite-difference probe see the exact same function.
     """
     c = lambda *s: Tensor(rng.standard_normal(s))
     v4 = c(2, 3, 4, 4)
-    c0, c5, d5, c4, c23, c25, c32, c24, c43, c2344 = (
+    # the unused (3, 2) draw keeps the later constants' values
+    c0, c5, d5, c4, c23, c25, _, c24, c43, c2344 = (
         c(), c(5), c(5), c(4), c(2, 3), c(2, 5), c(3, 2), c(2, 4), c(4, 3), c(2, 3, 4, 4))
     c2244, c2388, g3 = c(2, 2, 4, 4), c(2, 3, 8, 8), c(3)
     k, q, v, o = c(3, 3), c(3, 3), c(3, 3), c(3, 3)
@@ -60,7 +62,6 @@ def _op_cases(rng):
         "mul_scalar": (lambda x: T.mse(T.mul_scalar(x, -2.3), c4), c(4)),
         "bias_add": (lambda x: T.mse(T.bias_add(v4, x), c2344), c(3)),
         "concat": (lambda x: T.mse(T.concat([x, c23], axis=1), c25), c(2, 2)),
-        "transpose": (lambda x: T.mse(T.transpose(x, (1, 0)), c32), c(2, 3)),
         "sum": (lambda x: T.mse(T.sum_all(x), c0), c(5)),
         "mean": (lambda x: T.mse(T.mean_all(x), c0), c(5)),
         "mse": (lambda x: T.mse(x, c23), c(2, 3)),
@@ -82,6 +83,7 @@ def _op_cases(rng):
     cases["mul_scalar"].append((lambda x: T.mse(T.mul_scalar(x, [-2.3, 0.7]), c43), c(4, 3)))
     cases["bias_add"].append((lambda x: T.mse(T.bias_add(v4, x), c2344), c(2, 3)))
     cases["mean"].append((lambda x: T.mse(T.mean_all(x, videos=2), c2), c(4, 3)))
+    cases["linear"].append((lambda x: T.mse(T.linear(v4, x, c2, axis=1), c2244), c(2, 3)))
     return cases
 
 

@@ -151,18 +151,20 @@ def test_sample_set_seeds_each_sample_by_its_index():
     model = ng.Model(graph, {n: Tensor(p.data + 0.3 * rng.standard_normal(p.shape))
                              for n, p in ng.build(graph, 1).params.items()})
     schedule = df.NoiseSchedule(n_levels=4)
-    shape = (2, 1, 16, 16)
     conds = [Tensor(np.full((1, 1, 16, 16), v)) for v in (0.2, 0.7, 0.4)]
-    alone = [df.sample(model, schedule, 2, cond,
-                       np.random.Generator(np.random.PCG64(np.random.SeedSequence([13, i]))),
-                       shape)
-             for i, cond in enumerate(conds)]
-    for n in (1, 2, 3):
-        got = df.sample_set(model, schedule, conds[:n], 13, shape, 2)
-        assert len(got) == n
-        for i in range(n):
-            assert np.array_equal(got[i].data, alone[i].data), (n, i)
-    assert df.sample_set(model, schedule, [], 13, shape, 2) == []
+    # at 3 frames of 16x16, one GEMM over all videos' columns would round a
+    # video's tail columns differently from the same GEMM over it alone
+    for shape in ((2, 1, 16, 16), (3, 1, 16, 16)):
+        alone = [df.sample(model, schedule, 2, cond,
+                           np.random.Generator(np.random.PCG64(np.random.SeedSequence([13, i]))),
+                           shape)
+                 for i, cond in enumerate(conds)]
+        for n in (1, 2, 3):
+            got = df.sample_set(model, schedule, conds[:n], 13, shape, 2)
+            assert len(got) == n
+            for i in range(n):
+                assert np.array_equal(got[i].data, alone[i].data), (shape, n, i)
+    assert df.sample_set(model, schedule, [], 13, (2, 1, 16, 16), 2) == []
 
 
 def test_sample_set_rejects_mixed_conditions():

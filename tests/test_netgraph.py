@@ -132,8 +132,7 @@ def test_forward_keeps_stacked_videos_apart():
     rng = np.random.default_rng(5)
     model = ng.Model(graph, {n: Tensor(p.data + 0.3 * rng.standard_normal(p.shape))
                              for n, p in ng.build(graph, 0).params.items()})
-    # 2 frames of 16x16: each video's GEMM columns fill whole BLAS column
-    # blocks at every stage (see diffusion.sample_set)
+    # each frame's convolution GEMMs are its own (see diffusion.sample_set)
     xs = [rng.standard_normal((2, 1, 16, 16)) for _ in range(2)]
     stacked = Tensor(np.concatenate(xs))
     for frames in (1, 2):  # a first-frame condition, or one per frame

@@ -298,6 +298,9 @@ def test_shape_errors_are_typed():
         T.mse(Tensor(np.ones((2, 2))), Tensor(np.ones(4)))
     with pytest.raises(ShapeError):
         T.attention_spatial(Tensor(np.ones((2, 3, 4, 4))), *[Tensor(np.ones((3, 4)))] * 4)
+    for axis, x in ((1, np.ones((2, 4, 3))), (1, np.ones(3)), (0, np.ones((3, 3)))):
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(x), Tensor(np.ones((2, 3))), axis=axis)
 
 
 def test_tensors_are_immutable():
@@ -371,7 +374,8 @@ def test_eps_domain_is_validated():
 
 def _grad_cases():
     """(name, op closure over its inputs, inputs) for every input of each
-    single-GEMM convolution and each one-node attention."""
+    single-GEMM convolution, the channel form of `linear` and each one-node
+    attention."""
     rng = np.random.default_rng(7)
     c = lambda *s: rng.standard_normal(s)
     x, w2, w1, b = c(2, 3, 5, 6), c(4, 3, 3, 3), c(4, 3, 3), c(4)
@@ -384,6 +388,7 @@ def _grad_cases():
         ("conv2d stride 2", lambda *a: T.conv2d(*a, stride=2, pad=1), [x, w2, b]),
         ("conv2d o > 2c", lambda *a: T.conv2d(*a, pad=1), [x, c(7, 3, 3, 3), c(7)]),
         ("conv1d_frames", lambda *a: T.conv1d_frames(*a, pad=1), [x, w1, b]),
+        ("linear channels", lambda *a: T.linear(*a, axis=1), [x, c(4, 3), b]),
         ("attention_spatial", T.attention_spatial, [x] + ws),
         ("attention_temporal", T.attention_temporal, [x] + ws),
     ]
@@ -451,8 +456,10 @@ def _attention_spatial_loop(x, ws):
 
 # ---------------------------------------------------------------------------
 # each hot kernel equals, bit for bit, the plain NumPy expressions of its own
-# math; where that math was rewritten (the stride-1 conv2d vjp, attention),
-# the expressions it replaced stay as a second reference, equal to round-off
+# math; where that math was rewritten (the stride-1 conv2d vjp, attention,
+# the per-frame GEMMs of the convolutions and of linear's channel form, SiLU
+# as a quotient and group norm's folded scale), the expressions it replaced
+# stay as a second reference, equal to round-off
 # ---------------------------------------------------------------------------
 
 def _sigmoid_ref(x):
@@ -461,6 +468,13 @@ def _sigmoid_ref(x):
 
 
 def _silu_ref(x):
+    with np.errstate(over="ignore"):
+        d = 1.0 + np.exp(-x)
+    out = x / d
+    return out, lambda g: (g * (1.0 / d + out * (1.0 - 1.0 / d)),)
+
+
+def _silu_parent_ref(x):
     s = _sigmoid_ref(x)
     return x * s, lambda g: (g * (s + x * s * (1.0 - s)),)
 
@@ -471,6 +485,19 @@ def _softplus_ref(x):
 
 
 def _group_norm_ref(x, gamma, beta, groups, eps=1e-5):
+    """(x - mu) times one gamma * inv per (item, channel), plus beta."""
+    n, c = x.shape[:2]
+    xg = x.reshape(n, groups, -1)
+    mu = xg.mean(axis=2, keepdims=True)
+    d = xg - mu
+    var = np.einsum("ngm,ngm->ng", d, d)[:, :, None] / xg.shape[2]
+    inv = 1.0 / np.sqrt(var + eps)
+    scale = (inv * gamma.reshape(groups, -1)).reshape(n, c, 1)
+    out = (d.reshape(n, c, -1) * scale + beta[:, None]).reshape(x.shape)
+    return out, _group_norm_vjp(x, gamma, groups, mu, inv)
+
+
+def _group_norm_parent_ref(x, gamma, beta, groups, eps=1e-5):
     n, c = x.shape[:2]
     xg = x.reshape(n, groups, -1)
     mu = xg.mean(axis=2, keepdims=True)
@@ -479,6 +506,13 @@ def _group_norm_ref(x, gamma, beta, groups, eps=1e-5):
     xhat = ((xg - mu) * inv).reshape(x.shape)
     gshape = (1, c) + (1,) * (x.ndim - 2)
     out = xhat * gamma.reshape(gshape) + beta.reshape(gshape)
+    return out, _group_norm_vjp(x, gamma, groups, mu, inv)
+
+
+def _group_norm_vjp(x, gamma, groups, mu, inv):
+    n, c = x.shape[:2]
+    xhat = ((x.reshape(n, groups, -1) - mu) * inv).reshape(x.shape)
+    gshape = (1, c) + (1,) * (x.ndim - 2)
 
     def vjp(g):
         affine_axes = (0,) + tuple(range(2, x.ndim))
@@ -491,7 +525,7 @@ def _group_norm_ref(x, gamma, beta, groups, eps=1e-5):
         gx = (inv * (dxhat - t1 - xh * t2)).reshape(x.shape)
         return gx, ggamma, gbeta
 
-    return out, vjp
+    return vjp
 
 
 def _conv2d_parent_ref(x, w, b=None, stride=1, pad=0):
@@ -523,13 +557,23 @@ def _conv2d_parent_ref(x, w, b=None, stride=1, pad=0):
 
 
 def _conv2d_ref(x, w, b=None, stride=1, pad=0):
-    """For stride 1, pad < k and O <= 2C, both gradients come from one column
-    matrix of g zero-padded by k-1-pad: gx through the flipped, transposed
-    kernel, gw as x times its transpose, flipped back. Other convs keep
-    `_conv2d_parent_ref`'s vjp."""
-    out, parent_vjp = _conv2d_parent_ref(x, w, b, stride, pad)
+    """One GEMM per frame: the kernel times that frame's (C*kh*kw, Ho*Wo)
+    columns. For stride 1, pad < k and O <= 2C, both gradients come from one
+    column matrix of g zero-padded by k-1-pad: gx through the flipped,
+    transposed kernel, gw as x times its transpose, flipped back. Other
+    convs keep `_conv2d_parent_ref`'s vjp."""
+    _, parent_vjp = _conv2d_parent_ref(x, w, b, stride, pad)
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, ho * wo)
+    out = np.stack([w.reshape(o, -1) @ cols[i] for i in range(n)])
+    if b is not None:
+        out += b[:, None]
+    out = out.reshape(n, o, ho, wo)
     if stride != 1 or pad >= min(kh, kw) or o > 2 * c:
         return out, parent_vjp
 
@@ -548,6 +592,19 @@ def _conv2d_ref(x, w, b=None, stride=1, pad=0):
 
 
 def _conv1d_ref(x, w, b, pad):
+    """One GEMM per output frame, over (C*k, H*W) columns; the vjp is
+    `_conv1d_parent_ref`'s."""
+    f, c, h, wd = x.shape
+    o, _, k = w.shape
+    fo = f + 2 * pad - k + 1
+    xp = np.pad(x, ((pad, pad), (0, 0), (0, 0), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (Fo, C, H, W, k)
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 2, 3)).reshape(fo, c * k, h * wd)
+    out = np.stack([w.reshape(o, c * k) @ cols[i] for i in range(fo)]) + b[:, None]
+    return out.reshape(fo, o, h, wd), _conv1d_parent_ref(x, w, b, pad)[1]
+
+
+def _conv1d_parent_ref(x, w, b, pad):
     f, c, h, wd = x.shape
     o, _, k = w.shape
     fo = f + 2 * pad - k + 1
@@ -567,6 +624,36 @@ def _conv1d_ref(x, w, b, pad):
         return gxp[pad:pad + f], gw, g2.sum(axis=1)
 
     return out.reshape(o, fo, h, wd).transpose(1, 0, 2, 3), vjp
+
+
+def _linear_channels_ref(x, w, b):
+    """w @ x[i] + b for each item i of (N, K, *spatial)."""
+    n, k = x.shape[:2]
+    x3 = x.reshape(n, k, -1)
+    out = np.stack([w @ x3[i] + b[:, None] for i in range(n)]).reshape((n, -1) + x.shape[2:])
+
+    def vjp(g):
+        g3 = g.reshape(n, w.shape[0], -1)
+        gw = g3[0] @ x3[0].T
+        for i in range(1, n):
+            gw = gw + g3[i] @ x3[i].T
+        return (np.stack([w.T @ g3[i] for i in range(n)]).reshape(x.shape), gw,
+                g3.sum(axis=(0, 2)))
+
+    return out, vjp
+
+
+def _linear_channels_parent_ref(x, w, b):
+    """The tokens form between two transposes, as the attention MLP ran it."""
+    tokens = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+    out = tokens @ w.T + b
+
+    def vjp(g):
+        gt = g.transpose(0, 2, 3, 1)
+        return ((gt @ w).transpose(0, 3, 1, 2), np.tensordot(gt, tokens, axes=((0, 1, 2), (0, 1, 2))),
+                gt.sum(axis=(0, 1, 2)))
+
+    return out.transpose(0, 3, 1, 2), vjp
 
 
 def _attention_ref(x, wq, wk, wv, wo, to_tokens, from_tokens):
@@ -670,6 +757,8 @@ def _kernel_cases():
     for pad in (0, 1):
         cases.append((f"conv1d_frames p{pad}", T.conv1d_frames, _conv1d_ref,
                       [r(4, 3, 2, 3), r(5, 3, 3), r(5)], {"pad": pad}))
+    cases.append(("linear channels", lambda *a: T.linear(*a, axis=1), _linear_channels_ref,
+                  [r(3, 4, 3, 5), r(6, 4), r(6)], {}))
     x, ws = r(3, 4, 3, 2), [r(4, 4) / 2.0 for _ in range(4)]
     for name, op, tokens in (("attention_spatial", T.attention_spatial, _spatial_tokens),
                              ("attention_temporal", T.attention_temporal, _temporal_tokens)):
@@ -683,15 +772,16 @@ def _kernel_cases():
 _KERNEL_CASES = _kernel_cases()
 
 _PARENT_REFS = {
+    "silu": _silu_parent_ref,
+    "group_norm": _group_norm_parent_ref,
     "conv2d": _conv2d_parent_ref,
+    "conv1d_frames": _conv1d_parent_ref,
+    "linear": _linear_channels_parent_ref,
     "attention_spatial": lambda *a: _attention_parent_ref(*a, *_spatial_tokens(a[0])),
     "attention_temporal": lambda *a: _attention_parent_ref(*a, *_temporal_tokens(a[0])),
 }
-# the cases whose math changed: both attentions and the stride-1 convs with pad < k
-_REWRITTEN_CASES = [(name, op, ref, inputs, kw) for name, op, ref, inputs, kw in _KERNEL_CASES
-                    if name.startswith("attention")
-                    or (name.startswith("conv2d") and kw["stride"] == 1 and kw["pad"] < inputs[1].shape[-1]
-                        and inputs[1].shape[0] <= 2 * inputs[1].shape[1])]
+# the cases whose math changed: all but softplus
+_REWRITTEN_CASES = [case for case in _KERNEL_CASES if case[0].split()[0] in _PARENT_REFS]
 
 
 def _g_layouts(shape):
@@ -791,6 +881,21 @@ def test_taped_group_norm_keeps_its_output_and_the_group_statistics(traced_peak)
     assert kept < out.data.nbytes + 2 * 8 * n * groups + (1 << 14), kept - out.data.nbytes
 
 
+@pytest.mark.parametrize("op", ["silu", "group_norm"])
+def test_untaped_silu_and_group_norm_allocate_one_output_sized_buffer(op, traced_peak):
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((8, 8, 32, 32))
+    gamma, beta = Tensor(rng.standard_normal(8)), Tensor(rng.standard_normal(8))
+    run = {"silu": T.silu, "group_norm": lambda t: T.group_norm(t, gamma, beta, groups=4)}[op]
+    out, peak = traced_peak(lambda: run(Tensor(x)))
+    # a second output-sized array would be another out.data.nbytes (512 KiB);
+    # a broadcasting ufunc's iterator takes a 64 KiB buffer of its own
+    assert out.node is None and peak < 1.5 * out.data.nbytes, peak - out.data.nbytes
+    with Tape():
+        taped = run(Tensor(x, requires_grad=True))
+    assert taped.node is not None and _bits(taped.data) == _bits(out.data)
+
+
 def test_sigmoid_family_does_not_warn_on_overflow():
     x = np.array([-1000.0, -50.0, 0.0, 50.0, 1000.0])
     g = np.linspace(-1.0, 1.0, 5)
@@ -832,32 +937,44 @@ def test_adam_matches_the_textbook_update_bitwise():
 
 
 def _video_cases():
-    """(name, op taking x and the other inputs plus `videos`, other inputs)
-    for the ops whose axis 0 may stack several videos' frames."""
+    """(name, op taking x and the other inputs plus `videos`, other inputs,
+    the shape of one video) for the ops whose axis 0 may stack several
+    videos' frames, and for conv2d, whose forward is one GEMM per frame."""
     rng = np.random.default_rng(23)
     w1, b = rng.standard_normal((4, 3, 3)), rng.standard_normal(4)
+    w2 = rng.standard_normal((4, 3, 3, 3))
     ws = [rng.standard_normal((3, 3)) / 2.0 for _ in range(4)]
+    conv = lambda *a, videos: T.conv2d(*a, pad=1)
     return [
-        ("conv1d_frames p0", lambda *a, videos: T.conv1d_frames(*a, pad=0, videos=videos), [w1]),
+        ("conv1d_frames p0", lambda *a, videos: T.conv1d_frames(*a, pad=0, videos=videos), [w1],
+         (4, 3, 2, 3)),
         ("conv1d_frames p0 bias", lambda *a, videos: T.conv1d_frames(*a, pad=0, videos=videos),
-         [w1, b]),
-        ("conv1d_frames p1", lambda *a, videos: T.conv1d_frames(*a, pad=1, videos=videos), [w1]),
+         [w1, b], (4, 3, 2, 3)),
+        ("conv1d_frames p1", lambda *a, videos: T.conv1d_frames(*a, pad=1, videos=videos), [w1],
+         (4, 3, 2, 3)),
         ("conv1d_frames p1 bias", lambda *a, videos: T.conv1d_frames(*a, pad=1, videos=videos),
-         [w1, b]),
-        ("attention_temporal", T.attention_temporal, ws),
+         [w1, b], (4, 3, 2, 3)),
+        ("attention_temporal", T.attention_temporal, ws, (4, 3, 2, 3)),
+        # shapes at which one GEMM over all frames rounds a video's tail columns
+        # differently from the same GEMM over that video alone
+        ("conv2d 2x2", conv, [w2, b], (5, 3, 2, 2)),
+        ("conv2d 3 frames", conv, [w2, b], (3, 3, 5, 6)),
     ]
 
 
-_VIDEO_CASES = [(name, op, rest, videos) for name, op, rest in _video_cases()
+_VIDEO_CASES = [(name, op, rest, shape, videos) for name, op, rest, shape in _video_cases()
                 for videos in (2, 3)]
 
 
-@pytest.mark.parametrize("name,op,rest,videos", _VIDEO_CASES,
-                         ids=[f"{c[0]} videos{c[3]}" for c in _VIDEO_CASES])
-def test_stacked_videos_equal_per_video_calls(name, op, rest, videos):
+@pytest.mark.parametrize("name,op,rest,shape,videos", _VIDEO_CASES,
+                         ids=[f"{c[0]} videos{c[4]}" for c in _VIDEO_CASES])
+def test_stacked_videos_equal_per_video_calls(name, op, rest, shape, videos):
     rng = np.random.default_rng(24)
-    x = rng.standard_normal((videos * 4, 3, 2, 3))  # 4 frames per video
+    x = rng.standard_normal((videos * shape[0],) + shape[1:])
     parts = np.split(x, videos)
+    # conv2d takes no `videos`; its vjp is one GEMM over all frames, so only
+    # its output is each video's own
+    stacks = name.split()[0] != "conv2d"
     with Tape() as tape:
         out = op(Tensor(x, requires_grad=True), *(Tensor(a) for a in rest), videos=videos)
     assert len(tape.nodes) == 1 and tape.nodes[0][0].op == name.split()[0]
@@ -870,7 +987,8 @@ def test_stacked_videos_equal_per_video_calls(name, op, rest, videos):
         alone_out.append(o.data)
         alone_gx.append(tape.nodes[0][0].vjp(gpart)[0])
     assert _bits(out.data) == _bits(np.concatenate(alone_out))
-    assert _bits(gx) == _bits(np.concatenate(alone_gx))
+    if stacks:
+        assert _bits(gx) == _bits(np.concatenate(alone_gx))
 
     probe = Tensor(rng.standard_normal(out.shape))
     inputs = [x] + rest
@@ -881,6 +999,7 @@ def test_stacked_videos_equal_per_video_calls(name, op, rest, videos):
         report = finite_difference_check(f, Tensor(inputs[i]))
         assert report.max_rel_err <= 1e-7, f"{name} videos {videos} input {i}: {report}"
 
-    with pytest.raises(ShapeError, match="videos"):
-        op(Tensor(x[1:]), *(Tensor(a) for a in rest), videos=videos)
-    assert len(T.op_kinds()) == 19
+    if stacks:
+        with pytest.raises(ShapeError, match="videos"):
+            op(Tensor(x[1:]), *(Tensor(a) for a in rest), videos=videos)
+    assert len(T.op_kinds()) == 18
