@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import checkpoint, diffusion, evalkit, icmd, netgraph, pruner, synthdata
-from .errors import (CheckpointError, ConfigError, MetricError,
+from .errors import (CheckpointError, ConfigError, DatasetError, MetricError,
                      MissingArtifactError, NonFiniteError, PlanError, VdminiError)
 from .netgraph import Model
 from .optim import Adam, named_grads
@@ -163,6 +163,7 @@ _VALUE_RULES = (
     ("distill.lambda_icd", lambda v: v >= 0, "at least 0"),
     ("distill.lambda_mca", lambda v: v >= 0, "at least 0"),
     ("distill.mca_warmup_steps", lambda v: v >= 0, "at least 0"),
+    ("eval.checkpoint", lambda v: v in ("student", "teacher"), '"student" or "teacher"'),
 )
 
 
@@ -229,8 +230,14 @@ def _hash_tensor(chash: str) -> Tensor:
     return Tensor(np.array([float(ord(c)) for c in chash]))
 
 
-def _tensor_hash(t: Tensor) -> str:
-    return "".join(chr(int(v)) for v in t.data)
+def _tensor_hash(t: Tensor, path: Path) -> str:
+    """The config hash `_hash_tensor` stored; anything but a vector of
+    integral character codes is a CheckpointError."""
+    codes = t.data
+    if codes.ndim != 1 or not ((codes >= 0) & (codes <= sys.maxunicode)
+                               & (codes == np.floor(codes))).all():
+        raise CheckpointError(f"{path}: _meta.config_hash is not a vector of character codes")
+    return "".join(chr(int(v)) for v in codes)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -270,7 +277,7 @@ def _load_model(path: Path, graph: netgraph.BlockGraph, chash: str,
                 force: bool) -> Model:
     params = checkpoint.load_checkpoint(path)
     stored = params.pop("_meta.config_hash", None)
-    if stored is not None and _tensor_hash(stored) != chash and not force:
+    if stored is not None and _tensor_hash(stored, path) != chash and not force:
         raise ConfigError(f"{path}: config hash mismatch (use --force to override)")
     params = {n: p for n, p in params.items() if not n.startswith("_meta.")}
     # exactly the graph's tensors: another model's checkpoint (say, the
@@ -298,13 +305,17 @@ def _dataset_paths(out: Path) -> tuple:
     return out / "train.vdds", out / "eval.vdds"
 
 
-def _load_split(path: Path, chash: str, force: bool, what: str):
-    _require(path, what)
-    ds = synthdata.load_dataset(path)
+def _load_videos(path: Path, chash: str, force: bool, what: str) -> tuple:
+    """(videos, conds): the dataset's videos as tensors and each one's
+    first-frame condition."""
+    ds = synthdata.load_dataset(_require(path, what))
     stored = ds.provenance.get("config_hash")
     if stored is not None and stored != chash and not force:
         raise ConfigError(f"{path}: config hash mismatch (use --force to override)")
-    return ds
+    if not len(ds):
+        raise DatasetError(f"{path}: the dataset holds no videos")
+    videos = ds.tensors()
+    return videos, [synthdata.first_frame_condition(v) for v in videos]
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +370,7 @@ def train_step(model: Model, opt: Adam, batch: list, conds: Optional[list],
 
 
 def cmd_train_teacher(cfg: dict, out: Path, chash: str, force: bool) -> None:
-    train_path, _ = _dataset_paths(out)
-    ds = _load_split(train_path, chash, force, "training dataset")
+    videos, conds = _load_videos(_dataset_paths(out)[0], chash, force, "training dataset")
     graph = _teacher_graph(cfg)
     seed = stage_seed(cfg["seed"], "train-teacher")
     model = netgraph.build(graph, seed)
@@ -368,8 +378,6 @@ def cmd_train_teacher(cfg: dict, out: Path, chash: str, force: bool) -> None:
     t = cfg["train_teacher"]
     opt = Adam(lr=t["lr"])
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1])))
-    videos = ds.tensors()
-    conds = [synthdata.first_frame_condition(v) for v in videos]
     rows = [["step", "loss"]]
     for step in range(t["steps"]):
         idx = rng.choice(len(videos), size=min(t["batch"], len(videos)),
@@ -408,10 +416,7 @@ def cmd_profile(cfg: dict, out: Path, chash: str, force: bool) -> None:
     graph = _teacher_graph(cfg)
     teacher = _load_model(_require(out / "teacher.vdmk", "teacher checkpoint"),
                           graph, chash, force)
-    _, eval_path = _dataset_paths(out)
-    ds = _load_split(eval_path, chash, force, "evaluation dataset")
-    videos = ds.tensors()
-    conds = [synthdata.first_frame_condition(v) for v in videos]
+    videos, conds = _load_videos(_dataset_paths(out)[1], chash, force, "evaluation dataset")
     extractor = evalkit.FeatureExtractor(in_channels=videos[0].shape[1])
     p = cfg["profile"]
     report = pruner.profile_importance(
@@ -448,10 +453,7 @@ def cmd_distill(cfg: dict, out: Path, chash: str, force: bool) -> None:
     teacher = _load_model(_require(out / "teacher.vdmk", "teacher checkpoint"),
                           graph, chash, force)
     student = pruner.apply_plan(teacher, plan)
-    train_path, _ = _dataset_paths(out)
-    ds = _load_split(train_path, chash, force, "training dataset")
-    videos = ds.tensors()
-    conds = [synthdata.first_frame_condition(v) for v in videos]
+    videos, conds = _load_videos(_dataset_paths(out)[0], chash, force, "training dataset")
     d = cfg["distill"]
     weights = icmd.LossWeights(d["lambda_icd"], d["lambda_mca"],
                                d["mca_warmup_steps"])
@@ -483,21 +485,10 @@ def cmd_eval(cfg: dict, out: Path, chash: str, force: bool) -> None:
     e = cfg["eval"]
     graph = _teacher_graph(cfg)
     if e["checkpoint"] == "student":
-        plan = _load_plan(out)
-        graph = pruner.student_graph(graph, plan)
-        path = out / "student.vdmk"
-        what = "student checkpoint"
-    elif e["checkpoint"] == "teacher":
-        path = out / "teacher.vdmk"
-        what = "teacher checkpoint"
-    else:
-        raise ConfigError(f"eval.checkpoint must be student|teacher, "
-                          f"got {e['checkpoint']!r}")
-    model = _load_model(_require(path, what), graph, chash, force)
-    _, eval_path = _dataset_paths(out)
-    ds = _load_split(eval_path, chash, force, "evaluation dataset")
-    videos = ds.tensors()
-    conds = [synthdata.first_frame_condition(v) for v in videos]
+        graph = pruner.student_graph(graph, _load_plan(out))
+    path = out / f"{e['checkpoint']}.vdmk"
+    model = _load_model(_require(path, f"{e['checkpoint']} checkpoint"), graph, chash, force)
+    videos, conds = _load_videos(_dataset_paths(out)[1], chash, force, "evaluation dataset")
     extractor = evalkit.FeatureExtractor(in_channels=videos[0].shape[1])
     seed = stage_seed(cfg["seed"], "eval")
     samples = diffusion.sample_set(model, _schedule(cfg), conds, seed, videos[0].shape,

@@ -60,12 +60,13 @@ def add_noise(x0: Tensor, sigma: float, rng: np.random.Generator) -> Tensor:
 
 
 def denoise(model: Model, x_t: Tensor, sigma, cond: Optional[Tensor],
-            sigma_data: float, videos: int = 1) -> Tensor:
+            sigma_data: float, videos: int = 1, features: Optional[dict] = None) -> Tensor:
     """D(x_t; sigma) = c0 x_t + c1 f(c2 x_t, c3) at sigma > 0; x_t may stack
     `videos` videos on axis 0, as `Model.forward` takes them, and sigma is
-    one level for all of them or a sequence of one per video."""
+    one level for all of them or a sequence of one per video. A `features`
+    dict is filled with f's stage-boundary activations (`Model.forward`)."""
     c0, c1, c2, c3 = precondition_coeffs(sigma, sigma_data)
-    inner = model.forward(T.mul_scalar(x_t, c2), c3, cond, videos=videos)
+    inner = model.forward(T.mul_scalar(x_t, c2), c3, cond, features=features, videos=videos)
     if inner.shape != x_t.shape:
         raise ShapeError(f"denoise: network output {inner.shape} vs input {x_t.shape}")
     return T.add(T.mul_scalar(x_t, c0), T.mul_scalar(inner, c1))

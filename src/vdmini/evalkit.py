@@ -157,25 +157,30 @@ class LatencyReport:
     reps: int = 0
 
 
-def measure_latency(model: Model, input_shape: tuple, warmup: int = 2, reps: int = 5,
-                    c_noise: float = 0.0) -> LatencyReport:
-    """Median per-block and independently timed total forward latency."""
+def measure_latency(model: Model, input_shape: tuple, warmup: int = 2,
+                    reps: int = 5) -> LatencyReport:
+    """Median latency of each block, keyed by block id, and of the whole
+    forward, timed apart. Each block runs alone (`Model._block`) on the
+    state that one forward recorded entering it."""
     if reps < 3:
         raise MetricError(f"need reps >= 3, got {reps}")
     rng = np.random.Generator(np.random.PCG64(0))
     x = Tensor(rng.standard_normal(input_shape))
-    for _ in range(warmup):
-        model.forward(x, c_noise)
-    samples: dict = {}
+    states: dict = {}
+    for _ in range(warmup + 1):  # the last forward's states are kept
+        model.forward(x, 0.0, states=states)
+    blocks = [b for s in model.graph.stages for b in s.blocks]
+    samples: dict = {b.block_id: [] for b in blocks}
     for _ in range(reps):
-        timings: dict = {}
-        model.forward(x, c_noise, timings=timings)
-        for key, sec in timings.items():
-            samples.setdefault(key, []).append(sec * 1e3)
+        for b in blocks:
+            state = states[b.block_id]
+            t0 = time.perf_counter()
+            model._block(state.h, b, state.emb)
+            samples[b.block_id].append((time.perf_counter() - t0) * 1e3)
     totals = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        model.forward(x, c_noise)
+        model.forward(x, 0.0)
         totals.append((time.perf_counter() - t0) * 1e3)
     per_block = {k: float(np.median(v)) for k, v in sorted(samples.items())}
     return LatencyReport(per_block, float(np.median(totals)), reps)

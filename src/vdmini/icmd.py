@@ -215,11 +215,14 @@ def _check_finite(value: float, term: str, step: int) -> float:
     return value
 
 
-def _teacher_features(teacher: Model, x_in: Tensor, c_noise, cond) -> dict:
-    """The teacher's stage features on the student's network input, outside
-    any tape: one noise level per video stacked in x_in."""
-    return teacher.forward(x_in, c_noise, cond, collect_features=True,
-                           videos=len(c_noise))[1]
+def _teacher_features(teacher: Model, x_t: Tensor, sigmas: list, cond,
+                      sigma_data: float) -> dict:
+    """The teacher's stage features in `diffusion.denoise` of the videos
+    stacked in x_t, one noise level per video, as the student denoises them."""
+    feats: dict = {}
+    diffusion.denoise(teacher, x_t, sigmas, cond, sigma_data, videos=len(sigmas),
+                      features=feats)
+    return feats
 
 
 def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
@@ -229,7 +232,8 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
     Each video gets its own noise level, all drawn first, and the batch runs
     as `diffusion.video_parts`. Each part, on a thread of its own (part 0 on
     the calling thread), computes the teacher's features outside any tape,
-    then runs the student's forward on the part's own tape. After the join,
+    then the student's `diffusion.denoise` on the part's own tape, both on
+    the same noised videos. After the join,
     the critic takes one hinge step on the detached outputs of every part's
     forward and the real videos; the critic step leaves the student
     untouched, so these are the fakes a separate forward would give. Each
@@ -258,15 +262,13 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
     tapes = [Tape() for _ in parts]
 
     def forward(tape: Tape, s: slice) -> tuple:
-        c0, c1, c2, c3 = diffusion.precondition_coeffs(sigmas[s], sigma_data)
         xs = diffusion.stack_videos(x_t[s])
-        x_in = T.mul_scalar(xs, c2)
         cond = diffusion.stack_videos(conds[s]) if conds else None
-        feats_t = _teacher_features(state.teacher, x_in, c3, cond)
+        feats_t = _teacher_features(state.teacher, xs, sigmas[s], cond, sigma_data)
+        feats_s: dict = {}
         with tape:
-            f_s, feats_s = state.student.forward(x_in, c3, cond, collect_features=True,
-                                                 videos=len(x_t[s]))
-            d_s = T.add(T.mul_scalar(xs, c0), T.mul_scalar(f_s, c1))
+            d_s = diffusion.denoise(state.student, xs, sigmas[s], cond, sigma_data,
+                                    videos=len(x_t[s]), features=feats_s)
             task = diffusion.weighted_error(d_s, diffusion.stack_videos(batch[s]), sigmas[s],
                                             sigma_data)
         return feats_t, feats_s, d_s, task

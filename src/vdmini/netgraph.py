@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -455,16 +454,6 @@ class BlockState:
     emb: Embedding
 
 
-def _timed(timings: Optional[dict], key: str, fn):
-    """fn(), adding its wall time to timings[key] when timings is a dict."""
-    if timings is None:
-        return fn()
-    t0 = time.perf_counter()
-    out = fn()
-    timings[key] = timings.get(key, 0.0) + (time.perf_counter() - t0)
-    return out
-
-
 class Model:
     """Executable denoiser built from a BlockGraph."""
 
@@ -526,8 +515,8 @@ class Model:
         return self._attn_block(x, b, emb.videos)
 
     def forward(self, x: Tensor, c_noise, cond: Optional[Tensor] = None,
-                collect_features: bool = False, timings: Optional[dict] = None,
-                states: Optional[dict] = None, videos: int = 1, ablated: Sequence = ()):
+                features: Optional[dict] = None, states: Optional[dict] = None,
+                videos: int = 1, ablated: Sequence = ()) -> Tensor:
         """Denoiser inner network: (F, C, H, W) latent -> same shape.
 
         Axis 0 may hold `videos` equal runs of frames; they never mix, so
@@ -541,9 +530,10 @@ class Model:
         split into one run per entry, and run i is the output with block
         ablated[i] replaced (no gradients: the runs are split on raw arrays).
 
-        Returns the output tensor, or (output, stage-boundary features)
-        when collect_features is set. A `states` dict is filled with the
-        BlockState entering each block, keyed by block id, for `resume`.
+        Returns the output tensor. A `features` dict is filled with the
+        activation leaving each Down and Up stage, keyed by stage id, and a
+        `states` dict with the BlockState entering each block, keyed by
+        block id, for `resume`.
         """
         g = self.graph
         nf = x.shape[0]
@@ -568,12 +558,9 @@ class Model:
         emb = T.silu(T.linear(emb, self._p("emb.lin1.w"), self._p("emb.lin1.b")))
         emb = T.linear(emb, self._p("emb.lin2.w"), self._p("emb.lin2.b"))
         h = T.concat([x, Tensor(cdata)], axis=1)
-        h = _timed(timings, "stem",
-                   lambda: T.conv2d(h, self._p("stem.conv.w"), self._p("stem.conv.b"), pad=1))
-        features = {} if collect_features else None
-        h = self._walk(h, Embedding(emb, videos // runs), ablated,
-                       timings=timings, features=features, states=states)
-        return (h, features) if collect_features else h
+        h = T.conv2d(h, self._p("stem.conv.w"), self._p("stem.conv.b"), pad=1)
+        return self._walk(h, Embedding(emb, videos // runs), ablated,
+                          features=features, states=states)
 
     def resume(self, states: dict, ablated: Sequence) -> Tensor:
         """`forward(x, ..., ablated=ablated)` for the x whose own forward
@@ -583,8 +570,8 @@ class Model:
         return self._walk(None, None, ablated, states)
 
     def _walk(self, h: Optional[Tensor], emb: Optional[Embedding], ablated: Sequence = (),
-              recorded: Optional[dict] = None, timings: Optional[dict] = None,
-              features: Optional[dict] = None, states: Optional[dict] = None) -> Tensor:
+              recorded: Optional[dict] = None, features: Optional[dict] = None,
+              states: Optional[dict] = None) -> Tensor:
         """Run the stages and the head on the stem output h, which stacks one
         run of `emb.videos` videos per entry of `ablated` (or one run when it
         is empty); run i takes block ablated[i]'s replacement.
@@ -609,12 +596,11 @@ class Model:
             sid = sp.stage.stage_id
             if runs:
                 if sp.down_conv:
-                    h = _timed(timings, f"down.{sid}", lambda h=h: T.conv2d(
-                        h, self._p(f"down.{sid}.w"), self._p(f"down.{sid}.b"), stride=2, pad=1))
+                    h = T.conv2d(h, self._p(f"down.{sid}.w"), self._p(f"down.{sid}.b"),
+                                 stride=2, pad=1)
                 if sp.up_conv:
-                    h = _timed(timings, f"up.{sid}", lambda h=h: T.conv2d(
-                        T.upsample_nearest2x(h), self._p(f"up.{sid}.w"), self._p(f"up.{sid}.b"),
-                        pad=1))
+                    h = T.conv2d(T.upsample_nearest2x(h), self._p(f"up.{sid}.w"),
+                                 self._p(f"up.{sid}.b"), pad=1)
                 if sp.skip_from:
                     h = T.concat([h, skips[sp.skip_from]], axis=1)
             for b in sp.stage.blocks:
@@ -624,7 +610,7 @@ class Model:
                 if states is not None:
                     states[b.block_id] = BlockState(h, dict(skips), emb)
                 if i is None:
-                    h = _timed(timings, b.block_id, lambda h=h, b=b: self._block(h, b, emb))
+                    h = self._block(h, b, emb)
                     continue
                 if i == runs:  # run i joins here, with the recorded state's rows
                     state = recorded[b.block_id]
@@ -645,8 +631,8 @@ class Model:
                 skips[sid] = h
             if features is not None and sp.stage.kind in ("Down", "Up"):
                 features[sid] = h
-        return _timed(timings, "head", lambda: T.conv2d(
-            T.silu(self._gn(h, "head.gn")), self._p("head.conv.w"), self._p("head.conv.b"), pad=1))
+        return T.conv2d(T.silu(self._gn(h, "head.gn")), self._p("head.conv.w"),
+                        self._p("head.conv.b"), pad=1)
 
 
 def build(graph: BlockGraph, init_seed: int) -> Model:

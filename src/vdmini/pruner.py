@@ -48,21 +48,25 @@ class AblationReport:
         return "\n".join(lines) + "\n"
 
 
+def _source(teacher: Model, spec: netgraph.ParamSpec, rename: dict) -> Optional[Tensor]:
+    """The teacher's tensor of owner `rename.get(owner, owner)` with the
+    suffix of `spec`'s name, if it has one of `spec`'s shape."""
+    src = teacher.params.get(rename.get(spec.owner, spec.owner) + spec.name[len(spec.owner):])
+    return src if src is not None and src.shape == spec.shape else None
+
+
 def _inherit(teacher: Model, graph: BlockGraph, rename: Optional[dict] = None) -> Model:
     """Build a model of `graph` from the teacher's weights, bitwise.
 
-    A parameter owned by `owner` copies the teacher's tensor of owner
-    `rename.get(owner, owner)` with the same suffix, when the shapes agree.
-    Only parameters the teacher lacks (say, a shortcut conv's) are
-    initialised, to the values `init_params(graph, 0)` gives them.
+    Each parameter copies its `_source` tensor. Only parameters the teacher
+    lacks (say, a shortcut conv's) are initialised, to the values
+    `init_params(graph, 0)` gives them.
     """
     rename = rename or {}
     params = {}
     for spec in netgraph.enumerate_params(graph):
-        src_owner = rename.get(spec.owner, spec.owner)
-        src = teacher.params.get(src_owner + spec.name[len(spec.owner):])
-        data = src.data if src is not None and src.shape == spec.shape \
-            else netgraph._init_param(spec, 0)
+        src = _source(teacher, spec, rename)
+        data = src.data if src is not None else netgraph._init_param(spec, 0)
         params[spec.name] = Tensor(data, requires_grad=True)
     return Model(graph, params)
 
@@ -111,20 +115,21 @@ class _FirstStep:
         self._first = True
 
     def forward(self, x: Tensor, c_noise: float, cond: Optional[Tensor] = None,
-                videos: int = 1) -> Tensor:
+                features: Optional[dict] = None, videos: int = 1) -> Tensor:
         first, self._first = self._first, False
         cdata = None if cond is None else cond.data
         rec, runs = self.recorded, len(self.ablated)
         if first and rec is None:
             self.inputs = (x.data, c_noise, cdata, videos)
-            return self.model.forward(x, c_noise, cond, states=self.states, videos=videos,
-                                      ablated=self.ablated)
+            return self.model.forward(x, c_noise, cond, features=features, states=self.states,
+                                      videos=videos, ablated=self.ablated)
         if first and runs and rec.inputs is not None:
             rx, rc_noise, rcond, rvideos = rec.inputs
             if (c_noise == rc_noise and videos == runs * rvideos and _stacked(x.data, rx, runs)
                     and _stacked(cdata, rcond, runs)):
                 return self.model.resume(rec.states, self.ablated)
-        return self.model.forward(x, c_noise, cond, videos=videos, ablated=self.ablated)
+        return self.model.forward(x, c_noise, cond, features=features, videos=videos,
+                                  ablated=self.ablated)
 
 
 def _fvd(samples: list, eval_stats: evalkit.GaussianStats,
@@ -325,9 +330,20 @@ def student_graph(teacher_graph: BlockGraph, plan: PruningPlan) -> BlockGraph:
 
 
 def apply_plan(teacher: Model, plan: PruningPlan) -> Model:
-    """Build the student, inheriting retained teacher weights bitwise."""
+    """Build the student, inheriting retained teacher weights bitwise. A plan
+    that does not prune the teacher is a PlanError: every student block
+    must inherit a teacher block, and every student tensor a teacher
+    tensor of its shape."""
     teacher_blocks = set(teacher.graph.block_ids())
     for tid in plan.inheritance.values():
         if tid not in teacher_blocks:
             raise PlanError(f"inheritance references missing teacher block {tid}")
-    return _inherit(teacher, student_graph(teacher.graph, plan), plan.inheritance)
+    graph = student_graph(teacher.graph, plan)
+    for bid in graph.block_ids():
+        if bid not in plan.inheritance:
+            raise PlanError(f"plan: student block {bid} inherits no teacher block")
+    for spec in netgraph.enumerate_params(graph):
+        if _source(teacher, spec, plan.inheritance) is None:
+            raise PlanError(f"plan: student tensor {spec.name} {spec.shape} has no teacher "
+                            f"tensor of its shape to inherit")
+    return _inherit(teacher, graph, plan.inheritance)

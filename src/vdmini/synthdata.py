@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -178,9 +179,28 @@ def load_dataset(path) -> VideoDataset:
     pos = 4 + 4 + 16
     if pos + meta_len + payload_len != len(body):
         raise DatasetError(f"{path}: length mismatch")
-    meta = json.loads(body[pos : pos + meta_len].decode("utf-8"))
-    raw = body[pos + meta_len :]
+    try:  # not UTF-8 is a UnicodeDecodeError, not JSON a JSONDecodeError
+        meta = json.loads(body[pos : pos + meta_len].decode("utf-8"))
+    except ValueError as exc:
+        raise DatasetError(f"{path}: unparseable metadata: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DatasetError(f"{path}: metadata must be a JSON object")
+    for key, ok, want in (
+            ("shape", lambda v: isinstance(v, list) and len(v) == 5
+             and all(type(d) is int and d >= 0 for d in v), "a list of 5 non-negative integers"),
+            ("split", lambda v: isinstance(v, str), "a string"),
+            ("scenes", lambda v: isinstance(v, list), "a list"),
+            ("provenance", lambda v: isinstance(v, dict), "an object")):
+        if not ok(meta.get(key, {})):  # only provenance may be missing
+            raise DatasetError(f"{path}: metadata {key!r} must be {want}, "
+                               f"got {meta.get(key)!r}")
     shape = tuple(meta["shape"])
-    videos = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    scenes = [_scene_from_doc(d) for d in meta["scenes"]]
+    if 4 * math.prod(shape) != payload_len:
+        raise DatasetError(f"{path}: shape {shape} does not match the payload of "
+                           f"{payload_len} bytes")
+    try:
+        scenes = [_scene_from_doc(d) for d in meta["scenes"]]
+    except (KeyError, TypeError) as exc:
+        raise DatasetError(f"{path}: malformed scene: {exc!r}") from None
+    videos = np.frombuffer(body[pos + meta_len :], dtype="<f4").reshape(shape).copy()
     return VideoDataset(videos, scenes, meta["split"], meta.get("provenance", {}))

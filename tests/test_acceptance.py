@@ -131,8 +131,9 @@ def test_criterion_1_gradient_oracle_ops_and_losses():
         def icd_f(leaf):
             m = with_param(model, leaf_name, leaf)
             x = Tensor(batch[0].data)
-            _, fs = m.forward(x, 0.2, collect_features=True)
-            _, ft = model.forward(x, 0.2, collect_features=True)
+            fs, ft = {}, {}
+            m.forward(x, 0.2, features=fs)
+            model.forward(x, 0.2, features=ft)
             return icmd.icd_loss({k: v.detach() for k, v in ft.items()}, fs)
         rep = finite_difference_check(icd_f, model.params[leaf_name], eps=1e-4)
         assert rep.max_rel_err <= TOL, f"icd_loss: {rep}"

@@ -20,6 +20,8 @@ from vdmini.errors import VdminiError
 from vdmini.optim import Adam, named_grads
 from vdmini.tensor import Tape, Tensor, backward
 
+from test_synthdata import write_vdds
+
 GOLDEN = Path(__file__).parent / "golden" / "plan.json"
 
 FAST = {
@@ -178,6 +180,7 @@ def test_config_values_are_type_checked_against_the_defaults(tmp_path):
     ("distill", "lambda_icd", -0.1),
     ("distill", "lambda_mca", -1.0),
     ("distill", "mca_warmup_steps", -1),
+    ("eval", "checkpoint", "bogus"),
 ], ids=str)
 def test_bad_config_value_is_exit_2_with_one_json_line(tmp_path, capsys, section, key, value):
     cfg = _cfg_file(tmp_path, {section: {**FAST.get(section, {}), key: value}})
@@ -399,6 +402,44 @@ def test_profile_with_a_crc_valid_teacher_with_a_bad_directory_is_exit_2(
     assert _run(["profile", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     record = _one_error_record(capsys)
     assert record["message"].endswith(message), record
+
+
+@pytest.mark.parametrize("meta,payload,message", [
+    (b"{not json", bytes(4), "unparseable metadata"),
+    (json.dumps({"split": "train", "shape": [1, 2, 1, 8, 8], "scenes": []}).encode(), bytes(4),
+     "does not match the payload"),
+    (json.dumps({"split": "train", "shape": [0, 2, 1, 8, 8], "scenes": []}).encode(), b"",
+     "the dataset holds no videos"),
+], ids=["not-json", "count-mismatch", "empty"])
+def test_train_teacher_on_a_crc_valid_bad_dataset_is_exit_2(tmp_path, capsys, meta, payload,
+                                                            message):
+    cfg = _cfg_file(tmp_path)
+    out = tmp_path / "run"
+    out.mkdir()
+    write_vdds(out / "train.vdds", meta, payload)
+    capsys.readouterr()
+    assert _run(["train-teacher", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in _config_error(capsys)
+    assert not (out / "teacher.vdmk").exists()
+
+
+@pytest.mark.parametrize("codes", [[1e300], [math.nan], [-5.0], [[97.0, 98.0]], [97.5]],
+                         ids=["huge", "nan", "negative", "2-d", "fraction"])
+def test_distill_with_a_bad_checkpoint_config_hash_is_exit_2(tmp_path, capsys, codes):
+    cfg_path = _cfg_file(tmp_path)
+    out = tmp_path / "run"
+    assert _run(["plan", "--config", cfg_path, "--out", str(out)]) == cli.EXIT_OK
+    cfg = cli.load_config(cfg_path, None, str(out), environ={})
+    params = dict(ng.build(cli._teacher_graph(cfg), 0).params)
+    params["_meta.config_hash"] = Tensor(np.array(codes))
+    cli.checkpoint.save_checkpoint(params, out / "teacher.vdmk")
+    for extra in ([], ["--force"]):
+        capsys.readouterr()
+        rc = _run(["distill", "--config", cfg_path, "--out", str(out)] + extra)
+        assert rc == cli.EXIT_CONFIG
+        record = _one_error_record(capsys)
+        assert record["message"].endswith("_meta.config_hash is not a vector of character codes")
+    assert not (out / "student.vdmk").exists()
 
 
 def test_report_skips_files_without_config_hash(tmp_path):

@@ -16,7 +16,7 @@ SD = 0.5
 class ZeroNet:
     """Inner network f == 0."""
 
-    def forward(self, x, c_noise, cond=None, videos=1):
+    def forward(self, x, c_noise, cond=None, features=None, videos=1):
         return Tensor(np.zeros(x.shape))
 
 
@@ -26,7 +26,7 @@ class ConstNet:
     def __init__(self, value):
         self.value = value
 
-    def forward(self, x, c_noise, cond=None, videos=1):
+    def forward(self, x, c_noise, cond=None, features=None, videos=1):
         return Tensor(np.full(x.shape, self.value))
 
 
@@ -37,7 +37,7 @@ class PerfectDenoiser:
         self.x_star = np.asarray(x_star, dtype=np.float64)
         self.sigma_data = sigma_data
 
-    def forward(self, x, c_noise, cond=None, videos=1):
+    def forward(self, x, c_noise, cond=None, features=None, videos=1):
         # one noise level, as a float or a one-entry sequence
         sigma = math.exp(4.0 * float(np.ravel(c_noise)[0]))
         c0, c1, c2, _ = df.precondition_coeffs(sigma, self.sigma_data)
@@ -51,9 +51,9 @@ class CountedNet(ZeroNet):
     def __init__(self):
         self.calls = []
 
-    def forward(self, x, c_noise, cond=None, videos=1):
+    def forward(self, x, c_noise, cond=None, features=None, videos=1):
         self.calls.append((x.shape, np.size(c_noise), videos))
-        return super().forward(x, c_noise, cond, videos)
+        return super().forward(x, c_noise, cond, features, videos)
 
 
 def test_coeffs_at_sigma_equal_sigma_data():

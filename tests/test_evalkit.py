@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 
@@ -151,25 +149,8 @@ def test_latency_report_consistency():
     graph = ng.make_unet_graph(ng.ORIGIN_LAYER_COUNTS, (4, 6, 8), emb_dim=8)
     model = ng.build(graph, 0)
     report = ek.measure_latency(model, (2, 1, 16, 16), warmup=1, reps=3)
-    # One key per timed region of Model.forward: stem, head, every
-    # down/up conv and every block.
-    regions = {"stem", "head", *graph.block_ids()}
-    for sp in ng.check(graph).stages:
-        if sp.down_conv:
-            regions.add(f"down.{sp.stage.stage_id}")
-        if sp.up_conv:
-            regions.add(f"up.{sp.stage.stage_id}")
-    assert set(report.per_block_ms) == regions
+    # one key per block, each block timed alone on the state entering it
+    assert list(report.per_block_ms) == sorted(graph.block_ids())
     assert all(ms > 0.0 for ms in report.per_block_ms.values())
     assert report.reps == 3
     assert report.total_ms > 0.0
-    # The per-block medians and the total come from different passes, so
-    # their ratio is not bounded. Within one pass the timed regions are
-    # disjoint sub-intervals of the call, so their sum cannot exceed it.
-    x = Tensor(np.random.default_rng(0).standard_normal((2, 1, 16, 16)))
-    t: dict = {}
-    t0 = time.perf_counter()
-    model.forward(x, 0.0, timings=t)
-    wall = time.perf_counter() - t0
-    assert set(t) == regions
-    assert 0.0 < sum(t.values()) <= wall

@@ -83,8 +83,9 @@ def test_align_unpruned_models_share_all_boundaries():
     teacher = ng.build(graph, 1)
     clone = ng.Model(graph, dict(teacher.params))
     x = Tensor(np.zeros((2, 1, 16, 16)))
-    _, ft = teacher.forward(x, 0.1, collect_features=True)
-    _, fs = clone.forward(x, 0.1, collect_features=True)
+    ft, fs = {}, {}
+    teacher.forward(x, 0.1, features=ft)
+    clone.forward(x, 0.1, features=fs)
     pairs = icmd.align_features(ft, fs)
     assert len(pairs) == len(ft)
     for _, t, s in pairs:
@@ -94,8 +95,9 @@ def test_align_unpruned_models_share_all_boundaries():
 def test_align_pruned_student_keeps_eight_boundaries():
     teacher, student = _models()
     x = Tensor(np.zeros((2, 1, 16, 16)))
-    _, ft = teacher.forward(x, 0.1, collect_features=True)
-    _, fs = student.forward(x, 0.1, collect_features=True)
+    ft, fs = {}, {}
+    teacher.forward(x, 0.1, features=ft)
+    student.forward(x, 0.1, features=fs)
     pairs = icmd.align_features(ft, fs)
     assert len(pairs) == 8
     assert [k for k, _, _ in pairs] == ["D.0", "D.1", "D.2", "D.3",
@@ -335,11 +337,9 @@ def _per_video_step(state, batch, rng):
     with Tape() as tape:
         task = icd = gen = None
         for x0, s, x_t, s_i, e_i in zip(batch, sigmas, x_ts, inst, inst_eps):
-            c0, c1, c2, c3 = df.precondition_coeffs(s, sigma_data)
-            feats_t = icmd._teacher_features(state.teacher, T.mul_scalar(x_t, c2), [c3], None)
-            f_s, feats_s = state.student.forward(T.mul_scalar(x_t, c2), c3, None,
-                                                 collect_features=True)
-            d_s = T.add(T.mul_scalar(x_t, c0), T.mul_scalar(f_s, c1))
+            feats_t = icmd._teacher_features(state.teacher, x_t, [s], None, sigma_data)
+            feats_s = {}
+            d_s = df.denoise(state.student, x_t, s, None, sigma_data, features=feats_s)
             weight = (s ** 2 + sigma_data ** 2) / (s * sigma_data) ** 2
             t_term = T.mul_scalar(T.mse(d_s, x0), weight * x0.size)
             i_term = icmd.icd_loss(feats_t, feats_s)

@@ -175,10 +175,11 @@ def test_resume_from_recorded_state_matches_whole_forward():
                                for n, p in ng.build(graph, 0).params.items()})
     x = Tensor(rng.standard_normal((2, 1, 8, 8)))
     cond = Tensor(rng.standard_normal((1, 1, 8, 8)))
-    states = {}
-    out = teacher.forward(x, 0.3, cond, states=states)
+    states, features = {}, {}
+    out = teacher.forward(x, 0.3, cond, features=features, states=states)
     assert np.array_equal(out.data, teacher.forward(x, 0.3, cond).data)
     assert list(states) == graph.block_ids()
+    assert list(features) == [f"{k}.{i}" for k in "DU" for i in range(4)]
     replacements = set()
     for block_id in graph.block_ids():
         ablated_graph = ng.ablate(graph, block_id)

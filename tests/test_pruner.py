@@ -173,6 +173,21 @@ def test_apply_plan_rejects_missing_teacher_block():
         pr.apply_plan(teacher, bad)
 
 
+@pytest.mark.parametrize("edit,message", [
+    # a fifth U.3 layer, which no teacher block gives
+    (lambda p: {**p, "student_layer_counts": {**p["student_layer_counts"], "U.3": 5}},
+     "student block U.3.R.2.S inherits no teacher block"),
+    # a D.0 block for U.3's first, whose input also takes D.0's skip
+    (lambda p: {**p, "inheritance": {**p["inheritance"], "U.3.R.0.S": "D.0.R.0.S"}},
+     "student tensor U.3.R.0.S.gn1.g"),
+], ids=["extra-layer", "wrong-shape"])
+def test_apply_plan_rejects_a_plan_that_does_not_prune_the_teacher(edit, message):
+    teacher = ng.build(_small_graph(), 0)
+    doc = edit(pr.plan_vdmini(teacher.graph).to_json_doc())
+    with pytest.raises(PlanError, match=message):
+        pr.apply_plan(teacher, pr.PruningPlan.from_json_doc(doc))
+
+
 def test_apply_plan_retained_block_matches_teacher_activations():
     graph = _small_graph()
     teacher = ng.build(graph, 7)

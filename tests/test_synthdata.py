@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -102,3 +106,55 @@ def test_disjoint_seed_ranges_share_no_video():
     assert train.provenance["seed"] != evals.provenance["seed"]
     for video in evals.videos:
         assert not any(np.array_equal(video, tv) for tv in train.videos)
+
+
+def write_vdds(path, meta: bytes, payload: bytes) -> None:
+    """A VDDS file with a valid CRC around the given metadata and payload."""
+    body = sd.MAGIC + struct.pack("<IQQ", sd.VERSION, len(meta), len(payload)) + meta + payload
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+GOOD_META = {"split": "train", "shape": [1, 2, 1, 4, 4], "provenance": {}, "scenes": []}
+GOOD_PAYLOAD = bytes(4 * 2 * 4 * 4)
+
+
+def _meta(**changes) -> bytes:
+    doc = {k: v for k, v in {**GOOD_META, **changes}.items() if v is not None}
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("meta,payload,message", [
+    (b"\xff\xfe{}", GOOD_PAYLOAD, "unparseable metadata"),
+    (b"{not json", GOOD_PAYLOAD, "unparseable metadata"),
+    (b"[1, 2]", GOOD_PAYLOAD, "must be a JSON object"),
+    (_meta(shape=None), GOOD_PAYLOAD, "'shape'"),
+    (_meta(shape="1x2"), GOOD_PAYLOAD, "'shape'"),
+    (_meta(shape=[2, 1, 4, 4]), GOOD_PAYLOAD, "'shape'"),
+    (_meta(shape=[1, 2, 1, 4, 4.0]), GOOD_PAYLOAD, "'shape'"),
+    (_meta(shape=[1, 2, 1, 4, -4]), GOOD_PAYLOAD, "'shape'"),
+    (_meta(shape=[1, 2, 1, 4, True]), GOOD_PAYLOAD, "'shape'"),
+    (_meta(split=None), GOOD_PAYLOAD, "'split'"),
+    (_meta(split=3), GOOD_PAYLOAD, "'split'"),
+    (_meta(scenes=None), GOOD_PAYLOAD, "'scenes'"),
+    (_meta(scenes={"a": 1}), GOOD_PAYLOAD, "'scenes'"),
+    (_meta(scenes=[{"height": 4}]), GOOD_PAYLOAD, "malformed scene"),
+    (_meta(scenes=["x"]), GOOD_PAYLOAD, "malformed scene"),
+    (_meta(provenance=[]), GOOD_PAYLOAD, "'provenance'"),
+    (_meta(shape=[1, 2, 1, 4, 5]), GOOD_PAYLOAD, "does not match the payload"),
+    (_meta(shape=[1, 2, 1, 4, 4]), GOOD_PAYLOAD[:-4], "does not match the payload"),
+], ids=["not-utf8", "not-json", "not-object", "no-shape", "shape-str", "shape-4d",
+        "shape-float", "shape-negative", "shape-bool", "no-split", "split-int", "no-scenes",
+        "scenes-object", "scene-missing-keys", "scene-str", "provenance-list",
+        "count-mismatch", "short-payload"])
+def test_crc_valid_file_with_bad_metadata_is_a_dataset_error(tmp_path, meta, payload, message):
+    path = tmp_path / "bad.vdds"
+    write_vdds(path, meta, payload)
+    with pytest.raises(DatasetError, match=message):
+        sd.load_dataset(path)
+
+
+def test_crafted_file_with_good_metadata_loads(tmp_path):
+    path = tmp_path / "good.vdds"
+    write_vdds(path, _meta(), GOOD_PAYLOAD)
+    ds = sd.load_dataset(path)
+    assert ds.videos.shape == (1, 2, 1, 4, 4) and ds.split == "train" and ds.scenes == []
