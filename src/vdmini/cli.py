@@ -194,6 +194,8 @@ def load_config(path: Optional[str], seed: Optional[int], out: Optional[str],
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"unparseable config {path}: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"unreadable config {path}: {exc}")
         if not isinstance(user, dict):
             raise ConfigError(f"config root must be an object: {path}")
         _check_config(user, DEFAULT_CONFIG, path)
@@ -423,8 +425,11 @@ def cmd_profile(cfg: dict, out: Path, chash: str, force: bool) -> None:
         teacher, videos, graph.block_ids(), extractor, _schedule(cfg),
         conds=conds, seed=stage_seed(cfg["seed"], "profile"),
         steps=p["sample_steps"], latency_reps=p["latency_reps"])
-    atomic_write_text(out / "ablation_report.csv",
-                      f"# config_hash={chash}\n" + report.to_csv())
+    rows = [["block_id", "fvd_after_ablation", "delta_fvd", "latency_ms", "params", "error"]]
+    for r in report.rows:
+        rows.append([r.block_id, fmt6(r.fvd_after_ablation), fmt6(r.delta_fvd),
+                     fmt6(r.latency_ms), fmt6(r.params), r.error or ""])
+    _write_csv(out / "ablation_report.csv", rows, chash)
     write_json_artifact(out / "ablation_report.json", {
         "reference_fvd": report.reference_fvd,
         "rows": [vars(r) for r in report.rows],
@@ -459,10 +464,8 @@ def cmd_distill(cfg: dict, out: Path, chash: str, force: bool) -> None:
                                d["mca_warmup_steps"])
     seed = stage_seed(cfg["seed"], "distill")
     state = icmd.DistillState(
-        student, teacher, icmd.Discriminator(in_channels=videos[0].shape[1],
-                                             seed=seed),
-        weights, schedule=_schedule(cfg),
-        opt_student=Adam(lr=d["student_lr"]), opt_disc=Adam(lr=d["disc_lr"]))
+        student, teacher, icmd.Discriminator(in_channels=videos[0].shape[1], seed=seed),
+        weights, _schedule(cfg), Adam(d["student_lr"]), Adam(d["disc_lr"]))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2])))
     rows = [["step", "task", "icd", "mca_gen", "mca_disc", "total"]]
     for step in range(d["steps"]):
@@ -525,17 +528,15 @@ def cmd_report(cfg: dict, out: Path, chash: str, force: bool) -> None:
     for path in paths:
         if path.name == "summary.csv":
             continue
-        if path.suffix == ".json":
-            try:
+        try:  # a ValueError: bytes that are not UTF-8, or malformed JSON
+            if path.suffix == ".json":
                 doc = json.loads(path.read_text(encoding="utf-8"))
-            except ValueError as exc:
-                raise ConfigError(f"report: unparseable {path.name}: {exc}")
-            if not isinstance(doc, dict):
-                doc = {}
-            stored = doc.get("config_hash")
-        else:
-            stored = _read_csv_hash(path)
-            doc = {}
+                doc = doc if isinstance(doc, dict) else {}
+                stored = doc.get("config_hash")
+            else:
+                doc, stored = {}, _read_csv_hash(path)
+        except ValueError as exc:
+            raise ConfigError(f"report: unparseable {path.name}: {exc}")
         if not stored:
             lines.append(f"{path.name}: skipped (no config hash)")
             continue
@@ -596,7 +597,8 @@ def main(argv: Optional[list] = None) -> int:
         return _error("missing-prerequisite", str(exc), EXIT_MISSING)
     except (NonFiniteError, MetricError, FloatingPointError) as exc:
         return _error("numeric", str(exc), EXIT_NUMERIC)
-    except VdminiError as exc:
+    # an OSError: a path that cannot be read or written, named in its message
+    except (VdminiError, OSError) as exc:
         return _error("config", str(exc), EXIT_CONFIG)
 
 

@@ -115,8 +115,12 @@ def sample_set(model: Model, schedule: NoiseSchedule, conds: list, seed: int,
     return [Tensor(v) for v in np.split(x.data, len(rngs))]
 
 
-def sample_sigma(schedule: NoiseSchedule, rng: np.random.Generator,
-                 p_mean: float = -1.2, p_std: float = 1.2) -> float:
+# EDM's training-noise lognormal, log-mean P_mean and log-std P_std
+# (Karras et al., arXiv 2206.00364)
+_P_MEAN, _P_STD = -1.2, 1.2
+
+
+def sample_sigma(schedule: NoiseSchedule, rng: np.random.Generator) -> float:
     """Training-noise draw covering the whole schedule.
 
     Mixes a lognormal draw (emphasizing the mid/low-sigma denoising regime)
@@ -127,7 +131,7 @@ def sample_sigma(schedule: NoiseSchedule, rng: np.random.Generator,
     if rng.random() < 0.5:
         levels = schedule.sigmas()
         return float(levels[rng.integers(len(levels))])
-    s = math.exp(p_mean + p_std * rng.standard_normal())
+    s = math.exp(_P_MEAN + _P_STD * rng.standard_normal())
     return min(max(s, schedule.sigma_min), schedule.sigma_max)
 
 

@@ -13,8 +13,8 @@ from .errors import MetricError, NonFiniteError, ShapeError
 from .netgraph import Model
 from .tensor import Tensor
 
-DEFAULT_EXTRACTOR_SEED = 1234
-DEFAULT_FEATURE_DIM = 64
+_EXTRACTOR_SEED = 1234
+_FEATURE_DIM = 64
 _SHRINKAGE = 0.05
 _EIG_FLOOR = 1e-12
 
@@ -33,15 +33,16 @@ class FeatureExtractor:
     the gains are constants rather than per-video statistics so the
     embedding keeps absolute amplitude information (a near-empty video maps
     near the feature-space origin instead of being amplified into plausible
-    statistics). Parameters are deterministic functions of the seed.
+    statistics). Parameters are drawn from one fixed seed, so every
+    extractor of a channel count is the same embedding.
     """
 
     INPUT_GAIN = 4.0
     STAGE_GAIN = 2.0
 
-    def __init__(self, in_channels: int = 1, dim: int = DEFAULT_FEATURE_DIM,
-                 seed: int = DEFAULT_EXTRACTOR_SEED):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    def __init__(self, in_channels: int = 1):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([_EXTRACTOR_SEED])))
+        dim = _FEATURE_DIM
         widths = [in_channels, 16, 32, dim]
         self.layers = []
         for cin, cout in zip(widths[:-1], widths[1:]):

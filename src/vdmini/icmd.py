@@ -21,9 +21,6 @@ from .netgraph import Model
 from .optim import Adam, named_grads
 from .tensor import Tape, Tensor, backward, join_parts, run_parts
 
-STUDENT_LR = 1e-4
-DISC_LR = 1e-5
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -36,30 +33,20 @@ class LossWeights:
 # instance noise on discriminator inputs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InstanceNoiseParams:
-    """Discretized lognormal noise injected into both discriminator branches."""
-    p_mean: float = 0.7
-    p_std: float = 1.6
-    n_bins: int = 999
-
-    def bins(self) -> np.ndarray:
-        lo = math.exp(self.p_mean - 3.0 * self.p_std)
-        hi = math.exp(self.p_mean + 3.0 * self.p_std)
-        return np.geomspace(lo, hi, self.n_bins)
+# the noise injected into both discriminator branches: a lognormal level,
+# log-mean 0.7 and log-std 1.6, snapped to the nearest of 999 geometric bins
+# that span three log-stds either side of the mean
+_INST_P_MEAN, _INST_P_STD = 0.7, 1.6
+_INST_BINS = np.geomspace(math.exp(_INST_P_MEAN - 3.0 * _INST_P_STD),
+                          math.exp(_INST_P_MEAN + 3.0 * _INST_P_STD), 999)
+_INST_LOG_BINS = np.log(_INST_BINS)
 
 
-def sample_instance_noise(params: InstanceNoiseParams,
-                          rng: np.random.Generator) -> tuple:
-    """Draw a lognormal level and snap it to the nearest geometric bin.
-
-    Returns (t, sigma) with t in [1, n_bins].
-    """
-    raw = math.exp(params.p_mean + params.p_std * rng.standard_normal())
-    bins = params.bins()
-    raw = min(max(raw, bins[0]), bins[-1])
-    t = int(np.argmin(np.abs(np.log(bins) - math.log(raw)))) + 1
-    return t, float(bins[t - 1])
+def sample_instance_noise(rng: np.random.Generator) -> float:
+    """Draw a lognormal level and return the geometric bin nearest to it."""
+    raw = math.exp(_INST_P_MEAN + _INST_P_STD * rng.standard_normal())
+    raw = min(max(raw, _INST_BINS[0]), _INST_BINS[-1])
+    return float(_INST_BINS[np.argmin(np.abs(_INST_LOG_BINS - math.log(raw)))])
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +90,13 @@ class Discriminator:
 
     A spatial head scores each frame with strided 2D convolutions; a temporal
     head pools frames spatially and scores motion with 1D convolutions along
-    the frame axis. Both final layers start at zero so the initial logit is
-    exactly 0 for any input.
+    the frame axis; each head widens to 16, then 32 channels. Both final
+    layers start at zero so the initial logit is exactly 0 for any input.
     """
 
-    def __init__(self, in_channels: int = 1, width: int = 16, seed: int = 0):
+    def __init__(self, in_channels: int = 1, seed: int = 0):
         self.in_channels = in_channels
-        w, w2, ci = width, 2 * width, in_channels + 1
+        w, w2, ci = 16, 32, in_channels + 1
         shapes = {
             "spatio.conv1.w": (w, ci, 3, 3), "spatio.conv1.b": (w,),
             "spatio.conv2.w": (w2, w, 3, 3), "spatio.conv2.b": (w2,),
@@ -180,18 +167,16 @@ class DistillState:
     student: Model
     teacher: Model
     disc: Discriminator
-    weights: LossWeights = field(default_factory=LossWeights)
-    noise: InstanceNoiseParams = field(default_factory=InstanceNoiseParams)
-    schedule: NoiseSchedule = field(default_factory=NoiseSchedule)
-    opt_student: Adam = field(default_factory=lambda: Adam(lr=STUDENT_LR))
-    opt_disc: Adam = field(default_factory=lambda: Adam(lr=DISC_LR))
-    step: int = 0
-    teacher_checksum: str = ""
+    weights: LossWeights
+    schedule: NoiseSchedule
+    opt_student: Adam
+    opt_disc: Adam
+    step: int = field(default=0, init=False)
+    teacher_checksum: str = field(init=False)
     teacher_arrays: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.teacher_checksum:
-            self.teacher_checksum = self.teacher.param_checksum()
+        self.teacher_checksum = self.teacher.param_checksum()
         self.teacher_arrays = [(n, p, p.data) for n, p in self.teacher.params.items()]
 
 
@@ -232,16 +217,16 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
     Each video gets its own noise level, all drawn first, and the batch runs
     as `diffusion.video_parts`. Each part, on a thread of its own (part 0 on
     the calling thread), computes the teacher's features outside any tape,
-    then the student's `diffusion.denoise` on the part's own tape, both on
-    the same noised videos. After the join,
-    the critic takes one hinge step on the detached outputs of every part's
-    forward and the real videos; the critic step leaves the student
-    untouched, so these are the fakes a separate forward would give. Each
-    part's feature term and generator term, scored by the updated critic,
-    join that part's tape; the root weights each part's total by its share
-    of the batch, and one backward updates the student. An error on a
-    part's thread is raised once every part has stopped, before the critic
-    steps.
+    then, on the part's own tape, the student's `diffusion.denoise` of the
+    same noised videos, its task term and its feature term (which does not
+    read the critic). After the join, the critic takes one hinge step on the
+    detached outputs of every part's forward and the real videos; the
+    critic step leaves the student untouched, so these are the fakes a
+    separate forward would give. Each part's generator term, scored by the
+    updated critic, joins that part's tape; the root weights each part's
+    total by its share of the batch, and one backward updates the student.
+    An error on a part's thread is raised once every part has stopped,
+    before the critic steps.
 
     Returns the loss breakdown {task, icd, mca_gen, mca_disc, total} where
     total = task + lambda_icd * icd + lambda_mca * (mca_gen + mca_disc), each
@@ -256,7 +241,7 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
     # each video's sigma, then each one's noise, then the critic's noise
     sigmas = [diffusion.sample_sigma(state.schedule, rng) for _ in batch]
     x_t = [diffusion.add_noise(x, s, rng) for x, s in zip(batch, sigmas)]
-    inst = [sample_instance_noise(state.noise, rng)[1] for _ in batch]
+    inst = [sample_instance_noise(rng) for _ in batch]
     noise = [s * rng.standard_normal(x0.shape) for x0, s in zip(batch, inst)]
     parts = diffusion.video_parts(state.student, batch)
     tapes = [Tape() for _ in parts]
@@ -271,13 +256,13 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
                                     videos=len(x_t[s]), features=feats_s)
             task = diffusion.weighted_error(d_s, diffusion.stack_videos(batch[s]), sigmas[s],
                                             sigma_data)
-        return feats_t, feats_s, d_s, task
+            return d_s, task, icd_loss(feats_t, feats_s)
 
     outs = run_parts([partial(forward, t, s) for t, s in zip(tapes, parts)])
     mca_disc_val = 0.0
     if mca_on:  # one hinge step of the critic on the V fakes, then the V reals
         noises = np.concatenate(noise)
-        fakes = np.concatenate([d_s.data for _, _, d_s, _ in outs])
+        fakes = np.concatenate([d_s.data for d_s, _, _ in outs])
         reals = diffusion.stack_videos(batch).data
         with Tape() as critic_tape:
             loss_d = mca_disc_loss(state.disc.forward(
@@ -285,17 +270,14 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
         mca_disc_val = _check_finite(loss_d.item(), "mca_disc", state.step)
         grads = named_grads(state.disc.params, backward(critic_tape, loss_d))
         state.disc.params = state.opt_disc.step(state.disc.params, grads)
-    tasks, icds, gens, totals = [], [], [], []  # per part
-    for tape, s, (feats_t, feats_s, d_s, task) in zip(tapes, parts, outs):
+    gens, totals = [], []  # per part
+    for tape, s, (d_s, task, icd) in zip(tapes, parts, outs):
         with tape:
-            icd = icd_loss(feats_t, feats_s)
             total = T.add(task, T.mul_scalar(icd, state.weights.lambda_icd))
             if mca_on:
                 gens.append(mca_gen_loss(state.disc.forward(
                     T.add(d_s, Tensor(np.concatenate(noise[s]))), inst[s])))
                 total = T.add(total, T.mul_scalar(gens[-1], state.weights.lambda_mca))
-        tasks.append(task)
-        icds.append(icd)
         totals.append(total)
     shares = [len(batch[s]) / len(batch) for s in parts]
 
@@ -303,6 +285,7 @@ def distill_step(state: DistillState, batch: list, rng: np.random.Generator,
         return _check_finite(sum(w * t.item() for w, t in zip(shares, terms)), name,
                              state.step)
 
+    _, tasks, icds = zip(*outs)
     task_val, icd_val = batch_mean(tasks, "task"), batch_mean(icds, "icd")
     gen_val = batch_mean(gens, "mca_gen") if mca_on else 0.0
     tape, total = join_parts(tapes, totals, shares)

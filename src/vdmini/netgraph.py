@@ -34,7 +34,6 @@ RES_SPATIAL = "RB-S"
 RES_TEMPORAL = "RB-T"
 ATTN_SPATIAL = "TB-S"
 ATTN_TEMPORAL = "TB-T"
-BLOCK_KINDS = (RES_SPATIAL, RES_TEMPORAL, ATTN_SPATIAL, ATTN_TEMPORAL)
 
 IDENTITY = "identity"
 SHORTCUT_CONV = "shortcut_conv"
@@ -184,9 +183,9 @@ ORIGIN_LAYER_COUNTS = {"D.0": 2, "D.1": 2, "D.2": 2, "D.3": 2, "M": 2,
 TOY_WIDTHS = (16, 32, 64)
 
 
-def toy_teacher_graph(widths: tuple = TOY_WIDTHS) -> BlockGraph:
+def toy_teacher_graph() -> BlockGraph:
     """Desk-scale analogue of the full-size Origin architecture."""
-    return make_unet_graph(ORIGIN_LAYER_COUNTS, widths)
+    return make_unet_graph(ORIGIN_LAYER_COUNTS, TOY_WIDTHS)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ import numpy as np
 
 from .tensor import Tensor
 
+# Kingma and Ba's defaults (arXiv 1412.6980)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 def named_grads(params: dict[str, Tensor], grads: dict[Tensor, Tensor]) -> dict[str, Tensor]:
     """Re-key `backward`'s result (leaf tensor -> gradient) by parameter
@@ -14,11 +17,8 @@ def named_grads(params: dict[str, Tensor], grads: dict[Tensor, Tensor]) -> dict[
 
 
 class Adam:
-    def __init__(self, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -26,8 +26,8 @@ class Adam:
     def step(self, params: dict[str, Tensor], grads: dict[str, Tensor]) -> dict[str, Tensor]:
         """Return updated params; entries without a gradient pass through."""
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - _BETA1**self.t
+        b2c = 1.0 - _BETA2**self.t
         out = {}
         for name, p in params.items():
             g = grads.get(name)
@@ -44,15 +44,15 @@ class Adam:
             # p - lr * (m/b1c) / (sqrt(v/b2c) + eps), one operation at a time in
             # this order and into owned buffers, so the bits are these expressions'
             gd = g.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * gd
-            t = (1.0 - self.beta2) * gd
+            m *= _BETA1
+            m += (1.0 - _BETA1) * gd
+            t = (1.0 - _BETA2) * gd
             t *= gd
-            v *= self.beta2
+            v *= _BETA2
             v += t
             den = np.divide(v, b2c, out=np.empty_like(v))  # out=: 0-d stays an array
             np.sqrt(den, out=den)
-            den += self.eps
+            den += _EPS
             upd = np.divide(m, b1c, out=np.empty_like(m))
             upd *= self.lr
             upd /= den

@@ -40,13 +40,6 @@ class AblationReport:
         bad = [r for r in self.rows if r.error is not None]
         return sorted(good, key=lambda r: -r.delta_fvd) + bad
 
-    def to_csv(self) -> str:
-        lines = ["block_id,fvd_after_ablation,delta_fvd,latency_ms,params,error"]
-        for r in self.sorted_rows():
-            lines.append(f"{r.block_id},{r.fvd_after_ablation:.6g},{r.delta_fvd:.6g},"
-                         f"{r.latency_ms:.6g},{r.params},{r.error or ''}")
-        return "\n".join(lines) + "\n"
-
 
 def _source(teacher: Model, spec: netgraph.ParamSpec, rename: dict) -> Optional[Tensor]:
     """The teacher's tensor of owner `rename.get(owner, owner)` with the

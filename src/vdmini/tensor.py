@@ -592,10 +592,13 @@ def conv1d_frames(x: Tensor, w: Tensor, b: Optional[Tensor] = None, pad: int = 0
 # normalization
 # ---------------------------------------------------------------------------
 
-def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int = 1, eps: float = 1e-5) -> Tensor:
+_GN_EPS = 1e-5
+
+
+def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
     """Group normalization over (N, C, *spatial): (x - mu) * s + beta, with
     mu and var each group's mean and (biased) variance and s = gamma /
-    sqrt(var + eps) one scale per (item, channel). x is centred into the
+    sqrt(var + 1e-5) one scale per (item, channel). x is centred into the
     output buffer, the only full-size array; the variance is a NumPy
     einsum of it with itself (no BLAS dot, so its bits do not depend on
     how the buffer is aligned)."""
@@ -611,7 +614,7 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int = 1, eps: flo
     mu = xg.mean(axis=2, keepdims=True)
     out = np.subtract(xg, mu, out=np.empty(xg.shape))
     var = np.einsum("ngm,ngm->ng", out, out)[:, :, None] / m
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _GN_EPS)
     out3 = out.reshape(n, c, -1)
     out3 *= (inv * gamma.data.reshape(groups, -1)).reshape(n, c, 1)
     out3 += beta.data[:, None]

@@ -25,6 +25,7 @@ from vdmini import pruner as pr
 from vdmini import synthdata as sd
 from vdmini import tensor as T
 from vdmini.errors import VdminiError
+from vdmini.optim import Adam
 from vdmini.tensor import Tensor
 
 from gradcheck import finite_difference_check
@@ -249,8 +250,8 @@ def test_criterion_7_loss_unit_values():
     graph = ng.make_unet_graph(ng.ORIGIN_LAYER_COUNTS, SMALL_WIDTHS, emb_dim=8)
     teacher = ng.build(graph, 1)
     student = pr.apply_plan(teacher, pr.plan_vdmini(graph))
-    state = icmd.DistillState(student=student, teacher=teacher,
-                              disc=icmd.Discriminator(seed=2))
+    state = icmd.DistillState(student, teacher, icmd.Discriminator(seed=2),
+                              icmd.LossWeights(), df.NoiseSchedule(), Adam(1e-4), Adam(1e-5))
     batch = sd.gen_dataset(2, 4, frames=2).tensors()
     out = icmd.distill_step(state, batch, np.random.default_rng(0))
     expect = out["task"] + 0.1 * out["icd"] + 1.0 * (out["mca_gen"] + out["mca_disc"])
@@ -267,8 +268,6 @@ SCHEDULE = df.NoiseSchedule()
 
 
 def _train_teacher(steps=TEACHER_STEPS):
-    from vdmini.optim import Adam
-
     graph = ng.toy_teacher_graph()
     model = ng.build(graph, 0)
     train = sd.gen_dataset(16, 0, frames=8).tensors()

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from vdmini import cli
 from vdmini import diffusion as df
 from vdmini import icmd
 from vdmini import netgraph as ng
+from vdmini import pruner
 from vdmini import synthdata as sd
 from vdmini import tensor as T
 from vdmini.errors import VdminiError
@@ -466,6 +468,77 @@ def test_report_unparseable_json_is_exit_2_with_one_json_line(tmp_path, capsys):
     assert _run(["report", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     record = _one_error_record(capsys)
     assert "broken.json" in record["message"]
+
+
+def _existing_file_as_out(tmp_path, cfg):
+    (tmp_path / "run").write_text("")
+    return ["plan", "--out", str(tmp_path / "run")], str(tmp_path / "run")
+
+
+def _directory_as_config(tmp_path, cfg):
+    (tmp_path / "cfg_dir").mkdir()
+    return ["plan", "--config", str(tmp_path / "cfg_dir")], str(tmp_path / "cfg_dir")
+
+
+def _non_utf8_config(tmp_path, cfg):
+    (tmp_path / "latin1.json").write_bytes(b'{"seed": "\xe9"}')
+    return ["plan", "--config", str(tmp_path / "latin1.json")], str(tmp_path / "latin1.json")
+
+
+def _non_utf8_csv_in_report(tmp_path, cfg):
+    assert _run(["plan", "--config", cfg, "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+    (tmp_path / "run" / "x.csv").write_bytes(b"\xff\xfe,1\n")
+    return ["report", "--config", cfg], "x.csv"
+
+
+def _directory_as_training_set(tmp_path, cfg):
+    (tmp_path / "run" / "train.vdds").mkdir(parents=True)
+    return ["train-teacher", "--config", cfg], str(tmp_path / "run" / "train.vdds")
+
+
+def _directory_as_plan(tmp_path, cfg):
+    (tmp_path / "run" / "plan.json").mkdir(parents=True)
+    return ["distill", "--config", cfg], str(tmp_path / "run" / "plan.json")
+
+
+@pytest.mark.parametrize("setup", [_existing_file_as_out, _directory_as_config, _non_utf8_config,
+                                   _non_utf8_csv_in_report, _directory_as_training_set,
+                                   _directory_as_plan], ids=lambda f: f.__name__[1:])
+def test_an_unreadable_path_is_exit_2_with_one_json_line_naming_it(tmp_path, capsys, setup):
+    args, named = setup(tmp_path, _cfg_file(tmp_path))
+    if "--out" not in args:
+        args += ["--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert _run(args) == cli.EXIT_CONFIG
+    record = _one_error_record(capsys)
+    assert record["code"] == cli.EXIT_CONFIG and named in record["message"]
+
+
+def test_profile_writes_its_csv_rows_as_its_json_rows_and_quotes_a_comma(tmp_path, monkeypatch):
+    cfg = _cfg_file(tmp_path, {"train_teacher": {"steps": 0, "batch": 2},
+                               "profile": {"sample_steps": 1, "latency_reps": 0}})
+    out = tmp_path / "run"
+    for stage in ("gen-data", "train-teacher"):
+        assert _run([stage, "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    profile_importance = pruner.profile_importance
+
+    def two_blocks_and_a_failure(teacher, videos, blocks, *args, **kwargs):
+        report = profile_importance(teacher, videos, ["D.0.R.0.S", "U.3.R.0.T"], *args, **kwargs)
+        report.rows.append(pruner.AblationRow("M.R.0.S", math.nan, math.nan, 0.0, 7,
+                                              error="shapes (2, 3), (2, 4)"))
+        return report
+
+    monkeypatch.setattr(pruner, "profile_importance", two_blocks_and_a_failure)
+    assert _run(["profile", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    first, *lines = (out / "ablation_report.csv").read_text().splitlines()
+    assert first == f"# config_hash={cli.config_hash(cli.load_config(cfg, None, str(out)))}"
+    header, *rows = csv.reader(lines)
+    assert header == ["block_id", "fvd_after_ablation", "delta_fvd", "latency_ms", "params",
+                      "error"]
+    doc = json.loads((out / "ablation_report.json").read_text())
+    assert len(rows) == 3 and rows[2][5] == "shapes (2, 3), (2, 4)"
+    assert rows == [[r["block_id"]] + [cli.fmt6(r[k]) for k in header[1:5]] + [r["error"] or ""]
+                    for r in doc["rows"]]
 
 
 def test_module_entry_point_runs_without_warnings():

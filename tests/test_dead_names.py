@@ -1,24 +1,61 @@
-"""Every public top-level function and class of the package is named
-somewhere in src/ or perfbench/ besides its own definition: code that the
-pipeline never reaches is wired in or deleted."""
+"""Every public top-level function, class and UPPER_CASE constant of the
+package is used somewhere in src/ or perfbench/ besides its own definition:
+code that the pipeline never reaches is wired in or deleted."""
 
 import ast
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "vdmini"
 # (module, name) pairs used only by tests: criterion 1 checks that its op
 # cases cover every op kind
 ONLY_IN_TESTS = {("tensor", "op_kinds")}
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+
+
+def _sources() -> dict:
+    return {path: path.read_text(encoding="utf-8")
+            for tree in ("src", "perfbench") for path in sorted((ROOT / tree).rglob("*.py"))}
+
+
+def _constants(tree: ast.Module) -> list:
+    """The module's top-level `NAME = ...` assignments with a public
+    UPPER_CASE name, as (name, target node)."""
+    return [(t.id, t) for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
+
+
+def _module_refs(tree: ast.Module) -> set:
+    """(module, name) pairs of the package that a file reads as
+    `<module>.NAME`, through whatever name `from vdmini import` (or
+    `from . import`) bound the module to, or imports as
+    `from <module> import NAME`."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    aliases, refs = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").removeprefix("vdmini.").removeprefix("vdmini")
+            for alias in node.names:
+                if not source and alias.name in modules:  # from vdmini (or .) import netgraph
+                    aliases[alias.asname or alias.name] = alias.name
+                elif source in modules:
+                    refs.add((source, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            refs.add((aliases[node.value.id], node.attr))
+    return refs
 
 
 def test_every_public_top_level_name_is_used_besides_its_definition():
-    sources = {path: path.read_text(encoding="utf-8")
-               for tree in ("src", "perfbench") for path in sorted((ROOT / tree).rglob("*.py"))}
+    sources = _sources()
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    refs = set().union(*map(_module_refs, trees.values()))
     unused = []
-    for path in sorted((ROOT / "src" / "vdmini").glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         lines = sources[path].splitlines()
-        for node in ast.parse(sources[path]).body:
+        for node in trees[path].body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_")
                     or (path.stem, node.name) in ONLY_IN_TESTS):
                 continue
@@ -27,4 +64,9 @@ def test_every_public_top_level_name_is_used_besides_its_definition():
             if not any(word.search(rest if other == path else text)
                        for other, text in sources.items()):
                 unused.append(f"{path.stem}.{node.name}")
+        for name, target in _constants(trees[path]):
+            read_here = any(isinstance(n, ast.Name) and n.id == name and n is not target
+                            for n in ast.walk(trees[path]))
+            if not read_here and (path.stem, name) not in refs:
+                unused.append(f"{path.stem}.{name}")
     assert not unused, f"public names used nowhere besides their definitions: {unused}"

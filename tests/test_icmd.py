@@ -13,7 +13,7 @@ from vdmini import synthdata as sd
 from vdmini.diffusion import NoiseSchedule
 from vdmini import tensor as T
 from vdmini.errors import NonFiniteError, ShapeError, VdminiError
-from vdmini.optim import named_grads
+from vdmini.optim import Adam, named_grads
 from vdmini.tensor import Tape, Tensor, backward
 
 from gradcheck import backward_matching_reference
@@ -111,24 +111,18 @@ def test_align_pruned_student_keeps_eight_boundaries():
 # ---------------------------------------------------------------------------
 
 def test_instance_noise_at_the_mean():
-    params = icmd.InstanceNoiseParams()
-    t, sigma = icmd.sample_instance_noise(params, _FixedNormal(0.0))
+    sigma = icmd.sample_instance_noise(_FixedNormal(0.0))
     assert sigma == pytest.approx(math.exp(0.7), rel=1e-9)
     assert sigma == pytest.approx(2.013753, abs=1e-6)
-    assert t == 500  # the exact middle of 999 log-spaced bins
+    assert len(icmd._INST_BINS) == 999
+    assert sigma == icmd._INST_BINS[499]  # the exact middle of 999 log-spaced bins
 
 
 def test_instance_noise_range_and_log_mean():
-    params = icmd.InstanceNoiseParams()
     rng = np.random.default_rng(0)
-    ts = []
-    logs = []
-    for _ in range(10 ** 5):
-        t, sigma = icmd.sample_instance_noise(params, rng)
-        ts.append(t)
-        logs.append(math.log(sigma))
-    assert min(ts) >= 1 and max(ts) <= 999
-    assert abs(np.mean(logs) - params.p_mean) < 0.02
+    sigmas = [icmd.sample_instance_noise(rng) for _ in range(10 ** 5)]
+    assert set(sigmas) <= set(icmd._INST_BINS.tolist())  # every level is one of the bins
+    assert abs(np.mean(np.log(sigmas)) - 0.7) < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +214,10 @@ def test_discriminator_scores_stacked_videos_apart():
 # the alternating distillation step
 # ---------------------------------------------------------------------------
 
-def _state(**kw):
+def _state(weights=icmd.LossWeights()):
     teacher, student = _models()
-    return icmd.DistillState(student=student, teacher=teacher,
-                             disc=icmd.Discriminator(seed=2),
-                             schedule=NoiseSchedule(), **kw)
+    return icmd.DistillState(student, teacher, icmd.Discriminator(seed=2), weights,
+                             NoiseSchedule(), Adam(1e-4), Adam(1e-5))
 
 
 def test_distill_step_zero_weights_total_equals_task():
@@ -319,7 +312,7 @@ def _per_video_step(state, batch, rng):
     sigma_data = state.schedule.sigma_data
     sigmas = [df.sample_sigma(state.schedule, rng) for _ in batch]
     epss = [rng.standard_normal(x0.shape) for x0 in batch]
-    inst = [icmd.sample_instance_noise(state.noise, rng)[1] for _ in batch]
+    inst = [icmd.sample_instance_noise(rng) for _ in batch]
     inst_eps = [rng.standard_normal(x0.shape) for x0 in batch]
     x_ts = [Tensor(x0.data + s * e) for x0, s, e in zip(batch, sigmas, epss)]
     fakes = [df.denoise(state.student, x_t, s, None, sigma_data).data
@@ -375,6 +368,7 @@ def test_distill_step_runs_each_network_once_per_part_and_matches_per_video_forw
     state.disc.forward = counted("critic", state.disc.forward)
     monkeypatch.setattr(icmd, "_teacher_features",
                         counted("teacher", icmd._teacher_features))
+    monkeypatch.setattr(icmd, "icd_loss", counted("icd", icmd.icd_loss))
     check_teacher_frozen = icmd.check_teacher_frozen
 
     def frozen(st):
@@ -393,15 +387,18 @@ def test_distill_step_runs_each_network_once_per_part_and_matches_per_video_forw
         # the teacher check comes before any draw
         assert calls[0] == ("frozen", fresh)
         # per part, on its own thread (part 0 on the main thread): the
-        # teacher untaped, then the student on the part's tape; then on the
-        # main thread the critic's update on its own tape, and one generator
-        # term per part, on that part's tape
+        # teacher untaped, then the student and the feature term on the
+        # part's tape; then on the main thread the critic's update on its own
+        # tape, and one generator term per part, on that part's tape
         forwards = [c for c in calls[1:] if c[0] != "critic"]
         per_thread = {}
         for name, taped, ident in forwards:
             per_thread.setdefault(ident, []).append((name, taped))
         assert len(per_thread) == n_parts and main in per_thread
-        assert all(seq == [("teacher", False), ("student", True)] for seq in per_thread.values())
+        assert all(seq == [("teacher", False), ("student", True), ("icd", True)]
+                   for seq in per_thread.values())
+        names = [c[0] for c in calls]  # every feature term is recorded before the critic steps
+        assert max(i for i, name in enumerate(names) if name == "icd") < names.index("critic")
         assert [c for c in calls if c[0] == "critic"] == [("critic", True, main)] * (1 + n_parts)
         want = _per_video_step(ref, batch, np.random.default_rng(step))
         for key, value in want.items():
@@ -502,8 +499,8 @@ def test_a_two_part_distill_step_keeps_the_draws_losses_and_gradients_of_the_sta
 
     def state():
         student = pr.apply_plan(teacher, pr.plan_vdmini(graph))
-        st = icmd.DistillState(student=student, teacher=teacher,
-                               disc=icmd.Discriminator(seed=2), schedule=NoiseSchedule())
+        st = icmd.DistillState(student, teacher, icmd.Discriminator(seed=2),
+                               icmd.LossWeights(), NoiseSchedule(), Adam(1e-4), Adam(1e-5))
 
         def kept(tape, root):
             params = st.disc.params if len(seen) % 2 == 0 else st.student.params
@@ -528,7 +525,7 @@ def test_a_two_part_distill_step_keeps_the_draws_losses_and_gradients_of_the_sta
     for x in batch:
         replay.standard_normal(x.shape)
     for _ in batch:
-        icmd.sample_instance_noise(parted.noise, replay)
+        icmd.sample_instance_noise(replay)
     for x in batch:
         replay.standard_normal(x.shape)
     assert rng.bit_generator.state == replay.bit_generator.state

@@ -916,8 +916,8 @@ def test_adam_matches_the_textbook_update_bitwise():
     params = {"a": Tensor(rng.standard_normal((32, 32)), requires_grad=True),
               "b": Tensor(rng.standard_normal(5), requires_grad=True),
               "c": Tensor(np.array(0.3), requires_grad=True)}
-    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
-    opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8  # the textbook betas and epsilon
+    opt = Adam(lr)
     want = {n: p.data for n, p in params.items()}
     m = {n: np.zeros_like(p) for n, p in want.items()}
     v = {n: np.zeros_like(p) for n, p in want.items()}
