@@ -16,11 +16,13 @@ from .tensor import Tensor
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    sigma_min: float = 0.02
-    sigma_max: float = 80.0
-    sigma_data: float = 0.5
-    n_levels: int = 40
-    rho: float = 7.0
+    """The `schedule` section of the config (`cli.DEFAULT_CONFIG` holds its
+    defaults)."""
+    sigma_min: float
+    sigma_max: float
+    sigma_data: float
+    n_levels: int
+    rho: float
 
     def sigmas(self, n: Optional[int] = None) -> np.ndarray:
         """Strictly decreasing sigma levels from sigma_max to sigma_min."""

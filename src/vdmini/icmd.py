@@ -24,9 +24,11 @@ from .tensor import Tape, Tensor, backward, join_parts, run_parts
 
 @dataclass(frozen=True)
 class LossWeights:
-    lambda_icd: float = 0.1
-    lambda_mca: float = 1.0
-    mca_warmup_steps: int = 0
+    """The loss weights of the config's `distill` section (`cli.DEFAULT_CONFIG`
+    holds their defaults)."""
+    lambda_icd: float
+    lambda_mca: float
+    mca_warmup_steps: int
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Tensors wrap read-only numpy arrays. Ops executed while a Tape is active
 on their thread record nodes in append order. `backward` consumes the tape
 with one serial walk in strict reverse order, popping each node once its
 vjp has run; a tape whose parts were recorded on other threads has each
-part walked on a thread of its own. Everything runs in float64 and all
-reductions use numpy's fixed left-to-right summation, so results are
+part walked on a thread of its own. Everything runs in float64. Reductions
+use numpy's fixed summation order, and attention's row sums come from a
+BLAS GEMM, whose order is fixed by each item's shape, so results are
 bit-reproducible for a given BLAS thread count, whichever thread computes
 them.
 """
@@ -663,16 +664,28 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
 # take about this many bytes (one 256-token frame) and stay in L2.
 _CHUNK_BYTES = 1 << 19
 
+# A row whose exponentials sum to less than this had a shift far above its
+# largest score (or a non-finite input) and is redone with its exact maximum.
+_ROW_SUM_FLOOR = math.exp(-600.0)
+
 
 def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens) -> Tensor:
     """Attention over the (B, T, C) tokens `to_tokens(x.data)`; `from_tokens`
     maps (B, T, C) back to the layout of x.
 
-    The forward keeps the row maxima mx and the row sums rs of the
-    exponentials e = exp(q k^T - mx), and normalises the (T, C) output
-    instead of the (T, T) weights. Both passes fill one chunk's e at a time:
-    the vjp rebuilds it, bit for bit, from q, k and mx, and uses the row-dot
-    identity sum_j(dA * A) = dO . O (Dao et al., 2022)."""
+    The projections, 1/sqrt(C) folded into wq, fill the first C columns of
+    (B, T, C+1) buffers qa, ka and va. The last column holds minus a per-row
+    shift in qa and ones in ka and va. The shift is the Cauchy-Schwarz bound
+    |q_i| max_j |k_j| over the row's own batch item, at least the row's
+    largest score, so each chunk of scores is passed over three times:
+    qa ka^T comes out shifted, exp runs in place, and es va gives the
+    unnormalised output and, in its last column, the row sums rs. A row
+    whose sum falls below `_ROW_SUM_FLOOR` takes its exact maximum as its
+    shift and its item is recomputed, so no item's bits depend on the
+    others. The tape keeps qa (the shifts in it), ka, va, the output and rs;
+    the vjp rebuilds es, bit for bit, with the same GEMM and folds the
+    row-dot term -D of sum_j(dA * A) = dO . O (Dao et al., 2022) into
+    dO va^T through va's ones column."""
     c = x.shape[1]
     if any(t.shape != (c, c) for t in ws):
         raise ShapeError(f"{op}: weights {[t.shape for t in ws]} vs {c} channels")
@@ -680,53 +693,63 @@ def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens)
     tokens = to_tokens(x.data)
     bsz, nt, _ = tokens.shape
     flat = tokens.reshape(bsz * nt, c)
-    q, k, v = ((flat @ m.T).reshape(bsz, nt, c) for m in (wq, wk, wv))
     scale = 1.0 / math.sqrt(c)
-    q *= scale
+    qkv = np.empty((3, bsz * nt, c + 1))
+    for a, m in zip(qkv, (wq * scale, wk, wv)):
+        np.matmul(flat, m.T, out=a[:, :c])
+    qkv[1:, :, c] = 1.0
+    qa, ka, va = qkv.reshape(3, bsz, nt, c + 1)
+    q, k = qa[..., :c], ka[..., :c]
+    norms = np.einsum("nrc,nrc->nr", qkv[:2, :, :c], qkv[:2, :, :c]).reshape(2, bsz, nt)
+    shift = norms[0]
+    shift *= norms[1].max(axis=1, keepdims=True)
+    np.sqrt(shift, out=shift)
+    np.negative(shift, out=qa[..., c])
     step = max(1, _CHUNK_BYTES // (8 * nt * nt))
     chunks = [slice(i, min(i + step, bsz)) for i in range(0, bsz, step)]
-    mx = np.empty((bsz, nt, 1))
-    rs = np.empty((bsz, nt, 1))
 
-    def scores(s, buf):  # one chunk's q k^T, in `buf`
-        return np.matmul(q[s], k[s].transpose(0, 2, 1), out=buf[: s.stop - s.start])
+    def scores(s, buf):  # one chunk's exp(qa ka^T), in `buf`
+        es = np.matmul(qa[s], ka[s].transpose(0, 2, 1), out=buf[: s.stop - s.start])
+        return np.exp(es, out=es)
 
     e = np.empty((min(step, bsz), nt, nt))
-    o = np.empty((bsz, nt, c))
+    ov = np.empty((bsz, nt, c + 1))
     for s in chunks:
-        es = scores(s, e)
-        es.max(axis=-1, keepdims=True, out=mx[s])
-        es -= mx[s]
-        np.exp(es, out=es)
-        es.sum(axis=-1, keepdims=True, out=rs[s])
-        np.matmul(es, v[s], out=o[s])
-    o /= rs
+        np.matmul(scores(s, e), va[s], out=ov[s])
+    rs = ov[..., c:]
+    if not rs.min() >= _ROW_SUM_FLOOR:  # NaN sums too
+        low = ~(rs[..., 0] >= _ROW_SUM_FLOOR)
+        for b in np.flatnonzero(low.any(axis=1)):
+            rows = low[b]
+            qa[b, rows, c] = -(q[b, rows] @ k[b].T).max(axis=1)
+            np.matmul(scores(slice(b, b + 1), e), va[b:b + 1], out=ov[b:b + 1])
+    o = np.divide(ov[..., :c], rs)
+    rs = rs.copy()  # so the tape does not keep ov
     av = o.reshape(bsz * nt, c)
 
     def vjp(g):
         g2 = to_tokens(g).reshape(bsz * nt, c)
-        gav = (g2 @ wo).reshape(bsz, nt, c)
-        d = (gav * o).sum(axis=-1, keepdims=True)
-        gav /= rs
-        d /= rs
-        gq, gk, gv = (np.empty((bsz, nt, c)) for _ in range(3))
+        gava = np.empty((bsz, nt, c + 1))
+        gav = gava[..., :c]
+        np.matmul(g2, wo, out=gava.reshape(bsz * nt, c + 1)[:, :c])
+        gava[..., c] = -np.einsum("btc,btc->bt", gav, o)
+        gava /= rs
+        gq, gk, gv = gqkv = np.empty((3, bsz, nt, c))
         e, gs = (np.empty((min(step, bsz), nt, nt)) for _ in range(2))
         for s in chunks:
             es = scores(s, e)
-            es -= mx[s]
-            np.exp(es, out=es)
-            gss = np.matmul(gav[s], v[s].transpose(0, 2, 1), out=gs[: s.stop - s.start])
-            gss -= d[s]
+            gss = np.matmul(gava[s], va[s].transpose(0, 2, 1), out=gs[: s.stop - s.start])
             gss *= es
             np.matmul(gss, k[s], out=gq[s])
             np.matmul(gss.transpose(0, 2, 1), q[s], out=gk[s])
             np.matmul(es.transpose(0, 2, 1), gav[s], out=gv[s])
-        gq *= scale
-        gq, gk, gv = (t.reshape(bsz * nt, c) for t in (gq, gk, gv))
-        gx = gq @ wq
-        gx += gk @ wk
-        gx += gv @ wv
-        return from_tokens(gx.reshape(bsz, nt, c)), gq.T @ flat, gk.T @ flat, gv.T @ flat, g2.T @ av
+        gflat = gqkv.reshape(3, bsz * nt, c)
+        gx = gflat[0] @ (wq * scale)
+        gx += gflat[1] @ wk
+        gx += gflat[2] @ wv
+        gw = np.matmul(gflat.transpose(0, 2, 1), flat)
+        gw[0] *= scale
+        return from_tokens(gx.reshape(bsz, nt, c)), gw[0], gw[1], gw[2], g2.T @ av
 
     out = from_tokens((av @ wo.T).reshape(bsz, nt, c))
     return _record(op, out, [x, *ws], vjp)

@@ -28,6 +28,7 @@ from vdmini.errors import VdminiError
 from vdmini.optim import Adam
 from vdmini.tensor import Tensor
 
+from defaults import configured
 from gradcheck import finite_difference_check
 
 GOLDEN_PLAN = Path(__file__).parent / "golden" / "plan.json"
@@ -109,7 +110,7 @@ def test_criterion_1_gradient_oracle_ops_and_losses():
     model.params = {n: Tensor(p.data + 0.05 * prng.standard_normal(p.shape),
                               requires_grad=True)
                     for n, p in model.params.items()}
-    schedule = df.NoiseSchedule(n_levels=4)
+    schedule = configured(df.NoiseSchedule, "schedule", n_levels=4)
     batch = sd.gen_dataset(2, 3, frames=2).tensors()  # two videos, each at its own sigma
     leaf_name = "D.0.R.0.S.conv1.b"
 
@@ -251,7 +252,8 @@ def test_criterion_7_loss_unit_values():
     teacher = ng.build(graph, 1)
     student = pr.apply_plan(teacher, pr.plan_vdmini(graph))
     state = icmd.DistillState(student, teacher, icmd.Discriminator(seed=2),
-                              icmd.LossWeights(), df.NoiseSchedule(), Adam(1e-4), Adam(1e-5))
+                              configured(icmd.LossWeights, "distill"),
+                              configured(df.NoiseSchedule, "schedule"), Adam(1e-4), Adam(1e-5))
     batch = sd.gen_dataset(2, 4, frames=2).tensors()
     out = icmd.distill_step(state, batch, np.random.default_rng(0))
     expect = out["task"] + 0.1 * out["icd"] + 1.0 * (out["mca_gen"] + out["mca_disc"])
@@ -264,7 +266,7 @@ def test_criterion_7_loss_unit_values():
 
 TEACHER_STEPS = 250
 N_EVAL = 24
-SCHEDULE = df.NoiseSchedule()
+SCHEDULE = configured(df.NoiseSchedule, "schedule")
 
 
 def _train_teacher(steps=TEACHER_STEPS):

@@ -22,6 +22,7 @@ from vdmini.errors import VdminiError
 from vdmini.optim import Adam, named_grads
 from vdmini.tensor import Tape, Tensor, backward
 
+from defaults import configured
 from test_synthdata import write_vdds
 
 GOLDEN = Path(__file__).parent / "golden" / "plan.json"
@@ -577,7 +578,7 @@ def test_a_two_part_train_step_keeps_the_draws_loss_and_gradients_of_the_stacked
         monkeypatch):
     model, batch, conds = _teacher_and_batch(2, 8)
     assert len(df.video_parts(model, batch)) == 2
-    schedule, params = df.NoiseSchedule(), dict(model.params)
+    schedule, params = configured(df.NoiseSchedule, "schedule"), dict(model.params)
     with Tape() as tape:  # the whole batch in one network call, on one tape
         want = df.denoising_loss(model, batch, schedule, np.random.default_rng(5), conds)
     want_grads = named_grads(params, backward(tape, want))
@@ -611,15 +612,15 @@ def test_a_one_part_train_step_starts_no_thread(monkeypatch, n, frames, widths):
         raise AssertionError("a one-part step started a thread")
 
     monkeypatch.setattr(T.threading, "Thread", no_thread)
-    value = cli.train_step(model, Adam(lr=1e-4), batch, conds, df.NoiseSchedule(),
-                           np.random.default_rng(0))
+    value = cli.train_step(model, Adam(lr=1e-4), batch, conds,
+                           configured(df.NoiseSchedule, "schedule"), np.random.default_rng(0))
     assert np.isfinite(value)
 
 
 def test_train_step_rejects_an_empty_batch():
     model, _, _ = _teacher_and_batch(1, 2, (4, 6, 8))
     with pytest.raises(VdminiError, match="train_step: empty batch"):
-        cli.train_step(model, Adam(lr=1e-4), [], None, df.NoiseSchedule(),
+        cli.train_step(model, Adam(lr=1e-4), [], None, configured(df.NoiseSchedule, "schedule"),
                        np.random.default_rng(0))
 
 

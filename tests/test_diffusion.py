@@ -8,6 +8,7 @@ from vdmini import netgraph as ng
 from vdmini.errors import ShapeError, VdminiError
 from vdmini.tensor import Tape, Tensor, backward
 
+from defaults import configured
 from gradcheck import backward_matching_reference
 
 SD = 0.5
@@ -117,7 +118,7 @@ def test_denoise_const_net_composition():
 
 
 def test_one_step_sample_with_zero_net():
-    schedule = df.NoiseSchedule()
+    schedule = configured(df.NoiseSchedule, "schedule")
     shape = (2, 1, 4, 4)
     out = df.sample(ZeroNet(), schedule, 1, None, np.random.default_rng(0), shape)
     eps = np.random.default_rng(0).standard_normal(shape)
@@ -127,7 +128,7 @@ def test_one_step_sample_with_zero_net():
 
 def test_perfect_denoiser_is_sampler_fixed_point():
     x_star = np.random.default_rng(6).standard_normal((1, 1, 4, 4))
-    schedule = df.NoiseSchedule()
+    schedule = configured(df.NoiseSchedule, "schedule")
     model = PerfectDenoiser(x_star)
     for steps in (1, 5, 20):
         out = df.sample(model, schedule, steps, None, np.random.default_rng(8),
@@ -136,7 +137,7 @@ def test_perfect_denoiser_is_sampler_fixed_point():
 
 
 def test_sampler_is_deterministic():
-    schedule = df.NoiseSchedule()
+    schedule = configured(df.NoiseSchedule, "schedule")
     model = ConstNet(0.3)
     a = df.sample(model, schedule, 4, None, np.random.default_rng(11), (1, 1, 4, 4))
     b = df.sample(model, schedule, 4, None, np.random.default_rng(11), (1, 1, 4, 4))
@@ -150,7 +151,7 @@ def test_sample_set_seeds_each_sample_by_its_index():
     rng = np.random.default_rng(1)
     model = ng.Model(graph, {n: Tensor(p.data + 0.3 * rng.standard_normal(p.shape))
                              for n, p in ng.build(graph, 1).params.items()})
-    schedule = df.NoiseSchedule(n_levels=4)
+    schedule = configured(df.NoiseSchedule, "schedule", n_levels=4)
     conds = [Tensor(np.full((1, 1, 16, 16), v)) for v in (0.2, 0.7, 0.4)]
     # at 3 frames of 16x16, one GEMM over all videos' columns would round a
     # video's tail columns differently from the same GEMM over it alone
@@ -169,7 +170,7 @@ def test_sample_set_seeds_each_sample_by_its_index():
 
 def test_sample_set_rejects_mixed_conditions():
     model = ng.build(ng.make_unet_graph(ng.ORIGIN_LAYER_COUNTS, (4, 6, 8), emb_dim=8), 0)
-    schedule = df.NoiseSchedule(n_levels=4)
+    schedule = configured(df.NoiseSchedule, "schedule", n_levels=4)
     one, two = Tensor(np.zeros((1, 1, 16, 16))), Tensor(np.zeros((2, 1, 16, 16)))
     for conds in ([one, None], [one, two]):
         with pytest.raises(ShapeError, match="all None or all of one shape"):
@@ -177,7 +178,7 @@ def test_sample_set_rejects_mixed_conditions():
 
 
 def test_schedule_is_strictly_decreasing():
-    s = df.NoiseSchedule().sigmas()
+    s = configured(df.NoiseSchedule, "schedule").sigmas()
     assert len(s) == 40
     assert s[0] == 80.0 and s[-1] == pytest.approx(0.02, abs=1e-12)
     assert np.all(np.diff(s) < 0)
@@ -185,7 +186,7 @@ def test_schedule_is_strictly_decreasing():
 
 def test_denoising_loss_zero_for_perfect_denoiser():
     x0 = Tensor(np.random.default_rng(9).standard_normal((2, 1, 4, 4)))
-    schedule = df.NoiseSchedule()
+    schedule = configured(df.NoiseSchedule, "schedule")
     loss = df.denoising_loss(PerfectDenoiser(x0.data), [x0], schedule,
                              np.random.default_rng(10))
     assert loss.item() == pytest.approx(0.0, abs=1e-18)
@@ -193,7 +194,7 @@ def test_denoising_loss_zero_for_perfect_denoiser():
 
 def test_denoising_loss_hand_value_for_zero_net():
     x0 = Tensor(np.ones((1, 1, 2, 2)))
-    schedule = df.NoiseSchedule()
+    schedule = configured(df.NoiseSchedule, "schedule")
     rng = np.random.default_rng(12)
     loss = df.denoising_loss(ZeroNet(), [x0], schedule, rng)
     # replay the same draws to compute the expected weighted error by hand
@@ -209,7 +210,7 @@ def test_denoising_loss_hand_value_for_zero_net():
 
 def test_denoising_loss_hand_value_for_zero_net_two_videos():
     batch = [Tensor(np.ones((2, 1, 2, 2))), Tensor(np.full((2, 1, 2, 2), -0.5))]
-    schedule = df.NoiseSchedule()
+    schedule = configured(df.NoiseSchedule, "schedule")
     loss = df.denoising_loss(ZeroNet(), batch, schedule, np.random.default_rng(12))
     # each video draws its sigma, then its noise, and is weighted by its own lambda
     rng2 = np.random.default_rng(12)
@@ -229,10 +230,11 @@ def test_denoising_loss_calls_the_network_once_per_batch():
     net = CountedNet()
     batch = [Tensor(np.full((2, 1, 4, 4), v)) for v in (0.1, 0.2, 0.3)]
     conds = [Tensor(np.zeros((1, 1, 4, 4))) for _ in batch]
-    df.denoising_loss(net, batch, df.NoiseSchedule(), np.random.default_rng(0), conds)
+    schedule = configured(df.NoiseSchedule, "schedule")
+    df.denoising_loss(net, batch, schedule, np.random.default_rng(0), conds)
     assert net.calls == [((6, 1, 4, 4), 3, 3)]
     with pytest.raises(ShapeError, match="stack"):
-        df.denoising_loss(net, batch + [Tensor(np.zeros((3, 1, 4, 4)))], df.NoiseSchedule(),
+        df.denoising_loss(net, batch + [Tensor(np.zeros((3, 1, 4, 4)))], schedule,
                           np.random.default_rng(0))
 
 
@@ -245,7 +247,7 @@ def test_denoising_loss_of_a_batch_is_the_mean_of_its_videos_alone():
                              for n, p in ng.build(graph, 1).params.items()})
     batch = [Tensor(rng.standard_normal((2, 1, 16, 16))) for _ in range(3)]
     conds = [Tensor(rng.standard_normal((1, 1, 16, 16))) for _ in batch]
-    schedule = df.NoiseSchedule(n_levels=4)
+    schedule = configured(df.NoiseSchedule, "schedule", n_levels=4)
     whole = df.denoising_loss(model, batch, schedule, np.random.default_rng(21), conds)
     replay = np.random.default_rng(21)
     alone = [df.denoising_loss(model, [x], schedule, replay, [c]).item()
@@ -258,7 +260,7 @@ def test_denoising_loss_backward_reaches_model_params():
     model = ng.build(graph, 0)
     x0 = Tensor(np.random.default_rng(16).standard_normal((2, 1, 16, 16)))
     with Tape() as tape:
-        loss = df.denoising_loss(model, [x0], df.NoiseSchedule(),
+        loss = df.denoising_loss(model, [x0], configured(df.NoiseSchedule, "schedule"),
                                  np.random.default_rng(17))
     grads = backward(tape, loss)
     named = [n for n, p in model.params.items() if p in grads]
@@ -272,6 +274,6 @@ def test_denoising_loss_backward_matches_the_serial_reference_bitwise():
     batch = [Tensor(rng.standard_normal((2, 1, 16, 16))) for _ in range(2)]
     conds = [Tensor(v.data[:1]) for v in batch]
     with Tape() as tape:
-        loss = df.denoising_loss(model, batch, df.NoiseSchedule(), rng, conds)
+        loss = df.denoising_loss(model, batch, configured(df.NoiseSchedule, "schedule"), rng, conds)
     grads = backward_matching_reference(tape, loss)
     assert all(p in grads for p in model.params.values())

@@ -16,6 +16,7 @@ from vdmini.errors import NonFiniteError, ShapeError, VdminiError
 from vdmini.optim import Adam, named_grads
 from vdmini.tensor import Tape, Tensor, backward
 
+from defaults import configured
 from gradcheck import backward_matching_reference
 
 SMALL_WIDTHS = (4, 6, 8)
@@ -214,21 +215,21 @@ def test_discriminator_scores_stacked_videos_apart():
 # the alternating distillation step
 # ---------------------------------------------------------------------------
 
-def _state(weights=icmd.LossWeights()):
+def _state(weights=configured(icmd.LossWeights, "distill")):
     teacher, student = _models()
     return icmd.DistillState(student, teacher, icmd.Discriminator(seed=2), weights,
-                             NoiseSchedule(), Adam(1e-4), Adam(1e-5))
+                             configured(NoiseSchedule, "schedule"), Adam(1e-4), Adam(1e-5))
 
 
 def test_distill_step_zero_weights_total_equals_task():
-    state = _state(weights=icmd.LossWeights(lambda_icd=0.0, lambda_mca=0.0))
+    state = _state(weights=configured(icmd.LossWeights, "distill", lambda_icd=0.0, lambda_mca=0.0))
     out = icmd.distill_step(state, _batch(), np.random.default_rng(0))
     assert out["total"] == out["task"]
     assert out["step"] == 1
 
 
 def test_distill_step_warmup_gates_adversarial_terms():
-    state = _state(weights=icmd.LossWeights(mca_warmup_steps=3))
+    state = _state(weights=configured(icmd.LossWeights, "distill", mca_warmup_steps=3))
     disc_before = {n: p.data.copy() for n, p in state.disc.params.items()}
     out = icmd.distill_step(state, _batch(), np.random.default_rng(0))
     assert out["mca_gen"] == 0.0 and out["mca_disc"] == 0.0
@@ -237,7 +238,7 @@ def test_distill_step_warmup_gates_adversarial_terms():
 
 
 def test_distill_step_past_warmup_engages_adversary():
-    state = _state(weights=icmd.LossWeights(mca_warmup_steps=0))
+    state = _state(weights=configured(icmd.LossWeights, "distill", mca_warmup_steps=0))
     out = icmd.distill_step(state, _batch(), np.random.default_rng(0))
     # the hinge is scored against the zero-initialized critic, exactly 2;
     # the generator term follows one tiny critic update, so it is near ln 2
@@ -271,7 +272,7 @@ def test_distill_step_moves_student_and_disc():
 
 
 def test_distill_step_nonfinite_names_term():
-    state = _state(weights=icmd.LossWeights(mca_warmup_steps=10))
+    state = _state(weights=configured(icmd.LossWeights, "distill", mca_warmup_steps=10))
     name = next(iter(state.student.params))
     bad = state.student.params[name].data.copy()
     bad.flat[0] = np.nan
@@ -500,7 +501,8 @@ def test_a_two_part_distill_step_keeps_the_draws_losses_and_gradients_of_the_sta
     def state():
         student = pr.apply_plan(teacher, pr.plan_vdmini(graph))
         st = icmd.DistillState(student, teacher, icmd.Discriminator(seed=2),
-                               icmd.LossWeights(), NoiseSchedule(), Adam(1e-4), Adam(1e-5))
+                               configured(icmd.LossWeights, "distill"),
+                               configured(NoiseSchedule, "schedule"), Adam(1e-4), Adam(1e-5))
 
         def kept(tape, root):
             params = st.disc.params if len(seen) % 2 == 0 else st.student.params

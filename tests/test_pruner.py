@@ -14,6 +14,8 @@ from vdmini import synthdata as sd
 from vdmini.errors import PlanError, UnknownBlockError
 from vdmini.tensor import Tensor
 
+from defaults import configured
+
 GOLDEN = Path(__file__).parent / "golden" / "plan.json"
 SMALL_WIDTHS = (4, 6, 8)
 
@@ -211,7 +213,7 @@ def test_apply_plan_retained_block_matches_teacher_activations():
 def _profile_setup():
     graph = _small_graph()
     teacher = ng.build(graph, 1)
-    schedule = df.NoiseSchedule(n_levels=4)
+    schedule = configured(df.NoiseSchedule, "schedule", n_levels=4)
     eval_set = _eval_videos()
     return teacher, schedule, eval_set
 
@@ -306,7 +308,7 @@ def test_inherit_ablated_matches_init_then_overwrite():
 @pytest.mark.parametrize("steps", [1, 2])
 def test_profile_resumed_rows_equal_whole_sampling(steps):
     teacher = _perturbed_teacher()
-    schedule = df.NoiseSchedule(n_levels=4)
+    schedule = configured(df.NoiseSchedule, "schedule", n_levels=4)
     eval_set = _eval_videos(n=2)
     conds = [sd.first_frame_condition(v) for v in eval_set]
     ex = ek.FeatureExtractor()
@@ -400,7 +402,7 @@ def test_grouped_walk_matches_each_ablated_model_whole():
         pr._group(teacher, ["D.0.R.0.T", "D.9.R.0.S"])
     with pytest.raises(UnknownBlockError):
         pr.profile_importance(teacher, _eval_videos(n=2), ["D.9.R.0.S"], ek.FeatureExtractor(),
-                              df.NoiseSchedule(n_levels=4), latency_reps=0)
+                              configured(df.NoiseSchedule, "schedule", n_levels=4), latency_reps=0)
 
 
 @pytest.mark.parametrize("steps", [1, 2])
@@ -416,8 +418,8 @@ def test_profile_report_does_not_depend_on_the_group_size(steps, monkeypatch):
     for budget in (1, 1 << 40):  # one model per group, then all in one
         monkeypatch.setattr(pr, "_GROUP_BYTES", budget)
         report = pr.profile_importance(teacher, eval_set, blocks, ek.FeatureExtractor(),
-                                       df.NoiseSchedule(n_levels=4), conds=conds, seed=3,
-                                       steps=steps, latency_reps=0)
+                                       configured(df.NoiseSchedule, "schedule", n_levels=4),
+                                       conds=conds, seed=3, steps=steps, latency_reps=0)
         reports.append(repr(report))
     assert len(walks) == len(blocks) + 1
     assert reports[0] == reports[1]
@@ -430,6 +432,6 @@ def test_profile_memory_is_bounded_by_the_group_budget(traced_peak):
     conds = [sd.first_frame_condition(v) for v in eval_set]
     report, peak = traced_peak(lambda: pr.profile_importance(
         teacher, eval_set, teacher.graph.block_ids(), ek.FeatureExtractor(),
-        df.NoiseSchedule(n_levels=4), conds=conds, seed=5, latency_reps=0))
+        configured(df.NoiseSchedule, "schedule", n_levels=4), conds=conds, seed=5, latency_reps=0))
     assert len(report.rows) == 76
     assert peak < 3 * pr._GROUP_BYTES, peak
