@@ -2,7 +2,7 @@
 
 Modules:
   tensor     float64 reverse-mode autodiff engine
-  netgraph   configurable video U-Net graphs, validation, ablation
+  netgraph   video U-Net graphs derived from per-stage layer counts, ablation
   diffusion  EDM preconditioning, sampling, the denoising loss
   pruner     block-importance profiling, the block-removal plan
   icmd       feature distillation + multi-frame adversarial fine-tuning

@@ -23,11 +23,7 @@ class NonFiniteError(VdminiError):
 
 
 class GraphError(VdminiError):
-    """A block graph failed structural validation."""
-
-    def __init__(self, problems: list):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
+    """A graph document does not describe a graph this toolkit builds."""
 
 
 class UnknownBlockError(VdminiError):

@@ -83,7 +83,6 @@ def extract_features(videos: list, extractor: FeatureExtractor) -> np.ndarray:
 class GaussianStats:
     mu: np.ndarray
     sigma: np.ndarray
-    n: int
 
 
 def fit_gaussian(features: np.ndarray) -> GaussianStats:
@@ -103,7 +102,7 @@ def fit_gaussian(features: np.ndarray) -> GaussianStats:
     cov = 0.5 * (cov + cov.T)
     if n < 4 * d:
         cov = (1.0 - _SHRINKAGE) * cov + _SHRINKAGE * (np.trace(cov) / d) * np.eye(d)
-    return GaussianStats(mu, cov, n)
+    return GaussianStats(mu, cov)
 
 
 def _sqrtm_psd(m: np.ndarray) -> np.ndarray:

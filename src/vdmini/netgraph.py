@@ -1,11 +1,13 @@
-"""Declarative block graphs for U-Net style video denoisers.
+"""Video U-Net graphs given by their layer counts.
 
-A BlockGraph is the single source of truth: the same structural walk
-drives validation, parameter enumeration, parameter counting and model
-building. Stages persist even when emptied by pruning; an empty stage
-keeps its resolution transition but runs no blocks, which keeps
-stage-boundary activations shape-compatible between a teacher and its
-pruned student.
+A BlockGraph is one R-A layer count per stage of STAGE_IDS (four Down
+stages, Mid, four Up stages), three widths and the blocks `ablate`
+replaced. Its stages, with their blocks, resampling convs and skip pairs,
+are derived from these fields, and the same stages drive parameter
+enumeration, parameter counting and the model's walk. Stages persist
+even when emptied by pruning; an empty stage keeps its resolution
+transition but runs no blocks, which keeps stage-boundary activations
+shape-compatible between a teacher and its pruned student.
 
 Block ids follow the D/M/U naming, e.g. "D.0.R.1.S" is the spatial half
 of the second ResBlock layer of the first DownBlock; "M.A.0.T" is the
@@ -18,6 +20,7 @@ block from the states a forward recorded; each run joins at its own block.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -38,6 +41,15 @@ ATTN_TEMPORAL = "TB-T"
 IDENTITY = "identity"
 SHORTCUT_CONV = "shortcut_conv"
 
+STAGE_IDS = ("D.0", "D.1", "D.2", "D.3", "M", "U.0", "U.1", "U.2", "U.3")
+# per stage: which of the three widths it has, its resolution divisor, and
+# whether each of its layers has attention (Mid has one attention layer,
+# after its first ResBlock layer, when it has at least two)
+_WIDTH_INDEX = dict(zip(STAGE_IDS, (0, 1, 2, 2, 2, 2, 2, 1, 0)))
+_RES_DIVISOR = dict(zip(STAGE_IDS, (1, 2, 4, 8, 8, 8, 4, 2, 1)))
+_ATTN_STAGES = ("D.0", "D.1", "D.2", "U.1", "U.2", "U.3")
+_GN_GROUPS = 1
+
 
 @dataclass(frozen=True)
 class BlockSpec:
@@ -50,40 +62,85 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class StageSpec:
-    kind: str  # "Down", "Mid", or "Up"
-    index: int
-    res_divisor: int
+    stage_id: str
     width: int
-    blocks: tuple = ()
+    res_divisor: int
+    blocks: tuple
+    resample: Optional[str]  # "down" or "up": the 3x3 conv entering the stage
+    in_channels: int  # the previous stage's width: the resample conv's input
+    skip_from: Optional[str]  # the Down stage whose output the first block also reads
 
-    @property
-    def stage_id(self) -> str:
-        return "M" if self.kind == "Mid" else f"{self.kind[0]}.{self.index}"
+
+@functools.lru_cache(maxsize=32)
+def _unablated_stages(counts: tuple, widths: tuple) -> tuple:
+    """(stages, where) of the graph with `counts` layers per stage and no
+    block replaced, `where` mapping each block id to its (stage, block)
+    index; derived once per (counts, widths), as every ablation of a graph
+    shares them."""
+    stages, prev_w, prev_div = [], widths[0], 1
+    for sid, n in zip(STAGE_IDS, counts):
+        w, div = widths[_WIDTH_INDEX[sid]], _RES_DIVISOR[sid]
+        resample = "down" if div > prev_div else "up" if div < prev_div else None
+        skip = f"D.{3 - int(sid[2])}" if sid[0] == "U" and n else None
+        cin = w + widths[_WIDTH_INDEX[skip]] if skip else w
+        blocks = []
+        for layer in range(n):
+            blocks += [BlockSpec(RES_SPATIAL, cin if layer == 0 else w, w, f"{sid}.R.{layer}.S"),
+                       BlockSpec(RES_TEMPORAL, w, w, f"{sid}.R.{layer}.T")]
+            if sid in _ATTN_STAGES or sid == "M" and layer == 0 and n >= 2:
+                blocks += [BlockSpec(ATTN_SPATIAL, w, w, f"{sid}.A.{layer}.S"),
+                           BlockSpec(ATTN_TEMPORAL, w, w, f"{sid}.A.{layer}.T")]
+        stages.append(StageSpec(sid, w, div, tuple(blocks), resample, prev_w, skip))
+        prev_w, prev_div = w, div
+    return tuple(stages), {b.block_id: (i, j) for i, s in enumerate(stages)
+                           for j, b in enumerate(s.blocks)}
 
 
 @dataclass(frozen=True)
 class BlockGraph:
-    stages: tuple
+    """A U-Net given by its layer counts and widths, with the blocks that
+    `ablate` replaced; its stages are derived from these on first use."""
+
+    layer_counts: dict  # stage id -> R-A layer count, for every stage of STAGE_IDS
+    widths: tuple  # of D.0, D.1 and D.2; the deeper stages keep D.2's
     latent_channels: int = 1
     cond_channels: int = 1
     emb_dim: int = 32
-    gn_groups: int = 1
+    replaced: dict = field(default_factory=dict)  # block id -> IDENTITY or SHORTCUT_CONV
+
+    @functools.cached_property
+    def _derived(self) -> tuple:
+        """(stages, where) as `_unablated_stages`, with the replaced blocks."""
+        stages, where = _unablated_stages(tuple(self.layer_counts[sid] for sid in STAGE_IDS),
+                                          self.widths)
+        if self.replaced:
+            stages = list(stages)
+            for block_id, repl in self.replaced.items():
+                i, j = where[block_id]
+                blocks = stages[i].blocks
+                stages[i] = replace(stages[i], blocks=blocks[:j] + (
+                    replace(blocks[j], replacement=repl),) + blocks[j + 1:])
+            stages = tuple(stages)
+        return stages, where
+
+    @property
+    def stages(self) -> tuple:
+        return self._derived[0]
 
     def stage(self, stage_id: str) -> StageSpec:
-        for s in self.stages:
-            if s.stage_id == stage_id:
-                return s
-        raise UnknownBlockError(f"no stage {stage_id!r}")
+        if stage_id not in STAGE_IDS:
+            raise UnknownBlockError(f"no stage {stage_id!r}")
+        return self.stages[STAGE_IDS.index(stage_id)]
 
     def block_ids(self) -> list:
         return [b.block_id for s in self.stages for b in s.blocks]
 
     def find_block(self, block_id: str) -> BlockSpec:
-        for s in self.stages:
-            for b in s.blocks:
-                if b.block_id == block_id:
-                    return b
-        raise UnknownBlockError(f"no block {block_id!r}")
+        stages, where = self._derived
+        if block_id not in where:
+            raise UnknownBlockError(f"no block {block_id!r}")
+        i, j = where[block_id]
+        return stages[i].blocks[j]
 
 
 @dataclass(frozen=True)
@@ -96,86 +153,18 @@ class ParamSpec:
     owner: str  # block_id or a pseudo owner like "stem"; the name's prefix
 
 
-def parse_block_id(block_id: str):
-    """Return (stage_kind, stage_index, block_type, layer_index, variant)."""
-    parts = block_id.split(".")
-    try:
-        if parts[0] == "M":
-            kind, idx, rest = "Mid", 0, parts[1:]
-        elif parts[0] == "D":
-            kind, idx, rest = "Down", int(parts[1]), parts[2:]
-        elif parts[0] == "U":
-            kind, idx, rest = "Up", int(parts[1]), parts[2:]
-        else:
-            raise ValueError(parts[0])
-        btype, layer, variant = rest[0], int(rest[1]), rest[2]
-        if btype not in ("R", "A") or variant not in ("S", "T"):
-            raise ValueError(block_id)
-    except (ValueError, IndexError) as exc:
-        raise UnknownBlockError(f"unparseable block id {block_id!r}") from exc
-    return kind, idx, btype, layer, variant
-
-
-def _make_layer(stage_id: str, layer: int, width: int, in_channels: int, with_attn: bool):
-    """One R(-A) layer: spatial+temporal ResBlocks, then spatial+temporal attention."""
-    blocks = [
-        BlockSpec(RES_SPATIAL, in_channels, width, f"{stage_id}.R.{layer}.S"),
-        BlockSpec(RES_TEMPORAL, width, width, f"{stage_id}.R.{layer}.T"),
-    ]
-    if with_attn:
-        blocks += [
-            BlockSpec(ATTN_SPATIAL, width, width, f"{stage_id}.A.{layer}.S"),
-            BlockSpec(ATTN_TEMPORAL, width, width, f"{stage_id}.A.{layer}.T"),
-        ]
-    return blocks
-
-
 def make_unet_graph(layer_counts: dict, widths: tuple, latent_channels: int = 1,
                     cond_channels: int = 1, emb_dim: int = 32) -> BlockGraph:
-    """Build a 4-Down / Mid / 4-Up graph from per-stage R-A layer counts.
+    """A 4-Down / Mid / 4-Up graph from per-stage R-A layer counts.
 
     layer_counts maps stage id to layer count, e.g. {"D.0": 2, ..., "M": 2,
-    "U.0": 3, ...}. Down-3 and Up-0 carry ResBlock layers only; Mid gets
-    `layer_counts["M"]` ResBlock layers with one attention layer between
-    the first two (omitted when fewer than 2 layers).
+    "U.0": 3, ...}; a stage it leaves out has none. Down-3 and Up-0 carry
+    ResBlock layers only; Mid gets `layer_counts["M"]` ResBlock layers with
+    one attention layer between the first two (omitted when fewer than 2
+    layers).
     """
-    w0, w1, w2 = widths
-    stage_widths = {"D.0": w0, "D.1": w1, "D.2": w2, "D.3": w2, "M": w2,
-                    "U.0": w2, "U.1": w2, "U.2": w1, "U.3": w0}
-    divisors = {"D.0": 1, "D.1": 2, "D.2": 4, "D.3": 8, "M": 8,
-                "U.0": 8, "U.1": 4, "U.2": 2, "U.3": 1}
-    skip_of = {"U.0": "D.3", "U.1": "D.2", "U.2": "D.1", "U.3": "D.0"}
-
-    stages = []
-    for i in range(4):
-        sid = f"D.{i}"
-        w = stage_widths[sid]
-        blocks = []
-        for layer in range(layer_counts.get(sid, 0)):
-            blocks += _make_layer(sid, layer, w, w, with_attn=(i < 3))
-        stages.append(StageSpec("Down", i, divisors[sid], w, tuple(blocks)))
-
-    mid_blocks = []
-    n_mid = layer_counts.get("M", 0)
-    for layer in range(n_mid):
-        mid_blocks += _make_layer("M", layer, w2, w2, with_attn=False)
-        if layer == 0 and n_mid >= 2:
-            mid_blocks += [
-                BlockSpec(ATTN_SPATIAL, w2, w2, "M.A.0.S"),
-                BlockSpec(ATTN_TEMPORAL, w2, w2, "M.A.0.T"),
-            ]
-    stages.append(StageSpec("Mid", 0, divisors["M"], w2, tuple(mid_blocks)))
-
-    for j in range(4):
-        sid = f"U.{j}"
-        w = stage_widths[sid]
-        skip_w = stage_widths[skip_of[sid]]
-        blocks = []
-        for layer in range(layer_counts.get(sid, 0)):
-            in_ch = w + skip_w if layer == 0 else w
-            blocks += _make_layer(sid, layer, w, in_ch, with_attn=(j > 0))
-        stages.append(StageSpec("Up", j, divisors[sid], w, tuple(blocks)))
-    return BlockGraph(tuple(stages), latent_channels, cond_channels, emb_dim)
+    return BlockGraph({sid: layer_counts.get(sid, 0) for sid in STAGE_IDS}, tuple(widths),
+                      latent_channels, cond_channels, emb_dim)
 
 
 ORIGIN_LAYER_COUNTS = {"D.0": 2, "D.1": 2, "D.2": 2, "D.3": 2, "M": 2,
@@ -186,113 +175,6 @@ TOY_WIDTHS = (16, 32, 64)
 def toy_teacher_graph() -> BlockGraph:
     """Desk-scale analogue of the full-size Origin architecture."""
     return make_unet_graph(ORIGIN_LAYER_COUNTS, TOY_WIDTHS)
-
-
-# ---------------------------------------------------------------------------
-# structural walk
-# ---------------------------------------------------------------------------
-
-@dataclass
-class StagePlan:
-    stage: StageSpec
-    down_conv: Optional[tuple] = None  # (in, out)
-    up_conv: Optional[tuple] = None
-    skip_from: Optional[str] = None  # stage id whose skip is concatenated
-
-
-@dataclass
-class GraphLayout:
-    stem: tuple  # (in, out)
-    stages: list
-    head: tuple
-    errors: list = field(default_factory=list)
-
-
-def layout(graph: BlockGraph) -> GraphLayout:
-    """Walk the graph, resolving channel flow and resolution transitions."""
-    errors = []
-    downs = [s for s in graph.stages if s.kind == "Down"]
-    mids = [s for s in graph.stages if s.kind == "Mid"]
-    ups = [s for s in graph.stages if s.kind == "Up"]
-    if len(downs) != len(ups):
-        errors.append(f"skip pairing incomplete: {len(downs)} Down vs {len(ups)} Up stages")
-    order = downs + mids + ups
-    if [s.stage_id for s in graph.stages] != [s.stage_id for s in order]:
-        errors.append("stages must be ordered Down, Mid, Up")
-
-    seen = set()
-    for s in graph.stages:
-        for b in s.blocks:
-            if b.block_id in seen:
-                errors.append(f"duplicate block id {b.block_id}")
-            seen.add(b.block_id)
-            parse_block_id(b.block_id)
-            if b.replacement == IDENTITY and b.in_channels != b.out_channels:
-                errors.append(f"{b.block_id}: identity replacement with channel mismatch "
-                              f"{b.in_channels}->{b.out_channels}")
-
-    # the stem conv maps latent+cond channels to the first stage's width,
-    # so the walk starts there
-    cur_ch = downs[0].width if downs else graph.latent_channels + graph.cond_channels
-    cur_div = 1
-    skips: dict = {}  # Down stage id -> its output channels
-    plans = []
-
-    def check_blocks(stage: StageSpec, in_ch: int) -> int:
-        ch = in_ch
-        for b in stage.blocks:
-            if b.in_channels != ch:
-                errors.append(f"{b.block_id}: expects in={b.in_channels} but receives {ch}")
-            if b.kind != RES_SPATIAL and b.in_channels != b.out_channels:
-                errors.append(f"{b.block_id}: only spatial ResBlocks may change channels")
-            if b.out_channels != stage.width and b.replacement is None:
-                errors.append(f"{b.block_id}: out={b.out_channels} differs from stage width {stage.width}")
-            ch = b.out_channels
-        return ch
-
-    for stage in graph.stages:
-        sid = stage.stage_id
-        sp = StagePlan(stage)
-        if stage.kind == "Down":
-            if stage.res_divisor > cur_div:
-                sp.down_conv = (cur_ch, stage.width)
-                cur_ch = stage.width
-            elif stage.width != cur_ch:
-                errors.append(f"stage {sid}: width {stage.width} without transition from {cur_ch}")
-            cur_div = stage.res_divisor
-            cur_ch = check_blocks(stage, cur_ch)
-            skips[sid] = cur_ch
-        elif stage.kind == "Mid":
-            if stage.res_divisor != cur_div:
-                errors.append(f"stage {sid}: divisor {stage.res_divisor} != incoming {cur_div}")
-            if stage.blocks and stage.width != cur_ch:
-                errors.append(f"stage {sid}: width {stage.width} but receives {cur_ch} channels")
-            cur_ch = check_blocks(stage, cur_ch)
-        else:  # Up
-            if stage.res_divisor < cur_div:
-                sp.up_conv = (cur_ch, stage.width)
-                cur_ch = stage.width
-                cur_div = stage.res_divisor
-            pair = f"D.{len(ups) - 1 - stage.index}"
-            if stage.blocks:
-                if pair not in skips:
-                    errors.append(f"stage {sid}: paired skip {pair} missing")
-                else:
-                    sp.skip_from = pair
-                    cur_ch += skips[pair]
-            cur_ch = check_blocks(stage, cur_ch)
-        plans.append(sp)
-
-    head = (cur_ch, graph.latent_channels)
-    stem = (graph.latent_channels + graph.cond_channels, downs[0].width if downs else cur_ch)
-    return GraphLayout(stem=stem, stages=plans, head=head, errors=errors)
-
-
-def check(graph: BlockGraph) -> GraphLayout:
-    lay = layout(graph)
-    if lay.errors:
-        raise GraphError(lay.errors)
-    return lay
 
 
 # ---------------------------------------------------------------------------
@@ -355,25 +237,22 @@ def shortcut_params(b: BlockSpec) -> list:
 
 def enumerate_params(graph: BlockGraph) -> list:
     """Every parameter of the built model, in canonical order."""
-    lay = check(graph)
-    e = graph.emb_dim
-    cin, cout = lay.stem
+    e, w0 = graph.emb_dim, graph.widths[0]
     specs = [
-        ParamSpec("stem.conv.w", (cout, cin, 3, 3), "fanin", "stem"),
-        ParamSpec("stem.conv.b", (cout,), "zeros", "stem"),
+        ParamSpec("stem.conv.w", (w0, graph.latent_channels + graph.cond_channels, 3, 3),
+                  "fanin", "stem"),
+        ParamSpec("stem.conv.b", (w0,), "zeros", "stem"),
         ParamSpec("emb.lin1.w", (e, e), "fanin", "emb"),
         ParamSpec("emb.lin1.b", (e,), "zeros", "emb"),
         ParamSpec("emb.lin2.w", (e, e), "fanin", "emb"),
         ParamSpec("emb.lin2.b", (e,), "zeros", "emb"),
     ]
-    for sp in lay.stages:
-        for conv, io in (("down", sp.down_conv), ("up", sp.up_conv)):
-            if io:
-                ci, co = io
-                owner = f"{conv}.{sp.stage.stage_id}"
-                specs += [ParamSpec(f"{owner}.w", (co, ci, 3, 3), "fanin", owner),
-                          ParamSpec(f"{owner}.b", (co,), "zeros", owner)]
-        for b in sp.stage.blocks:
+    for s in graph.stages:
+        if s.resample:
+            owner = f"{s.resample}.{s.stage_id}"
+            specs += [ParamSpec(f"{owner}.w", (s.width, s.in_channels, 3, 3), "fanin", owner),
+                      ParamSpec(f"{owner}.b", (s.width,), "zeros", owner)]
+        for b in s.blocks:
             if b.replacement == IDENTITY:
                 continue
             if b.replacement == SHORTCUT_CONV:
@@ -382,12 +261,11 @@ def enumerate_params(graph: BlockGraph) -> list:
                 specs += _res_block_params(b, graph)
             else:
                 specs += _attn_block_params(b)
-    hin, hout = lay.head
     specs += [
-        ParamSpec("head.gn.g", (hin,), "ones", "head"),
-        ParamSpec("head.gn.b", (hin,), "zeros", "head"),
-        ParamSpec("head.conv.w", (hout, hin, 3, 3), "fanin", "head"),
-        ParamSpec("head.conv.b", (hout,), "zeros", "head"),
+        ParamSpec("head.gn.g", (w0,), "ones", "head"),
+        ParamSpec("head.gn.b", (w0,), "zeros", "head"),
+        ParamSpec("head.conv.w", (graph.latent_channels, w0, 3, 3), "fanin", "head"),
+        ParamSpec("head.conv.b", (graph.latent_channels,), "zeros", "head"),
     ]
     return specs
 
@@ -459,7 +337,6 @@ class Model:
     def __init__(self, graph: BlockGraph, params: dict):
         self.graph = graph
         self.params = params
-        self._layout = check(graph)
 
     def param_checksum(self) -> str:
         h = hashlib.sha256()
@@ -473,7 +350,7 @@ class Model:
 
     def _gn(self, x, prefix):
         return T.group_norm(x, self._p(f"{prefix}.g"), self._p(f"{prefix}.b"),
-                            groups=self.graph.gn_groups)
+                            groups=_GN_GROUPS)
 
     def _res_block(self, x, b: BlockSpec, emb: Embedding):
         bid = b.block_id
@@ -591,18 +468,18 @@ class Model:
         videos = emb.videos  # per run
         emb = Embedding(emb.value, runs * videos)
         skips: dict = {}  # Down stage id -> its output
-        for sp in self._layout.stages:
-            sid = sp.stage.stage_id
+        for s in self.graph.stages:
+            sid = s.stage_id
             if runs:
-                if sp.down_conv:
+                if s.resample == "down":
                     h = T.conv2d(h, self._p(f"down.{sid}.w"), self._p(f"down.{sid}.b"),
                                  stride=2, pad=1)
-                if sp.up_conv:
+                elif s.resample == "up":
                     h = T.conv2d(T.upsample_nearest2x(h), self._p(f"up.{sid}.w"),
                                  self._p(f"up.{sid}.b"), pad=1)
-                if sp.skip_from:
-                    h = T.concat([h, skips[sp.skip_from]], axis=1)
-            for b in sp.stage.blocks:
+                if s.skip_from:
+                    h = T.concat([h, skips[s.skip_from]], axis=1)
+            for b in s.blocks:
                 i = at.get(b.block_id)
                 if not runs and i != 0:
                     continue
@@ -626,17 +503,16 @@ class Model:
                     out = Tensor(np.concatenate([rest[:lo], out.data, rest[lo:]]))
                 h = out
                 emb = Embedding(emb.value, runs * videos)
-            if runs and sp.stage.kind == "Down":
+            if runs and sid[0] == "D":
                 skips[sid] = h
-            if features is not None and sp.stage.kind in ("Down", "Up"):
+            if features is not None and sid[0] in "DU":
                 features[sid] = h
         return T.conv2d(T.silu(self._gn(h, "head.gn")), self._p("head.conv.w"),
                         self._p("head.conv.b"), pad=1)
 
 
 def build(graph: BlockGraph, init_seed: int) -> Model:
-    """Validate the graph and construct a deterministically initialized model."""
-    check(graph)
+    """A deterministically initialized model of the graph."""
     return Model(graph, init_params(graph, init_seed))
 
 
@@ -651,12 +527,7 @@ def ablate(graph: BlockGraph, block_id: str) -> BlockGraph:
     if target.replacement is not None:
         raise UnknownBlockError(f"{block_id} is already ablated")
     repl = IDENTITY if target.in_channels == target.out_channels else SHORTCUT_CONV
-    new_stages = []
-    for s in graph.stages:
-        blocks = tuple(replace(b, replacement=repl) if b.block_id == block_id else b
-                       for b in s.blocks)
-        new_stages.append(replace(s, blocks=blocks))
-    return replace(graph, stages=tuple(new_stages))
+    return replace(graph, replaced={**graph.replaced, block_id: repl})
 
 
 # ---------------------------------------------------------------------------
@@ -665,42 +536,49 @@ def ablate(graph: BlockGraph, block_id: str) -> BlockGraph:
 
 def graph_to_json(graph: BlockGraph) -> str:
     doc = {
+        "layer_counts": graph.layer_counts,
+        "widths": list(graph.widths),
         "latent_channels": graph.latent_channels,
         "cond_channels": graph.cond_channels,
         "emb_dim": graph.emb_dim,
-        "gn_groups": graph.gn_groups,
-        "stages": [
-            {
-                "kind": s.kind,
-                "index": s.index,
-                "res_divisor": s.res_divisor,
-                "width": s.width,
-                "blocks": [
-                    {
-                        "kind": b.kind,
-                        "in_channels": b.in_channels,
-                        "out_channels": b.out_channels,
-                        "block_id": b.block_id,
-                        **({"replacement": b.replacement} if b.replacement else {}),
-                    }
-                    for b in s.blocks
-                ],
-            }
-            for s in graph.stages
-        ],
+        "replaced": graph.replaced,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
 def graph_from_json(text: str) -> BlockGraph:
-    doc = json.loads(text)
-    stages = tuple(
-        StageSpec(
-            kind=s["kind"], index=s["index"], res_divisor=s["res_divisor"], width=s["width"],
-            blocks=tuple(BlockSpec(b["kind"], b["in_channels"], b["out_channels"],
-                                   b["block_id"], b.get("replacement")) for b in s["blocks"]),
-        )
-        for s in doc["stages"]
-    )
-    return BlockGraph(stages, doc["latent_channels"], doc["cond_channels"],
-                      doc["emb_dim"], doc["gn_groups"])
+    """The graph `graph_to_json` wrote. Layer counts for other stages than
+    STAGE_IDS or that are not non-negative integers, widths that are not
+    three positive integers, channel counts that are not positive integers,
+    an odd `emb_dim`, and a `replaced` entry that is not what `ablate`
+    gives for a block of the graph raise GraphError."""
+    try:
+        doc = json.loads(text)
+        counts, widths, replaced = doc["layer_counts"], doc["widths"], doc["replaced"]
+        channels = [doc[k] for k in ("latent_channels", "cond_channels", "emb_dim")]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise GraphError(f"graph: not a graph document ({exc!r})") from None
+    if not (isinstance(counts, dict) and set(counts) == set(STAGE_IDS)
+            and all(map(_is_count, counts.values()))):
+        raise GraphError(f"graph: 'layer_counts' must map exactly the stages {list(STAGE_IDS)} "
+                         f"to non-negative integers, not {counts!r}")
+    if not (isinstance(widths, list) and len(widths) == 3
+            and all(_is_count(v) and v > 0 for v in widths + channels) and channels[2] % 2 == 0):
+        raise GraphError(f"graph: 'widths' must be 3 positive integers, the channel counts "
+                         f"positive integers and 'emb_dim' even, not {widths!r} and {channels!r}")
+    graph = make_unet_graph(counts, widths, *channels)
+    if not isinstance(replaced, dict):
+        raise GraphError(f"graph: 'replaced' must map block ids to replacements, not {replaced!r}")
+    for block_id, repl in replaced.items():
+        try:
+            graph = ablate(graph, block_id)
+        except UnknownBlockError as exc:
+            raise GraphError(f"graph: 'replaced' names {block_id!r}: {exc}") from None
+        if graph.replaced[block_id] != repl:
+            raise GraphError(f"graph: {block_id!r} is replaced by {graph.replaced[block_id]!r}, "
+                             f"not {repl!r}")
+    return graph

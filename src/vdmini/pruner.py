@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import diffusion, evalkit, netgraph
 from .errors import MetricError, PlanError, VdminiError
-from .netgraph import BlockGraph, Model, StageSpec
+from .netgraph import BlockGraph, Model
 # `backward` is not called here, but perfbench/spans.py patches it on this
 # module, as on tensor, cli and icmd, and needs the name to exist
 from .tensor import Tensor, backward  # noqa: F401
@@ -151,8 +151,7 @@ def profile_importance(teacher: Model, eval_set: list, blocks: list,
     later steps run the group from the stem. The eval set is embedded once,
     and `netgraph.ablate` is called once per profiled block. The report
     is the same, byte for byte, as sampling every ablated model whole, one
-    video at a time, at the shapes where `sample_set`'s samples do not
-    depend on the set's size (see there).
+    video at a time.
     """
     if not eval_set:
         raise VdminiError("profile_importance: empty eval set")
@@ -262,64 +261,32 @@ class PruningPlan:
         return plan
 
 
-def _stage_layers(stage: StageSpec) -> dict:
-    """Map layer index -> block ids, in declaration order."""
-    layers: dict = {}
-    for b in stage.blocks:
-        _, _, _, layer, _ = netgraph.parse_block_id(b.block_id)
-        layers.setdefault(layer, []).append(b.block_id)
-    return layers
-
-
 def plan_vdmini(graph: BlockGraph) -> PruningPlan:
     """Emit the block-removal plan: drop the second R-A pair of the shallow
     Down/Up stages, keep D.2 and U.1 intact, and empty D.3, Mid, and U.0."""
-    expected = netgraph.ORIGIN_LAYER_COUNTS
-    stage_layers = {}
-    for stage in graph.stages:
-        sid = stage.stage_id
-        layers = _stage_layers(stage)
-        if sorted(layers) != list(range(expected.get(sid, 0))):
-            raise PlanError(f"non-conforming stage layout: {sid} has layers {sorted(layers)}, "
-                            f"expected {expected.get(sid, 0)}")
-        if any(b.replacement for b in stage.blocks):
-            raise PlanError(f"non-conforming stage layout: {sid} contains ablated blocks")
-        stage_layers[sid] = layers
-
-    removed = []
+    if graph.layer_counts != netgraph.ORIGIN_LAYER_COUNTS or graph.replaced:
+        raise PlanError(f"non-conforming stage layout: layer counts {graph.layer_counts} with "
+                        f"{sorted(graph.replaced)} replaced, expected "
+                        f"{netgraph.ORIGIN_LAYER_COUNTS} with none")
+    counts = dict(VDMINI_LAYER_COUNTS)
     inheritance = {}
-    for sid, layers in stage_layers.items():
-        target = VDMINI_LAYER_COUNTS[sid]
-        n = len(layers)
-        if target == 0:
-            keep: list = []
-        elif target == n:
-            keep = sorted(layers)
-        else:
-            keep = [l for l in sorted(layers) if l != _REMOVED_LAYER]
-        for layer in sorted(layers):
-            if layer in keep:
-                new_layer = keep.index(layer)
-                for bid in layers[layer]:
-                    kind, idx, btype, _, variant = netgraph.parse_block_id(bid)
-                    prefix = "M" if kind == "Mid" else f"{kind[0]}.{idx}"
-                    inheritance[f"{prefix}.{btype}.{new_layer}.{variant}"] = bid
-            else:
-                removed.extend(layers[layer])
-    emptied = tuple(sid for sid, c in VDMINI_LAYER_COUNTS.items() if c == 0)
-    return PruningPlan(tuple(removed), emptied, inheritance, dict(VDMINI_LAYER_COUNTS))
+    for s in replace(graph, layer_counts=counts).stages:
+        shifted = counts[s.stage_id] < graph.layer_counts[s.stage_id]  # lost a pair
+        for b in s.blocks:
+            prefix, layer, variant = b.block_id.rsplit(".", 2)
+            if shifted and int(layer) >= _REMOVED_LAYER:
+                layer = int(layer) + 1
+            inheritance[b.block_id] = f"{prefix}.{layer}.{variant}"
+    kept = set(inheritance.values())
+    removed = tuple(bid for bid in graph.block_ids() if bid not in kept)
+    emptied = tuple(sid for sid, c in counts.items() if c == 0)
+    return PruningPlan(removed, emptied, inheritance, counts)
 
 
 def student_graph(teacher_graph: BlockGraph, plan: PruningPlan) -> BlockGraph:
-    """The pruned graph implied by a plan, with teacher widths preserved."""
-    widths = (teacher_graph.stage("D.0").width, teacher_graph.stage("D.1").width,
-              teacher_graph.stage("D.2").width)
-    return netgraph.make_unet_graph(
-        plan.student_layer_counts, widths,
-        latent_channels=teacher_graph.latent_channels,
-        cond_channels=teacher_graph.cond_channels,
-        emb_dim=teacher_graph.emb_dim,
-    )
+    """The pruned graph implied by a plan: the teacher's with the plan's
+    layer counts."""
+    return replace(teacher_graph, layer_counts=dict(plan.student_layer_counts), replaced={})
 
 
 def apply_plan(teacher: Model, plan: PruningPlan) -> Model:

@@ -781,7 +781,7 @@ def attention_temporal(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor
 
 
 # ---------------------------------------------------------------------------
-# op table and gradient checking
+# op table
 # ---------------------------------------------------------------------------
 
 _OPS = {

@@ -8,7 +8,6 @@ pipeline determinism, and on-disk round-trips.
 
 import json
 import math
-import pickle
 import time
 from pathlib import Path
 
@@ -230,11 +229,11 @@ def test_criterion_4_pruned_model_is_faster():
 def test_criterion_5_frechet_closed_forms():
     d = 2
     eye = np.eye(d)
-    a = ek.GaussianStats(np.zeros(d), eye, n=1000)
+    a = ek.GaussianStats(np.zeros(d), eye)
     assert ek.frechet_distance(a, a) == pytest.approx(0.0, abs=1e-6)
-    b = ek.GaussianStats(np.array([3.0, 4.0]), eye, n=1000)
+    b = ek.GaussianStats(np.array([3.0, 4.0]), eye)
     assert ek.frechet_distance(a, b) == pytest.approx(25.0, abs=1e-6)
-    c = ek.GaussianStats(np.zeros(d), 4.0 * eye, n=1000)
+    c = ek.GaussianStats(np.zeros(d), 4.0 * eye)
     assert ek.frechet_distance(a, c) == pytest.approx(2.0, abs=1e-6)
 
 
@@ -377,6 +376,24 @@ def test_criterion_11_pipeline_byte_determinism(tmp_path):
     assert outputs[0].keys() == outputs[1].keys()
     for name in outputs[0]:
         assert outputs[0][name] == outputs[1][name], f"{name} differs between runs"
+
+
+def test_graph_files_describe_their_checkpoints(tmp_path):
+    # a graph file read back enumerates exactly its checkpoint's tensors
+    # (besides the "_meta." ones), so a model can be rebuilt from the two
+    # files alone
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(FAST_PIPELINE))
+    for stage in ("gen-data", "train-teacher", "plan", "distill"):
+        assert cli.main([stage, "--config", str(cfg_path), "--out", str(tmp_path),
+                         "--seed", "5"]) == 0, stage
+    for role in ("teacher", "student"):
+        doc = json.loads((tmp_path / f"{role}_graph.json").read_text())
+        graph = ng.graph_from_json(json.dumps(doc["graph"]))
+        tensors = ck.load_checkpoint(tmp_path / f"{role}.vdmk")
+        assert ({s.name: s.shape for s in ng.enumerate_params(graph)}
+                == {name: t.shape for name, t in tensors.items()
+                    if not name.startswith("_meta.")}), role
 
 
 # ---------------------------------------------------------------------------

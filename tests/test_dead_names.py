@@ -70,3 +70,28 @@ def test_every_public_top_level_name_is_used_besides_its_definition():
             if not read_here and (path.stem, name) not in refs:
                 unused.append(f"{path.stem}.{name}")
     assert not unused, f"public names used nowhere besides their definitions: {unused}"
+
+
+# imports read by other code than their own module's: the package's
+# re-exports, and the name perfbench/spans.py patches on pruner
+UNREAD_IMPORTS_ALLOWED = {("__init__", None), ("pruner", "backward")}
+
+
+def _unread_imports(tree: ast.Module) -> list:
+    """The names the module's imports bind that nothing in it reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_every_imported_name_is_read():
+    unread = [f"{path.relative_to(ROOT)}: {name}"
+              for tree in ("src", "tests") for path in sorted((ROOT / tree).rglob("*.py"))
+              for name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+              if not {(path.stem, None), (path.stem, name)} & UNREAD_IMPORTS_ALLOWED]
+    assert not unread, f"imported names that nothing reads: {unread}"

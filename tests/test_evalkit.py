@@ -15,35 +15,35 @@ def _videos(n=6, seed=0, frames=4):
 def test_frechet_equal_stats_is_zero():
     mu = np.array([1.0, -2.0])
     sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
-    a = ek.GaussianStats(mu, sigma, 10)
+    a = ek.GaussianStats(mu, sigma)
     assert ek.frechet_distance(a, a) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_frechet_mean_shift_closed_form():
     eye = np.eye(2)
-    a = ek.GaussianStats(np.zeros(2), eye, 10)
-    b = ek.GaussianStats(np.array([3.0, 4.0]), eye, 10)
+    a = ek.GaussianStats(np.zeros(2), eye)
+    b = ek.GaussianStats(np.array([3.0, 4.0]), eye)
     assert ek.frechet_distance(a, b) == pytest.approx(25.0, abs=1e-6)
 
 
 def test_frechet_covariance_scale_closed_form():
-    a = ek.GaussianStats(np.zeros(2), np.eye(2), 10)
-    b = ek.GaussianStats(np.zeros(2), 4.0 * np.eye(2), 10)
+    a = ek.GaussianStats(np.zeros(2), np.eye(2))
+    b = ek.GaussianStats(np.zeros(2), 4.0 * np.eye(2))
     assert ek.frechet_distance(a, b) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_frechet_is_symmetric():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((3, 3))
-    a = ek.GaussianStats(rng.standard_normal(3), m @ m.T, 10)
+    a = ek.GaussianStats(rng.standard_normal(3), m @ m.T)
     m2 = rng.standard_normal((3, 3))
-    b = ek.GaussianStats(rng.standard_normal(3), m2 @ m2.T, 10)
+    b = ek.GaussianStats(rng.standard_normal(3), m2 @ m2.T)
     assert ek.frechet_distance(a, b) == pytest.approx(ek.frechet_distance(b, a), abs=1e-9)
 
 
 def test_frechet_rejects_asymmetric_covariance():
-    bad = ek.GaussianStats(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), 10)
-    ok = ek.GaussianStats(np.zeros(2), np.eye(2), 10)
+    bad = ek.GaussianStats(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+    ok = ek.GaussianStats(np.zeros(2), np.eye(2))
     with pytest.raises(MetricError):
         ek.frechet_distance(bad, ok)
 

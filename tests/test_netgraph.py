@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -16,33 +17,38 @@ def small_graph():
 
 def test_origin_shaped_graph_validates_and_builds():
     graph = ng.toy_teacher_graph()
-    assert ng.layout(graph).errors == []
     model = ng.build(graph, 0)
     x = Tensor(np.random.default_rng(0).standard_normal((2, 1, 16, 16)))
     out = model.forward(x, 0.0)
     assert out.shape == x.shape
 
 
+def _runs(graph, seed=0):
+    """Whether a model of `graph` maps a 2-frame 8x8 video with a condition
+    to an output of the video's shape."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((2, 1, 8, 8)))
+    cond = Tensor(rng.standard_normal((1, 1, 8, 8)))
+    return ng.build(graph, seed).forward(x, 0.3, cond).shape == x.shape
+
+
 def test_empty_mid_stage_validates():
     counts = dict(ng.ORIGIN_LAYER_COUNTS, M=0)
     graph = ng.make_unet_graph(counts, SMALL_WIDTHS, emb_dim=8)
-    assert ng.layout(graph).errors == []
+    assert graph.stage("M").blocks == ()
+    assert _runs(graph)
 
 
-def test_forced_channel_mismatch_is_reported():
-    graph = small_graph()
-    stages = list(graph.stages)
-    bad_stage = stages[1]
-    bad_blocks = tuple(replace(b, in_channels=b.in_channels * 2) if i == 0 else b
-                       for i, b in enumerate(bad_stage.blocks))
-    stages[1] = replace(bad_stage, blocks=bad_blocks)
-    bad = ng.BlockGraph(tuple(stages), graph.latent_channels, graph.cond_channels,
-                        graph.emb_dim, graph.gn_groups)
-    errors = ng.layout(bad).errors
-    assert errors, "mismatch must be reported"
-    assert any(bad_blocks[0].block_id in e for e in errors)
-    with pytest.raises(GraphError):
-        ng.check(bad)
+@pytest.mark.parametrize("seed", range(24))
+def test_every_layer_count_table_builds_and_runs(seed):
+    # the graph is derived from its layer counts, so any table of 0 to 3
+    # layers per stage gives channels that agree along the whole walk
+    counts = dict(zip(ng.STAGE_IDS, np.random.default_rng(seed).integers(0, 4, 9).tolist()))
+    graph = ng.make_unet_graph(counts, (2, 3, 4), emb_dim=4)
+    assert _runs(graph, seed)
+    if seed == 0:
+        for block_id in graph.block_ids():
+            assert _runs(ng.ablate(graph, block_id)), block_id
 
 
 def test_ablate_channel_matched_block_becomes_identity():
@@ -58,10 +64,14 @@ def test_ablate_channel_mismatched_block_becomes_shortcut_conv():
 
 
 def test_ablate_every_block_still_validates():
+    # an ablation replaces its one block and leaves every other block as it was
     graph = small_graph()
     for block_id in graph.block_ids():
         ablated = ng.ablate(graph, block_id)
-        assert ng.layout(ablated).errors == [], block_id
+        assert ablated.replaced == {block_id: ablated.find_block(block_id).replacement}
+        assert [replace(b, replacement=None) if b.block_id == block_id else b
+                for s in ablated.stages for b in s.blocks] == \
+            [b for s in graph.stages for b in s.blocks], block_id
 
 
 def test_ablate_twice_is_rejected():
@@ -163,7 +173,37 @@ def test_graph_json_round_trip():
     doc = ng.graph_to_json(graph)
     back = ng.graph_from_json(doc)
     assert ng.graph_to_json(back) == doc
+    assert back == graph
     assert back.find_block("M.R.0.S").replacement == ng.IDENTITY
+
+
+def _edited(doc: str, key: str, value) -> str:
+    return json.dumps({**json.loads(doc), key: value})
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("layer_counts", {**ng.ORIGIN_LAYER_COUNTS, "D.4": 1}, "layer_counts"),
+    ("layer_counts", {**ng.ORIGIN_LAYER_COUNTS, "D.0": -1}, "layer_counts"),
+    ("layer_counts", {**ng.ORIGIN_LAYER_COUNTS, "D.0": 1.0}, "layer_counts"),
+    ("layer_counts", {**ng.ORIGIN_LAYER_COUNTS, "D.0": True}, "layer_counts"),
+    ("layer_counts", {"D.0": 1}, "layer_counts"),
+    ("widths", [4, 6], "widths"),
+    ("widths", [4, 0, 8], "widths"),
+    ("widths", [4, 6, "8"], "widths"),
+    ("replaced", {"D.9.R.0.S": ng.IDENTITY}, "D.9.R.0.S"),
+    ("replaced", {"M.R.0.S": ng.SHORTCUT_CONV}, "M.R.0.S"),
+    ("replaced", {"U.0.R.0.S": ng.IDENTITY}, "U.0.R.0.S"),
+    ("replaced", [], "replaced"),
+    ("emb_dim", 0, "channel counts"),
+    ("emb_dim", 5, "emb_dim"),
+    ("layer_counts", None, "layer_counts"),
+    (None, None, "not a graph document"),
+])
+def test_graph_from_json_rejects_what_no_graph_gives(key, value, match):
+    doc = ng.graph_to_json(small_graph())
+    text = "[]" if key is None else _edited(doc, key, value)
+    with pytest.raises(GraphError, match=match):
+        ng.graph_from_json(text)
 
 
 def test_resume_from_recorded_state_matches_whole_forward():
