@@ -81,7 +81,7 @@ def load_checkpoint(path) -> dict[str, Tensor]:
             pos += nbytes
             return f.read(nbytes)
 
-        entries = []
+        entries = {}  # name -> (dims, offset)
         for _ in range(count):
             (nlen,) = struct.unpack("<I", take(4))
             try:
@@ -91,15 +91,17 @@ def load_checkpoint(path) -> dict[str, Tensor]:
             (rank,) = struct.unpack("<Q", take(8))
             dims = struct.unpack(f"<{rank}Q", take(8 * rank))
             (offset,) = struct.unpack("<Q", take(8))
-            entries.append((name, dims, offset))
+            if name in entries:
+                raise CheckpointError(f"{path}: tensor {name!r} is named twice")
+            entries[name] = (dims, offset)
         size = end - pos
-        for name, dims, offset in entries:  # Python ints: no product overflows
+        for name, (dims, offset) in entries.items():  # Python ints: no product overflows
             if offset % 8:
                 raise CheckpointError(f"{path}: payload for {name!r} is not 8-byte aligned")
             if offset + 8 * math.prod(dims) > size:
                 raise CheckpointError(f"{path}: payload for {name!r} out of bounds")
         params = {}
-        for name, dims, offset in entries:
+        for name, (dims, offset) in entries.items():
             try:
                 arr = np.empty(dims, dtype="<f8")
             except ValueError as exc:

@@ -1,21 +1,23 @@
 """Video U-Net graphs given by their layer counts.
 
 A BlockGraph is one R-A layer count per stage of STAGE_IDS (four Down
-stages, Mid, four Up stages), three widths and the blocks `ablate`
-replaced. Its stages, with their blocks, resampling convs and skip pairs,
-are derived from these fields, and the same stages drive parameter
-enumeration, parameter counting and the model's walk. Stages persist
-even when emptied by pruning; an empty stage keeps its resolution
-transition but runs no blocks, which keeps stage-boundary activations
-shape-compatible between a teacher and its pruned student.
+stages, Mid, four Up stages), three widths and its channel counts. Its
+stages, with their blocks, resampling convs and skip pairs, are derived
+from these fields, and the same stages drive parameter enumeration,
+parameter counting and the model's walk. Stages persist even when emptied
+by pruning; an empty stage keeps its resolution transition but runs no
+blocks, which keeps stage-boundary activations shape-compatible between a
+teacher and its pruned student.
 
 Block ids follow the D/M/U naming, e.g. "D.0.R.1.S" is the spatial half
 of the second ResBlock layer of the first DownBlock; "M.A.0.T" is the
 temporal attention block in the Mid stage.
 
-`Model.forward` and `Model.resume` also walk a group of ablated models at
-once, one run of videos per model. `resume` starts at the group's first
-block from the states a forward recorded; each run joins at its own block.
+An ablation is no graph: `ablate` gives the BlockSpec that stands in for
+one block, and `Model.forward` and `Model.resume` walk a group of ablated
+models at once, one run of videos per model. `resume` starts at the
+group's first block from the states a forward recorded; each run joins at
+its own block.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,11 +74,10 @@ class StageSpec:
 
 
 @functools.lru_cache(maxsize=32)
-def _unablated_stages(counts: tuple, widths: tuple) -> tuple:
-    """(stages, where) of the graph with `counts` layers per stage and no
-    block replaced, `where` mapping each block id to its (stage, block)
-    index; derived once per (counts, widths), as every ablation of a graph
-    shares them."""
+def _stages(counts: tuple, widths: tuple) -> tuple:
+    """(stages, where) of the graph with `counts` layers per stage, `where`
+    mapping each block id to its (stage, block) index; derived once per
+    (counts, widths)."""
     stages, prev_w, prev_div = [], widths[0], 1
     for sid, n in zip(STAGE_IDS, counts):
         w, div = widths[_WIDTH_INDEX[sid]], _RES_DIVISOR[sid]
@@ -98,30 +99,19 @@ def _unablated_stages(counts: tuple, widths: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class BlockGraph:
-    """A U-Net given by its layer counts and widths, with the blocks that
-    `ablate` replaced; its stages are derived from these on first use."""
+    """A U-Net given by its layer counts, widths and channel counts; its
+    stages are derived from these on first use."""
 
     layer_counts: dict  # stage id -> R-A layer count, for every stage of STAGE_IDS
     widths: tuple  # of D.0, D.1 and D.2; the deeper stages keep D.2's
     latent_channels: int = 1
     cond_channels: int = 1
     emb_dim: int = 32
-    replaced: dict = field(default_factory=dict)  # block id -> IDENTITY or SHORTCUT_CONV
 
     @functools.cached_property
     def _derived(self) -> tuple:
-        """(stages, where) as `_unablated_stages`, with the replaced blocks."""
-        stages, where = _unablated_stages(tuple(self.layer_counts[sid] for sid in STAGE_IDS),
-                                          self.widths)
-        if self.replaced:
-            stages = list(stages)
-            for block_id, repl in self.replaced.items():
-                i, j = where[block_id]
-                blocks = stages[i].blocks
-                stages[i] = replace(stages[i], blocks=blocks[:j] + (
-                    replace(blocks[j], replacement=repl),) + blocks[j + 1:])
-            stages = tuple(stages)
-        return stages, where
+        """(stages, where) as `_stages` derives them."""
+        return _stages(tuple(self.layer_counts[sid] for sid in STAGE_IDS), self.widths)
 
     @property
     def stages(self) -> tuple:
@@ -253,11 +243,7 @@ def enumerate_params(graph: BlockGraph) -> list:
             specs += [ParamSpec(f"{owner}.w", (s.width, s.in_channels, 3, 3), "fanin", owner),
                       ParamSpec(f"{owner}.b", (s.width,), "zeros", owner)]
         for b in s.blocks:
-            if b.replacement == IDENTITY:
-                continue
-            if b.replacement == SHORTCUT_CONV:
-                specs += shortcut_params(b)
-            elif b.kind in (RES_SPATIAL, RES_TEMPORAL):
+            if b.kind in (RES_SPATIAL, RES_TEMPORAL):
                 specs += _res_block_params(b, graph)
             else:
                 specs += _attn_block_params(b)
@@ -401,7 +387,7 @@ class Model:
         each), as `cond` stacks one condition per video, of 1 or F frames
         each, and each is spread over its own video's frames.
 
-        With `ablated` (BlockSpecs as `ablate` replaces them, a shortcut
+        With `ablated` (BlockSpecs as `ablate` gives them, a shortcut
         conv's parameters in `params`), c_noise is one level, the videos
         split into one run per entry, and run i is the output with block
         ablated[i] replaced (no gradients: the runs are split on raw arrays).
@@ -520,14 +506,13 @@ def build(graph: BlockGraph, init_seed: int) -> Model:
 # ablation
 # ---------------------------------------------------------------------------
 
-def ablate(graph: BlockGraph, block_id: str) -> BlockGraph:
-    """The graph with one block replaced by identity (or by a 1x1 shortcut
-    conv when its channels change)."""
+def ablate(graph: BlockGraph, block_id: str) -> BlockSpec:
+    """What stands in for one block of the graph when it is ablated: the
+    block replaced by identity (or by a 1x1 shortcut conv, `shortcut_params`,
+    when its channels change)."""
     target = graph.find_block(block_id)
-    if target.replacement is not None:
-        raise UnknownBlockError(f"{block_id} is already ablated")
     repl = IDENTITY if target.in_channels == target.out_channels else SHORTCUT_CONV
-    return replace(graph, replaced={**graph.replaced, block_id: repl})
+    return replace(target, replacement=repl)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +526,6 @@ def graph_to_json(graph: BlockGraph) -> str:
         "latent_channels": graph.latent_channels,
         "cond_channels": graph.cond_channels,
         "emb_dim": graph.emb_dim,
-        "replaced": graph.replaced,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -553,12 +537,11 @@ def _is_count(v) -> bool:
 def graph_from_json(text: str) -> BlockGraph:
     """The graph `graph_to_json` wrote. Layer counts for other stages than
     STAGE_IDS or that are not non-negative integers, widths that are not
-    three positive integers, channel counts that are not positive integers,
-    an odd `emb_dim`, and a `replaced` entry that is not what `ablate`
-    gives for a block of the graph raise GraphError."""
+    three positive integers, channel counts that are not positive integers
+    and an odd `emb_dim` raise GraphError; other keys are ignored."""
     try:
         doc = json.loads(text)
-        counts, widths, replaced = doc["layer_counts"], doc["widths"], doc["replaced"]
+        counts, widths = doc["layer_counts"], doc["widths"]
         channels = [doc[k] for k in ("latent_channels", "cond_channels", "emb_dim")]
     except (ValueError, TypeError, KeyError) as exc:
         raise GraphError(f"graph: not a graph document ({exc!r})") from None
@@ -570,15 +553,4 @@ def graph_from_json(text: str) -> BlockGraph:
             and all(_is_count(v) and v > 0 for v in widths + channels) and channels[2] % 2 == 0):
         raise GraphError(f"graph: 'widths' must be 3 positive integers, the channel counts "
                          f"positive integers and 'emb_dim' even, not {widths!r} and {channels!r}")
-    graph = make_unet_graph(counts, widths, *channels)
-    if not isinstance(replaced, dict):
-        raise GraphError(f"graph: 'replaced' must map block ids to replacements, not {replaced!r}")
-    for block_id, repl in replaced.items():
-        try:
-            graph = ablate(graph, block_id)
-        except UnknownBlockError as exc:
-            raise GraphError(f"graph: 'replaced' names {block_id!r}: {exc}") from None
-        if graph.replaced[block_id] != repl:
-            raise GraphError(f"graph: {block_id!r} is replaced by {graph.replaced[block_id]!r}, "
-                             f"not {repl!r}")
-    return graph
+    return make_unet_graph(counts, widths, *channels)

@@ -41,29 +41,6 @@ class AblationReport:
         return sorted(good, key=lambda r: -r.delta_fvd) + bad
 
 
-def _source(teacher: Model, spec: netgraph.ParamSpec, rename: dict) -> Optional[Tensor]:
-    """The teacher's tensor of owner `rename.get(owner, owner)` with the
-    suffix of `spec`'s name, if it has one of `spec`'s shape."""
-    src = teacher.params.get(rename.get(spec.owner, spec.owner) + spec.name[len(spec.owner):])
-    return src if src is not None and src.shape == spec.shape else None
-
-
-def _inherit(teacher: Model, graph: BlockGraph, rename: Optional[dict] = None) -> Model:
-    """Build a model of `graph` from the teacher's weights, bitwise.
-
-    Each parameter copies its `_source` tensor. Only parameters the teacher
-    lacks (say, a shortcut conv's) are initialised, to the values
-    `init_params(graph, 0)` gives them.
-    """
-    rename = rename or {}
-    params = {}
-    for spec in netgraph.enumerate_params(graph):
-        src = _source(teacher, spec, rename)
-        data = src.data if src is not None else netgraph._init_param(spec, 0)
-        params[spec.name] = Tensor(data, requires_grad=True)
-    return Model(graph, params)
-
-
 # Byte budget of a group's largest convolution column matrix: a group's
 # models share one walk, so its working set grows with them (8 models at
 # widths 4/6/8 on 2 videos of 2x16x16, 1 at the default shapes).
@@ -73,9 +50,9 @@ _GROUP_BYTES = 5 << 20
 def _group(teacher: Model, block_ids: list) -> tuple:
     """(model, ablated): the teacher's graph and parameter Tensors plus the
     replacement of each block in `block_ids` (`netgraph.ablate`'s BlockSpec;
-    a shortcut conv's parameters initialised as `init_params(graph, 0)`
-    would), for `Model.forward`/`resume` with `ablated`."""
-    ablated = [netgraph.ablate(teacher.graph, bid).find_block(bid) for bid in block_ids]
+    a shortcut conv's parameters initialised as `_init_param(spec, 0)`
+    gives them), for `Model.forward`/`resume` with `ablated`."""
+    ablated = [netgraph.ablate(teacher.graph, bid) for bid in block_ids]
     params = dict(teacher.params)
     params.update((spec.name, Tensor(netgraph._init_param(spec, 0), requires_grad=True))
                   for b in ablated if b.replacement == netgraph.SHORTCUT_CONV
@@ -264,10 +241,9 @@ class PruningPlan:
 def plan_vdmini(graph: BlockGraph) -> PruningPlan:
     """Emit the block-removal plan: drop the second R-A pair of the shallow
     Down/Up stages, keep D.2 and U.1 intact, and empty D.3, Mid, and U.0."""
-    if graph.layer_counts != netgraph.ORIGIN_LAYER_COUNTS or graph.replaced:
-        raise PlanError(f"non-conforming stage layout: layer counts {graph.layer_counts} with "
-                        f"{sorted(graph.replaced)} replaced, expected "
-                        f"{netgraph.ORIGIN_LAYER_COUNTS} with none")
+    if graph.layer_counts != netgraph.ORIGIN_LAYER_COUNTS:
+        raise PlanError(f"non-conforming stage layout: layer counts {graph.layer_counts}, "
+                        f"expected {netgraph.ORIGIN_LAYER_COUNTS}")
     counts = dict(VDMINI_LAYER_COUNTS)
     inheritance = {}
     for s in replace(graph, layer_counts=counts).stages:
@@ -286,7 +262,7 @@ def plan_vdmini(graph: BlockGraph) -> PruningPlan:
 def student_graph(teacher_graph: BlockGraph, plan: PruningPlan) -> BlockGraph:
     """The pruned graph implied by a plan: the teacher's with the plan's
     layer counts."""
-    return replace(teacher_graph, layer_counts=dict(plan.student_layer_counts), replaced={})
+    return replace(teacher_graph, layer_counts=dict(plan.student_layer_counts))
 
 
 def apply_plan(teacher: Model, plan: PruningPlan) -> Model:
@@ -302,8 +278,12 @@ def apply_plan(teacher: Model, plan: PruningPlan) -> Model:
     for bid in graph.block_ids():
         if bid not in plan.inheritance:
             raise PlanError(f"plan: student block {bid} inherits no teacher block")
+    params = {}
     for spec in netgraph.enumerate_params(graph):
-        if _source(teacher, spec, plan.inheritance) is None:
+        src = teacher.params.get(plan.inheritance.get(spec.owner, spec.owner)
+                                 + spec.name[len(spec.owner):])
+        if src is None or src.shape != spec.shape:
             raise PlanError(f"plan: student tensor {spec.name} {spec.shape} has no teacher "
                             f"tensor of its shape to inherit")
-    return _inherit(teacher, graph, plan.inheritance)
+        params[spec.name] = Tensor(src.data, requires_grad=True)
+    return Model(graph, params)

@@ -218,7 +218,8 @@ def test_criterion_4_pruned_model_is_faster():
             model.forward(x, 0.0)
             if rep >= 2:  # warm-up
                 samples.append(time.perf_counter() - t0)
-    t_ms, s_ms = (1e3 * float(np.median(v)) for v in times.values())
+    # the fastest of each model's forwards: host load can only lengthen a time
+    t_ms, s_ms = (1e3 * min(v) for v in times.values())
     assert s_ms <= 0.8 * t_ms, (s_ms, t_ms)
 
 
@@ -293,22 +294,14 @@ def eval_corpus():
     return videos, conds
 
 
-def _generate(model, conds, shape, seed):
-    return df.sample_set(model, SCHEDULE, conds, seed, shape, 1)
-
-
 # ---------------------------------------------------------------------------
 # 8. ablation importance signal: null block vs contributing block
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_null_vs_contributing_block(trained_teacher, eval_corpus):
     evalv, conds = eval_corpus
-    shape = evalv[0].shape
     extractor = ek.FeatureExtractor()
-    graph = trained_teacher.graph
     gen_seeds = (0, 1, 2)
-    refs = {s: _generate(trained_teacher, conds, shape, s) for s in gen_seeds}
-    ref_fvd = {s: ek.fvd(refs[s], evalv, extractor) for s in gen_seeds}
 
     # a block whose residual branch is forced to zero is exactly removable
     null_id = "D.0.R.1.S"
@@ -317,22 +310,17 @@ def test_criterion_8_null_vs_contributing_block(trained_teacher, eval_corpus):
     for n in list(params):
         if n.startswith(null_id + ".conv2."):
             params[n] = Tensor(np.zeros_like(params[n].data), requires_grad=True)
-    null_teacher = ng.Model(graph, params)
+    null_teacher = ng.Model(trained_teacher.graph, params)
 
-    # contributing block: paired deltas against the same generation seeds
+    # contributing block: paired deltas against the same generation seeds,
+    # scored by the profiling that the `profile` stage runs
     contrib_id = "U.1.R.0.S"
 
     def paired_deltas(teacher_model, block_id):
-        deltas = []
-        ablated_graph = ng.ablate(teacher_model.graph, block_id)
-        ablated = pr._inherit(teacher_model, ablated_graph)
-        base = {s: ek.fvd(_generate(teacher_model, conds, shape, s), evalv,
-                          extractor) for s in gen_seeds} \
-            if teacher_model is not trained_teacher else ref_fvd
-        for s in gen_seeds:
-            abl_fvd = ek.fvd(_generate(ablated, conds, shape, s), evalv, extractor)
-            deltas.append(abl_fvd - base[s])
-        return deltas
+        return [pr.profile_importance(teacher_model, evalv, [block_id], extractor, SCHEDULE,
+                                      conds=conds, seed=s, steps=1,
+                                      latency_reps=0).rows[0].delta_fvd
+                for s in gen_seeds]
 
     contrib = paired_deltas(trained_teacher, contrib_id)
     # metric noise: seed-to-seed repeatability of the paired delta statistic

@@ -114,7 +114,9 @@ def _crc_valid(path, entries, payload=b""):
     ([(b"\xff\xfe", (1,), 0)], "not UTF-8"),
     ([(b"w", (0, 1 << 63), 0)], "unusable shape"),
     ([(b"w", (1,) * 65, 0)], "unusable shape"),
-], ids=["int64-overflow", "misaligned", "name-not-utf8", "zero-size-huge-dim", "rank-65"])
+    ([(b"w.a", (1,), 0), (b"w.b", (1,), 8), (b"w.a", (1,), 8)], "'w.a' is named twice"),
+], ids=["int64-overflow", "misaligned", "name-not-utf8", "zero-size-huge-dim", "rank-65",
+        "duplicate-name"])
 def test_crc_valid_file_with_a_bad_directory_is_a_checkpoint_error(tmp_path, entries, message):
     path = _crc_valid(tmp_path / "bad.vdmk", entries, payload=np.arange(2.0).tobytes())
     with pytest.raises(CheckpointError, match=message):

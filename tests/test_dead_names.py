@@ -1,6 +1,6 @@
-"""Every public top-level function, class and UPPER_CASE constant of the
-package is used somewhere in src/ or perfbench/ besides its own definition:
-code that the pipeline never reaches is wired in or deleted."""
+"""Every top-level function, class and UPPER_CASE constant of the package,
+private or public, is used somewhere in src/ or perfbench/ besides its own
+definition: code that the pipeline never reaches is wired in or deleted."""
 
 import ast
 import re
@@ -11,7 +11,7 @@ PACKAGE = ROOT / "src" / "vdmini"
 # (module, name) pairs used only by tests: criterion 1 checks that its op
 # cases cover every op kind
 ONLY_IN_TESTS = {("tensor", "op_kinds")}
-CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def _sources() -> dict:
@@ -20,8 +20,8 @@ def _sources() -> dict:
 
 
 def _constants(tree: ast.Module) -> list:
-    """The module's top-level `NAME = ...` assignments with a public
-    UPPER_CASE name, as (name, target node)."""
+    """The module's top-level `NAME = ...` assignments with an UPPER_CASE
+    name, as (name, target node)."""
     return [(t.id, t) for node in tree.body if isinstance(node, ast.Assign)
             for t in node.targets if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
 
@@ -49,6 +49,7 @@ def _module_refs(tree: ast.Module) -> set:
 
 
 def test_every_public_top_level_name_is_used_besides_its_definition():
+    # private names too, so that a helper left behind by a deletion is found
     sources = _sources()
     trees = {path: ast.parse(text) for path, text in sources.items()}
     refs = set().union(*map(_module_refs, trees.values()))
@@ -56,7 +57,7 @@ def test_every_public_top_level_name_is_used_besides_its_definition():
     for path in sorted(PACKAGE.glob("*.py")):
         lines = sources[path].splitlines()
         for node in trees[path].body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_")
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or (path.stem, node.name) in ONLY_IN_TESTS):
                 continue
             word = re.compile(rf"\b{re.escape(node.name)}\b")
@@ -69,7 +70,7 @@ def test_every_public_top_level_name_is_used_besides_its_definition():
                             for n in ast.walk(trees[path]))
             if not read_here and (path.stem, name) not in refs:
                 unused.append(f"{path.stem}.{name}")
-    assert not unused, f"public names used nowhere besides their definitions: {unused}"
+    assert not unused, f"top-level names used nowhere besides their definitions: {unused}"
 
 
 # imports read by other code than their own module's: the package's

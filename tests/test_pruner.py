@@ -14,6 +14,7 @@ from vdmini import synthdata as sd
 from vdmini.errors import PlanError, UnknownBlockError
 from vdmini.tensor import Tensor
 
+from ablated import ablated_model
 from defaults import configured
 
 GOLDEN = Path(__file__).parent / "golden" / "plan.json"
@@ -67,12 +68,6 @@ def test_plan_rejects_its_own_output():
         pr.plan_vdmini(student)
 
 
-def test_plan_rejects_ablated_graph():
-    graph = ng.ablate(ng.toy_teacher_graph(), "D.0.R.0.S")
-    with pytest.raises(PlanError, match="non-conforming stage layout"):
-        pr.plan_vdmini(graph)
-
-
 def test_plan_inheritance_is_injective_and_renumbers():
     plan = pr.plan_vdmini(ng.toy_teacher_graph())
     targets = list(plan.inheritance.values())
@@ -88,20 +83,18 @@ def test_plan_inheritance_is_injective_and_renumbers():
 
 
 # sha256 over (name, shape, init, owner) of every enumerate_params entry, in
-# order, for the toy teacher, its plan student and the U.1.R.0.S ablation
-# (a shortcut conv); pinned so the checkpoint layout cannot move unnoticed
+# order, for the toy teacher and its plan student; pinned so the checkpoint
+# layout cannot move unnoticed
 PARAM_LAYOUT_SHA256 = {
     "teacher": "dcea386e59738c7a60f580535ce9c8d5b73adf95ad524949fda452246d021705",
     "student": "222e15902b9df68f35f590031bfd37aa9837b07da979b93946c9f1cd2f81683c",
-    "U.1.R.0.S": "ed3aaa99e5ac4296f9cf8505f5492abb8dc2d5a6c7f6acf428250268f9aef80e",
 }
 
 
 def test_param_layout_is_pinned():
     teacher = ng.toy_teacher_graph()
     graphs = {"teacher": teacher,
-              "student": pr.student_graph(teacher, pr.plan_vdmini(teacher)),
-              "U.1.R.0.S": ng.ablate(teacher, "U.1.R.0.S")}
+              "student": pr.student_graph(teacher, pr.plan_vdmini(teacher))}
     for key, graph in graphs.items():
         h = hashlib.sha256()
         for s in ng.enumerate_params(graph):
@@ -259,19 +252,19 @@ def test_profile_report_rows_cover_requested_blocks():
     assert sorted(r.block_id for r in report.rows) == sorted(blocks)
 
 
-def _init_then_overwrite(teacher, graph, rename=None):
-    """The model as built by initialising the whole graph, then copying
-    every teacher tensor whose name and shape survive; `rename` maps a
-    block id to the teacher block whose tensors it takes."""
+def _init_then_overwrite(teacher, specs, rename=None):
+    """The parameters built by initialising every ParamSpec of `specs`,
+    then copying every teacher tensor whose name and shape survive;
+    `rename` maps a block id to the teacher block whose tensors it takes."""
     rename = rename or {}
-    params = ng.init_params(graph, 0)
+    params = {s.name: Tensor(ng._init_param(s, 0), requires_grad=True) for s in specs}
     for name in params:
         owner = next((b for b in rename if name.startswith(b + ".")), None)
         src_name = rename[owner] + name[len(owner):] if owner else name
         src = teacher.params.get(src_name)
         if src is not None and src.shape == params[name].shape:
             params[name] = Tensor(src.data, requires_grad=True)
-    return ng.Model(graph, params)
+    return params
 
 
 def _perturbed_teacher(seed=1):
@@ -286,21 +279,24 @@ def _perturbed_teacher(seed=1):
 def test_inherit_ablated_matches_init_then_overwrite():
     teacher = _perturbed_teacher()
     plan = pr.plan_vdmini(teacher.graph)
-    ablated = [ng.ablate(teacher.graph, block_id)
-               for block_id in ("D.1.A.0.S", "U.1.R.0.S")]  # identity, shortcut conv
-    cases = [(pr._inherit(teacher, g), _init_then_overwrite(teacher, g)) for g in ablated]
-    cases.append((pr.apply_plan(teacher, plan),
-                  _init_then_overwrite(teacher, pr.student_graph(teacher.graph, plan),
-                                       plan.inheritance)))
-    for model, expected in cases:
-        got, want = model.params, expected.params
+    cases = []
+    for block_id in ("D.1.A.0.S", "U.1.R.0.S"):  # identity, shortcut conv
+        spec = ng.ablate(teacher.graph, block_id)
+        extra = ng.shortcut_params(spec) if spec.replacement == ng.SHORTCUT_CONV else []
+        cases.append((pr._group(teacher, [block_id])[0], _init_then_overwrite(
+            teacher, ng.enumerate_params(teacher.graph) + extra)))
+    cases.append((pr.apply_plan(teacher, plan), _init_then_overwrite(
+        teacher, ng.enumerate_params(pr.student_graph(teacher.graph, plan)), plan.inheritance)))
+    for model, want in cases:
+        got = model.params
         assert list(got) == list(want)
         for name, p in want.items():
             assert got[name].shape == p.shape
             assert np.array_equal(got[name].data, p.data), name
-            assert got[name].requires_grad
-    # the renamed stages really take the teacher's later layer, not its own
+    # the student's tensors are its own to train; the renamed stages really
+    # take the teacher's later layer, not their own
     student = cases[-1][0]
+    assert all(p.requires_grad for p in student.params.values())
     assert np.array_equal(student.params["U.2.R.1.S.conv1.w"].data,
                           teacher.params["U.2.R.2.S.conv1.w"].data)
 
@@ -328,8 +324,7 @@ def test_profile_resumed_rows_equal_whole_sampling(steps):
     assert report.reference_fvd == ref_fvd
     assert len(report.rows) == len(blocks)
     for row in report.rows:
-        graph = ng.ablate(teacher.graph, row.block_id)
-        fvd = whole_fvd(_init_then_overwrite(teacher, graph))
+        fvd = whole_fvd(ablated_model(teacher, row.block_id))
         assert row.error is None
         assert row.fvd_after_ablation == fvd, row.block_id
         assert row.delta_fvd == fvd - ref_fvd, row.block_id
@@ -342,8 +337,8 @@ def test_ablated_shares_the_teachers_tensors_and_matches_inherit():
     assert model.graph == teacher.graph
     assert [b.block_id for b in ablated] == blocks
     for block_id, spec in zip(blocks, ablated):
-        want = pr._inherit(teacher, ng.ablate(teacher.graph, block_id))
-        assert spec == want.graph.find_block(block_id)
+        want = ablated_model(teacher, block_id)
+        assert spec == want.spec
         for name, p in want.params.items():
             assert np.array_equal(model.params[name].data, p.data), name
             if name in teacher.params:
@@ -391,8 +386,7 @@ def test_grouped_walk_matches_each_ablated_model_whole():
                               Tensor(np.concatenate([cond.data] * n)), videos=2 * n,
                               ablated=ablated).data
         for i, block_id in enumerate(blocks):
-            want = pr._inherit(teacher, ng.ablate(teacher.graph, block_id)).forward(
-                x, 0.5, cond, videos=2).data
+            want = ablated_model(teacher, block_id).forward(x, 0.5, cond, videos=2).data
             assert np.array_equal(resumed[4 * i:4 * (i + 1)], want), block_id
             assert np.array_equal(whole[4 * i:4 * (i + 1)], want), block_id
     model, ablated = pr._group(teacher, ["D.1.A.0.S", "D.0.R.0.T"])
