@@ -7,9 +7,11 @@ byte offset u64), the little-endian float64 payloads, and a trailing CRC32
 
 Neither direction holds the file in memory: `save_checkpoint` streams the
 arrays' own bytes, and `load_checkpoint` checks the CRC a chunk at a time,
-then reads each tensor's payload straight into an array of its own. No
-loaded tensor keeps another alive, so a model that keeps some of them
-(a pruned student) holds only those.
+then reads each tensor's payload straight into a 64-byte-aligned array
+that is the only view of its own buffer. No loaded tensor keeps another
+alive, so a model that keeps some of them (a pruned student) holds only
+those, and no kernel's speed depends on where the allocator happened to
+put a parameter relative to a cache line.
 """
 
 from __future__ import annotations
@@ -29,6 +31,16 @@ MAGIC = b"VDMK"
 VERSION = 1
 
 _CRC_CHUNK = 1 << 16
+_ALIGN = 64  # bytes: a cache line
+
+
+def _aligned_empty(dims: tuple) -> np.ndarray:
+    """An uninitialised float64 array of shape `dims` whose data starts on an
+    `_ALIGN`-byte boundary, cut from a buffer of its own."""
+    nbytes = 8 * math.prod(dims)
+    buf = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+    start = -buf.ctypes.data % _ALIGN
+    return buf[start:start + nbytes].view("<f8").reshape(dims)
 
 
 def save_checkpoint(params: dict[str, Tensor], path) -> None:
@@ -103,7 +115,7 @@ def load_checkpoint(path) -> dict[str, Tensor]:
         params = {}
         for name, (dims, offset) in entries.items():
             try:
-                arr = np.empty(dims, dtype="<f8")
+                arr = _aligned_empty(dims)
             except ValueError as exc:
                 raise CheckpointError(f"{path}: tensor {name!r} has unusable shape {dims}") from exc
             f.seek(pos + offset)

@@ -96,14 +96,14 @@ def _kind(default) -> str:
         return "object"
     if isinstance(default, list):
         return f"list of {_kind(default[0])}"
-    return {bool: "boolean", int: "integer", float: "number", str: "string"}[type(default)]
+    return {bool: "boolean", int: "integer", float: "finite number", str: "string"}[type(default)]
 
 
 def _fits(value, default) -> bool:
     if isinstance(default, list):
         return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
-    if type(default) is float:  # a JSON integer is a number too
-        return type(value) in (int, float)
+    if type(default) is float:  # a JSON integer is a number too, if a float can hold it
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max  # False on NaN
     return type(value) is type(default)
 
 

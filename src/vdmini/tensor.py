@@ -9,6 +9,13 @@ use numpy's fixed summation order, and attention's row sums come from a
 BLAS GEMM, whose order is fixed by each item's shape, so results are
 bit-reproducible for a given BLAS thread count, whichever thread computes
 them.
+
+The tape holds each node's inputs and output. Of the ops that run on
+whole feature maps, only group norm (its statistics) and attention (its
+normalised output, row sums and shifts) keep anything beside them. SiLU's
+sigmoid, the convolutions' columns and attention's q, k and v are
+recomputed from the inputs in the backward (Chen et al., 2016), with the
+forward's own calls, so their bits do not change.
 """
 
 from __future__ import annotations
@@ -125,15 +132,9 @@ def _tracked(*tensors: Tensor) -> bool:
     return any(t.requires_grad or t.node is not None for t in tensors)
 
 
-def _recording(inputs: Sequence[Tensor]) -> Optional[Tape]:
-    """The tape that an op on these inputs records on, if any."""
-    tape = Tape.current()
-    return tape if tape is not None and _tracked(*inputs) else None
-
-
 def _record(op: str, out_data: Array, inputs: Sequence[Tensor], vjp) -> Tensor:
-    tape = _recording(inputs)
-    if tape is not None:
+    tape = Tape.current()
+    if tape is not None and _tracked(*inputs):
         node = Node(op, inputs, vjp)
         out = Tensor(out_data, node=node)
         tape.nodes.append((node, out))
@@ -294,32 +295,32 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     return _record("bias_add", (x.data.reshape(runs) + bb).reshape(x.shape), [x, b], vjp)
 
 
-def _sigmoid(xd: Array) -> Array:
-    """1 / (1 + exp(-x)) in one fresh buffer. exp(-x) overflows to inf below
+def _one_plus_exp_neg(xd: Array) -> Array:
+    """1 + exp(-x) in one fresh buffer. exp(-x) overflows to inf below
     x = -709, where the sigmoid is exactly 0, so that overflow is not warned."""
-    s = np.negative(xd, out=np.empty_like(xd))  # out=: a 0-d input stays an array
-    with np.errstate(over="ignore"):
-        np.exp(s, out=s)
-    s += 1.0
-    return np.divide(1.0, s, out=s)
-
-
-def silu(x: Tensor) -> Tensor:
-    """x / (1 + exp(-x)). Off the tape the output is written over the one
-    buffer that holds 1 + exp(-x); on a tape that buffer is kept, in place
-    of the sigmoid, for the vjp. exp(-x) overflows to inf below x = -709,
-    where the output is exactly (-)0, so that overflow is not warned."""
-    xd = x.data
     d = np.negative(xd, out=np.empty_like(xd))  # out=: a 0-d input stays an array
     with np.errstate(over="ignore"):
         np.exp(d, out=d)
     d += 1.0
-    if _recording([x]) is None:
-        return Tensor(np.divide(xd, d, out=d))
-    out = xd / d
+    return d
+
+
+def _sigmoid(xd: Array) -> Array:
+    """1 / (1 + exp(-x)) in one fresh buffer."""
+    s = _one_plus_exp_neg(xd)
+    return np.divide(1.0, s, out=s)
+
+
+def silu(x: Tensor) -> Tensor:
+    """x / (1 + exp(-x)), written over the one buffer that holds 1 + exp(-x).
+    The tape keeps only the output: the vjp rebuilds the sigmoid from x,
+    which the tape holds as its input, with the same ufunc calls."""
+    xd = x.data
+    d = _one_plus_exp_neg(xd)
+    out = np.divide(xd, d, out=d)
 
     def vjp(g):  # g * (s + x * s * (1 - s)) with s = 1 / d, and out == x / d
-        s = np.divide(1.0, d)
+        s = _sigmoid(xd)
         t = 1.0 - s
         t *= out
         t += s
@@ -669,35 +670,50 @@ _CHUNK_BYTES = 1 << 19
 _ROW_SUM_FLOOR = math.exp(-600.0)
 
 
+def _project(flat: Array, wqkv: Sequence[Array]) -> Array:
+    """The (3, B*T, C+1) buffer of q, k and v, the (B*T, C) tokens `flat`
+    times each of the (C, C) weights `wqkv` transposed, in its first C
+    columns, with ones in the last column of k and v; q's last column is
+    left for minus the row shifts."""
+    c = flat.shape[1]
+    qkv = np.empty((3, flat.shape[0], c + 1))
+    for a, m in zip(qkv, wqkv):
+        np.matmul(flat, m.T, out=a[:, :c])
+    qkv[1:, :, c] = 1.0
+    return qkv
+
+
+def _exp_scores(qa: Array, ka: Array, s: slice, buf: Array) -> Array:
+    """exp(qa ka^T) of the batch items in `s`, in `buf`."""
+    es = np.matmul(qa[s], ka[s].transpose(0, 2, 1), out=buf[: s.stop - s.start])
+    return np.exp(es, out=es)
+
+
 def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens) -> Tensor:
     """Attention over the (B, T, C) tokens `to_tokens(x.data)`; `from_tokens`
     maps (B, T, C) back to the layout of x.
 
-    The projections, 1/sqrt(C) folded into wq, fill the first C columns of
-    (B, T, C+1) buffers qa, ka and va. The last column holds minus a per-row
-    shift in qa and ones in ka and va. The shift is the Cauchy-Schwarz bound
+    `_project` fills (B, T, C+1) buffers qa, ka and va; qa's last column
+    holds minus a per-row shift. The shift is the Cauchy-Schwarz bound
     |q_i| max_j |k_j| over the row's own batch item, at least the row's
     largest score, so each chunk of scores is passed over three times:
     qa ka^T comes out shifted, exp runs in place, and es va gives the
     unnormalised output and, in its last column, the row sums rs. A row
     whose sum falls below `_ROW_SUM_FLOOR` takes its exact maximum as its
     shift and its item is recomputed, so no item's bits depend on the
-    others. The tape keeps qa (the shifts in it), ka, va, the output and rs;
-    the vjp rebuilds es, bit for bit, with the same GEMM and folds the
-    row-dot term -D of sum_j(dA * A) = dO . O (Dao et al., 2022) into
-    dO va^T through va's ones column."""
+    others. The tape keeps the output, the normalised o, rs and the (B, T)
+    column of minus the shifts; the vjp re-projects qa, ka and va from x
+    through `_project`, rebuilds es, bit for bit, with the same GEMMs and
+    folds the row-dot term -D of sum_j(dA * A) = dO . O (Dao et al., 2022)
+    into dO va^T through va's ones column."""
     c = x.shape[1]
     if any(t.shape != (c, c) for t in ws):
         raise ShapeError(f"{op}: weights {[t.shape for t in ws]} vs {c} channels")
     wq, wk, wv, wo = (t.data for t in ws)
     tokens = to_tokens(x.data)
     bsz, nt, _ = tokens.shape
-    flat = tokens.reshape(bsz * nt, c)
     scale = 1.0 / math.sqrt(c)
-    qkv = np.empty((3, bsz * nt, c + 1))
-    for a, m in zip(qkv, (wq * scale, wk, wv)):
-        np.matmul(flat, m.T, out=a[:, :c])
-    qkv[1:, :, c] = 1.0
+    qkv = _project(tokens.reshape(bsz * nt, c), (wq * scale, wk, wv))
     qa, ka, va = qkv.reshape(3, bsz, nt, c + 1)
     q, k = qa[..., :c], ka[..., :c]
     norms = np.einsum("nrc,nrc->nr", qkv[:2, :, :c], qkv[:2, :, :c]).reshape(2, bsz, nt)
@@ -707,27 +723,28 @@ def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens)
     np.negative(shift, out=qa[..., c])
     step = max(1, _CHUNK_BYTES // (8 * nt * nt))
     chunks = [slice(i, min(i + step, bsz)) for i in range(0, bsz, step)]
-
-    def scores(s, buf):  # one chunk's exp(qa ka^T), in `buf`
-        es = np.matmul(qa[s], ka[s].transpose(0, 2, 1), out=buf[: s.stop - s.start])
-        return np.exp(es, out=es)
-
     e = np.empty((min(step, bsz), nt, nt))
     ov = np.empty((bsz, nt, c + 1))
     for s in chunks:
-        np.matmul(scores(s, e), va[s], out=ov[s])
+        np.matmul(_exp_scores(qa, ka, s, e), va[s], out=ov[s])
     rs = ov[..., c:]
     if not rs.min() >= _ROW_SUM_FLOOR:  # NaN sums too
         low = ~(rs[..., 0] >= _ROW_SUM_FLOOR)
         for b in np.flatnonzero(low.any(axis=1)):
             rows = low[b]
             qa[b, rows, c] = -(q[b, rows] @ k[b].T).max(axis=1)
-            np.matmul(scores(slice(b, b + 1), e), va[b:b + 1], out=ov[b:b + 1])
+            np.matmul(_exp_scores(qa, ka, slice(b, b + 1), e), va[b:b + 1], out=ov[b:b + 1])
     o = np.divide(ov[..., :c], rs)
-    rs = rs.copy()  # so the tape does not keep ov
+    # copies, so the tape keeps neither ov nor qkv
+    rs, neg_shift = rs.copy(), qa[..., c].copy()
     av = o.reshape(bsz * nt, c)
 
     def vjp(g):
+        flat = to_tokens(x.data).reshape(bsz * nt, c)
+        wqkv = (wq * scale, wk, wv)
+        qa, ka, va = _project(flat, wqkv).reshape(3, bsz, nt, c + 1)
+        qa[..., c] = neg_shift
+        q, k = qa[..., :c], ka[..., :c]
         g2 = to_tokens(g).reshape(bsz * nt, c)
         gava = np.empty((bsz, nt, c + 1))
         gav = gava[..., :c]
@@ -737,16 +754,16 @@ def _attention(op: str, x: Tensor, ws: Sequence[Tensor], to_tokens, from_tokens)
         gq, gk, gv = gqkv = np.empty((3, bsz, nt, c))
         e, gs = (np.empty((min(step, bsz), nt, nt)) for _ in range(2))
         for s in chunks:
-            es = scores(s, e)
+            es = _exp_scores(qa, ka, s, e)
             gss = np.matmul(gava[s], va[s].transpose(0, 2, 1), out=gs[: s.stop - s.start])
             gss *= es
             np.matmul(gss, k[s], out=gq[s])
             np.matmul(gss.transpose(0, 2, 1), q[s], out=gk[s])
             np.matmul(es.transpose(0, 2, 1), gav[s], out=gv[s])
         gflat = gqkv.reshape(3, bsz * nt, c)
-        gx = gflat[0] @ (wq * scale)
-        gx += gflat[1] @ wk
-        gx += gflat[2] @ wv
+        gx = gflat[0] @ wqkv[0]
+        gx += gflat[1] @ wqkv[1]
+        gx += gflat[2] @ wqkv[2]
         gw = np.matmul(gflat.transpose(0, 2, 1), flat)
         gw[0] *= scale
         return from_tokens(gx.reshape(bsz, nt, c)), gw[0], gw[1], gw[2], g2.T @ av

@@ -117,6 +117,8 @@ def test_unknown_nested_config_key_is_exit_2_with_one_json_line(tmp_path, capsys
     ("VDMINI_DISTILL__STEPS", '"abc"', "'distill.steps'"),
     ("VDMINI_DATA__TYPO_KEY", "1", "'data.typo_key'"),
     ("VDMINI_MODEL", "5", "'model'"),
+    ("VDMINI_SCHEDULE__RHO", "Infinity", "'schedule.rho'"),
+    ("VDMINI_TRAIN_TEACHER__LR", "NaN", "'train_teacher.lr'"),
 ])
 def test_bad_env_override_is_exit_2_with_one_json_line(tmp_path, capsys, monkeypatch,
                                                        name, raw, key):
@@ -184,6 +186,16 @@ def test_config_values_are_type_checked_against_the_defaults(tmp_path):
     ("distill", "lambda_mca", -1.0),
     ("distill", "mca_warmup_steps", -1),
     ("eval", "checkpoint", "bogus"),
+    # JSON's Infinity parses to a float that passes every bound above 0
+    ("train_teacher", "lr", math.inf),
+    ("distill", "student_lr", math.inf),
+    ("distill", "disc_lr", math.inf),
+    ("schedule", "rho", math.inf),
+    ("schedule", "sigma_data", math.inf),
+    ("distill", "lambda_icd", math.inf),
+    ("distill", "lambda_mca", math.inf),
+    # so does a JSON integer past the float range, which then overflows in Adam
+    pytest.param("train_teacher", "lr", 10 ** 400, id="train_teacher-lr-10**400"),
 ], ids=str)
 def test_bad_config_value_is_exit_2_with_one_json_line(tmp_path, capsys, section, key, value):
     cfg = _cfg_file(tmp_path, {section: {**FAST.get(section, {}), key: value}})

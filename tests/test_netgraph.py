@@ -6,7 +6,7 @@ import pytest
 
 from vdmini import netgraph as ng
 from vdmini.errors import GraphError, ShapeError, UnknownBlockError
-from vdmini.tensor import Tensor
+from vdmini.tensor import Tape, Tensor
 
 from ablated import ablated_model
 
@@ -149,6 +149,32 @@ def test_forward_keeps_stacked_videos_apart():
         model.forward(stacked, [0.4, 0.4, 0.4], videos=2)
     with pytest.raises(ShapeError, match="condition"):
         model.forward(stacked, 0.4, Tensor(np.zeros((6, 1, 16, 16))), videos=2)
+
+
+def test_a_taped_forward_keeps_little_beyond_its_op_outputs_and_the_parameters(traced_kept):
+    """Each op's vjp reads what the tape holds anyway, or small statistics
+    (attention's o is an output-sized exception, a few percent here): one
+    op that kept a private copy of its input or output would add tens of
+    percent."""
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((4, 1, 16, 16)))
+    cond = Tensor(rng.standard_normal((1, 1, 16, 16)))
+
+    def forward():
+        model = ng.build(ng.toy_teacher_graph(), 0)
+        with Tape() as tape:
+            model.forward(x, 0.3, cond)
+        return model, tape
+
+    (model, tape), kept = traced_kept(forward)
+    buffers = {}  # outputs that are views of one buffer count it once
+    for _, out in tape.nodes:
+        a = out.data
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        buffers[id(a)] = a.nbytes
+    held = sum(buffers.values()) + sum(p.data.nbytes for p in model.params.values())
+    assert kept < 1.1 * held, kept / held
 
 
 def test_graph_json_round_trip():

@@ -2,7 +2,6 @@ import math
 import sys
 import threading
 import time
-import tracemalloc
 import warnings
 import weakref
 from functools import partial
@@ -964,21 +963,48 @@ def test_a_fallback_item_leaves_the_bits_of_the_items_beside_it(op):
         assert _bits(gx[part]) == _bits(alone_gx)
 
 
-def test_taped_group_norm_keeps_its_output_and_the_group_statistics(traced_peak):
+def _taped(op, *inputs, **kw):
+    with Tape() as tape:
+        out = op(*inputs, **kw)
+    return tape, out
+
+
+def test_taped_group_norm_keeps_its_output_and_the_group_statistics(traced_kept):
     rng = np.random.default_rng(23)
     n, groups = 2, 4
     x = Tensor(rng.standard_normal((n, 8, 32, 32)), requires_grad=True)
     gamma, beta = Tensor(rng.standard_normal(8)), Tensor(rng.standard_normal(8))
-
-    def forward():  # with what the tape holds still alive
-        with Tape() as tape:
-            out = T.group_norm(x, gamma, beta, groups=groups)
-        return tape, out, tracemalloc.get_traced_memory()[0]
-
-    (tape, out, kept), _ = traced_peak(forward)
+    (tape, out), kept = traced_kept(lambda: _taped(T.group_norm, x, gamma, beta, groups=groups))
     # mu and inv are (n, groups, 1), and the tape's Python objects take a few
     # KiB; a second full-size array would be another out.data.nbytes (128 KiB)
     assert kept < out.data.nbytes + 2 * 8 * n * groups + (1 << 14), kept - out.data.nbytes
+
+
+def test_taped_silu_keeps_only_its_output(traced_kept):
+    x = Tensor(np.random.default_rng(30).standard_normal((8, 8, 32, 32)), requires_grad=True)
+    (tape, out), kept = traced_kept(lambda: _taped(T.silu, x))
+    # 1 + e^{-x} or the sigmoid would be another out.data.nbytes (512 KiB)
+    assert kept < out.data.nbytes + (1 << 14), kept - out.data.nbytes
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["plain", "fallback"])
+@pytest.mark.parametrize("op,shape", [(T.attention_spatial, (8, 8, 16, 16)),
+                                      (T.attention_temporal, (32, 8, 8, 8))],
+                         ids=["spatial", "temporal"])
+def test_taped_attention_keeps_its_output_o_and_the_row_statistics(op, shape, fallback, traced_kept):
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal(shape)
+    ws = [rng.standard_normal((8, 8)) / 2.0 for _ in range(4)]
+    if fallback:
+        x = _forced_fallback(op, x)
+        assert (_row_gaps(op, x, ws) > 610.0).any()
+    leaves = [Tensor(a, requires_grad=True) for a in [x] + ws]
+    (tape, out), kept = traced_kept(lambda: _taped(op, *leaves))
+    rows = out.size // shape[1]  # B * T, 2048 here
+    # the output and o (the same size), a row sum and a shift per row, and a
+    # few KiB of Python objects; q, k and v would be 3 * (C + 1) / C more
+    # output sizes (432 KiB)
+    assert kept < 2 * out.data.nbytes + 2 * 8 * rows + (1 << 14), kept - 2 * out.data.nbytes
 
 
 @pytest.mark.parametrize("op", ["silu", "group_norm"])
@@ -991,9 +1017,10 @@ def test_untaped_silu_and_group_norm_allocate_one_output_sized_buffer(op, traced
     # a second output-sized array would be another out.data.nbytes (512 KiB);
     # a broadcasting ufunc's iterator takes a 64 KiB buffer of its own
     assert out.node is None and peak < 1.5 * out.data.nbytes, peak - out.data.nbytes
-    with Tape():
-        taped = run(Tensor(x, requires_grad=True))
+    leaf = Tensor(x, requires_grad=True)
+    (_, taped), taped_peak = traced_peak(lambda: _taped(run, leaf))
     assert taped.node is not None and _bits(taped.data) == _bits(out.data)
+    assert taped_peak < 1.5 * out.data.nbytes, taped_peak - out.data.nbytes
 
 
 def test_sigmoid_family_does_not_warn_on_overflow():
